@@ -29,7 +29,7 @@ from .cmatrix import CMatrix
 from .constructions import in_had_class, is_plain
 from .eigen import hermitian_eigenvalues, singular_values
 from .errors import PreconditionFailed, UnknownBoundId
-from .graphs import Graph, chromatic_number, is_strongly_regular
+from .graphs import CHI_MAX_ORDER, Graph, chromatic_number, is_strongly_regular
 from .norms import as_matrix
 
 EQ_TOL = 1e-7
@@ -348,7 +348,9 @@ def _detect_schr_lower(ctx, params):
     parts = detect_complete_multipartite(ctx.graph)
     if parts is None or len(parts) != ctx.chi:
         return False, {"parts": parts}
-    if params["p"] > 1.0 and len(set(parts)) > 1:
+    # at p > 1 equality needs sigma_1 = ... = sigma_chi: equal parts, or
+    # chi = 2, where K_{a,b} has sigma_1 = sigma_2 = sqrt(ab)
+    if params["p"] > 1.0 and ctx.chi > 2 and len(set(parts)) > 1:
         return False, {"parts": parts, "regular": False}
     return True, {"parts": parts}
 
@@ -532,6 +534,14 @@ def _pre_graph_edge(ctx, params):
     )
 
 
+def _pre_chi(ctx, params):
+    if reason := _pre_graph_edge(ctx, params):
+        return reason
+    if ctx.graph.n > CHI_MAX_ORDER:
+        return f"exact chromatic number is capped at order {CHI_MAX_ORDER}"
+    return None
+
+
 def _pre_km_density(ctx, params):
     reason = _need_graph(ctx) or _p_in(params, 1.0, 2.0)
     if reason:
@@ -653,7 +663,8 @@ _row(
     True,
     _eval_schr_lower,
     lambda ctx, params: _pre_graph_edge(ctx, params)
-    or (None if params["p"] >= 1.0 else f"requires p >= 1 (got {params['p']:g})"),
+    or (None if params["p"] >= 1.0 else f"requires p >= 1 (got {params['p']:g})")
+    or _pre_chi(ctx, params),
     _detect_schr_lower,
 )
 _row(
@@ -662,7 +673,7 @@ _row(
     (),
     True,
     _eval_hoffman,
-    _pre_graph_edge,
+    _pre_chi,
 )
 _row(
     "CAPOROSSI",
@@ -679,7 +690,7 @@ _row(
     (),
     True,
     _eval_kyfan_chromatic,
-    _pre_graph_edge,
+    _pre_chi,
 )
 _row(
     "EMNA",

@@ -376,10 +376,14 @@ def chromatic_number_masks(adj: list[int]) -> int:
     return ub
 
 
+CHI_MAX_ORDER = 32  # largest order chromatic_number accepts
+
+
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number via branch and bound; order capped at 32."""
-    if g.n > 32:
-        raise TooLargeForExact(f"exact coloring capped at order 32, got {g.n}")
+    """Exact chromatic number via branch and bound; order capped at CHI_MAX_ORDER."""
+    if g.n > CHI_MAX_ORDER:
+        raise TooLargeForExact(
+            f"exact coloring capped at order {CHI_MAX_ORDER}, got {g.n}")
     return chromatic_number_masks(g.neighbor_masks())
 
 

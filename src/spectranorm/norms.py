@@ -65,7 +65,11 @@ def entrywise_norm(subject: Subject, p: float) -> float:
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
         raise ValueError(f"entrywise order must be >= 1 or inf, got {p}")
-    return float(np.sum(mods**p) ** (1.0 / p))
+    top = float(mods.max())
+    if top == 0.0:
+        return 0.0
+    # scale by the largest modulus so mods**p neither underflows nor overflows
+    return top * float(np.sum((mods / top) ** p) ** (1.0 / p))
 
 
 def kyfan2_eigen_identity(g: Graph) -> tuple[float, float]:

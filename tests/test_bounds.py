@@ -107,6 +107,14 @@ def test_schr_lower_detectors():
     assert chk.equality and chk.equality_witness["parts"] == [2, 2]
     chk = check_bound("SCHR_LOWER", path(4), p=1.0)
     assert chk.holds and not chk.equality
+    # chi = 2: K_{a,b} has sigma_1 = sigma_2 = sqrt(ab), equality for any a, b
+    for parts in ([1, 2], [2, 3]):
+        chk = check_bound("SCHR_LOWER", complete_multipartite(parts), p=1.5)
+        assert chk.equality, parts
+        assert chk.equality_witness["parts"] == sorted(parts, reverse=True)
+    chk = check_bound("SCHR_LOWER", complete_multipartite([1, 1, 2]), p=1.5)
+    assert chk.holds and not chk.equality
+    assert abs(chk.slack - 0.018) < 1e-3
 
 
 def test_schatten_p_ge2_notes_flag():

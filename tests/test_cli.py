@@ -77,6 +77,21 @@ def test_check_skip_and_exit(capsys, tmp_path):
     assert "SKIP" in out
 
 
+def test_check_order_past_chi_cap(capsys, tmp_path):
+    from spectranorm.graphs import paley, write_graph6
+
+    f = tmp_path / "p37.g6"
+    f.write_text(write_graph6(paley(37)) + "\n")
+    code, out = _run(capsys, "check", "--in", str(f), "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    skipped = {c["bound_id"]: c["skip_reason"] for c in checks if c["skipped"]}
+    reason = "exact chromatic number is capped at order 32"
+    assert skipped == {"SCHR_LOWER": reason, "HOFFMAN": reason, "KYFAN_CHROMATIC": reason,
+                       "SCHATTEN_P_GE2": "requires p >= 2 (got 1)"}
+    assert len(checks) == 20  # the other rows are evaluated, not aborted
+
+
 def test_sweep_exit_codes(capsys):
     code, _ = _run(capsys, "sweep", "--n", "4", "--threads", "1")
     assert code == 0

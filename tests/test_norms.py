@@ -64,6 +64,9 @@ def test_entrywise():
     assert abs(entrywise_norm(all_ones(2, 3), 1) - 6.0) < 1e-12
     assert abs(entrywise_norm(complete(2), 2) - math.sqrt(2)) < 1e-12
     assert abs(entrywise_norm(dft_matrix(3), math.inf) - 1.0) < 1e-9
+    # tiny entries must not underflow to zero when raised to the power p
+    tiny = CMatrix.from_array(1e-200 * np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert abs(entrywise_norm(tiny, 2) / (math.sqrt(30.0) * 1e-200) - 1.0) < 1e-12
 
 
 def test_order_validation():
