@@ -73,7 +73,7 @@ def _sample_sigma(n: int, seed: int, index: int) -> tuple[np.ndarray, int]:
     """Descending singular values of one sample plus its edge count."""
     a = _sample_adjacency(n, seed, index)
     m = int(round(a.sum() / 2))
-    eigs = _eigenvalues_of_hermitian_array(a.astype(complex))
+    eigs = _eigenvalues_of_hermitian_array(a)
     sig = np.sort(np.abs(eigs))[::-1]
     sig.flags.writeable = False
     return sig, m

@@ -1,9 +1,13 @@
 """Registry of extremal norm bounds as checkable predicates.
 
-Every row evaluates both sides of one inequality on a graph or matrix
-subject, reports the slack, and (when the slack is inside tolerance) runs a
-structural equality detector. Registry ids are stable strings used by the
-CLI and the JSON report schema.
+Each row is defined once, over a batch of B subjects of one shape and kind
+(a `Quantities` record): `applies` lists its preconditions in order, and
+`formula` gives both sides of the inequality as arrays over the batch.
+`check_bound` and `run_registry` run a row on one subject, as the lazy B = 1
+record `SubjectContext`; the exhaustive sweep runs the same rows on chunks of
+8192 graphs. When a single subject's slack is inside tolerance, a structural
+equality detector runs on the subject itself. Registry ids are stable strings
+used by the CLI and the JSON report schema.
 
 Conventions:
   * upper rows assert lhs <= rhs and use slack = rhs - lhs,
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -68,8 +72,42 @@ class BoundCheck:
         }
 
 
+@dataclass
+class Quantities:
+    """The invariants the rows read, for a batch of `size` subjects.
+
+    All subjects share the oriented shape `n_rows <= n_cols` and their kind.
+    Per-subject fields have a leading batch axis: descending singular values
+    `sig` (B, n_rows) and, for graphs, descending eigenvalues `eigs` (B, n),
+    edge counts `m` and chromatic numbers `chi`; the entrywise norms `ent1`
+    = |A|_1, `ent2_sq` = |A|_2^2 and `entinf` = |A|_inf; and the flags
+    `is_graph`, `nonneg` and `zero_one`.
+    """
+
+    size: int
+    n_rows: int
+    n_cols: int
+    sig: np.ndarray
+    eigs: np.ndarray
+    m: np.ndarray
+    chi: np.ndarray
+    ent1: np.ndarray
+    ent2_sq: np.ndarray
+    entinf: np.ndarray
+    is_graph: np.ndarray
+    nonneg: np.ndarray
+    zero_one: np.ndarray
+
+
 class SubjectContext:
-    """Lazy cache of spectra and invariants shared by all registry rows."""
+    """One graph or matrix as a B = 1 `Quantities` record, filled lazily.
+
+    Each field is computed on first use, so spectra and chi are only paid for
+    by rows that apply. The detectors read the subject itself through
+    `graph`, `matrix` and `oriented`.
+    """
+
+    size = 1
 
     def __init__(self, subject: Union[Graph, CMatrix]):
         if isinstance(subject, Graph):
@@ -90,7 +128,7 @@ class SubjectContext:
         return m if m.rows <= m.cols else CMatrix.from_array(m.data.T)
 
     @property
-    def m_rows(self) -> int:
+    def n_rows(self) -> int:
         return self.oriented.rows
 
     @property
@@ -98,52 +136,56 @@ class SubjectContext:
         return self.oriented.cols
 
     @cached_property
-    def sigmas(self) -> np.ndarray:
-        return singular_values(self.matrix).values
+    def sig(self) -> np.ndarray:
+        return singular_values(self.matrix).values[None, :]
 
     @cached_property
-    def graph_eigs(self) -> np.ndarray:
-        return hermitian_eigenvalues(self.matrix).values
+    def eigs(self) -> np.ndarray:
+        return hermitian_eigenvalues(self.matrix).values[None, :]
 
     @cached_property
-    def chi(self) -> int:
-        return chromatic_number(self.graph)
+    def m(self) -> np.ndarray:
+        return np.array([self.graph.num_edges()])
 
     @cached_property
-    def m_edges(self) -> int:
-        return self.graph.num_edges()
+    def chi(self) -> np.ndarray:
+        return np.array([chromatic_number(self.graph)])
 
     @cached_property
-    def ent1(self) -> float:
-        return float(np.sum(np.abs(self.matrix.data)))
+    def ent1(self) -> np.ndarray:
+        return np.array([np.sum(np.abs(self.matrix.data))])
 
     @cached_property
-    def ent2_sq(self) -> float:
-        return float(np.sum(np.abs(self.matrix.data) ** 2))
+    def ent2_sq(self) -> np.ndarray:
+        return np.array([np.sum(np.abs(self.matrix.data) ** 2)])
 
     @cached_property
-    def entinf(self) -> float:
-        return float(np.max(np.abs(self.matrix.data)))
+    def entinf(self) -> np.ndarray:
+        return np.array([np.max(np.abs(self.matrix.data))])
 
     @cached_property
-    def is_nonnegative(self) -> bool:
+    def is_graph(self) -> np.ndarray:
+        return np.array([self.graph is not None])
+
+    @cached_property
+    def nonneg(self) -> np.ndarray:
         d = self.matrix.data
-        return bool(
+        return np.array([
             np.all(d.real >= 0.0)
-            and np.all(np.abs(d.imag) <= 1e-12 * (1.0 + self.entinf))
-        )
+            and np.all(np.abs(d.imag) <= 1e-12 * (1.0 + self.entinf[0]))
+        ])
 
     @cached_property
-    def is_zero_one(self) -> bool:
+    def zero_one(self) -> np.ndarray:
         d = self.matrix.data
-        near = (np.abs(d) <= 1e-12) | (np.abs(d - 1.0) <= 1e-12)
-        return bool(np.all(near))
+        return np.array([np.all((np.abs(d) <= 1e-12) | (np.abs(d - 1.0) <= 1e-12))])
 
 
 # --- small shared predicates ---------------------------------------------------
 
-def _sum_pow(sig: np.ndarray, p: float) -> float:
-    return float(np.sum(sig**p))
+def _spow(q, p):
+    """Per-subject sum of sigma_i^p."""
+    return (q.sig**p).sum(axis=1)
 
 
 def _values_equal(values: np.ndarray, scale: float) -> bool:
@@ -203,26 +245,44 @@ def detect_complete_multipartite(g: Graph) -> Optional[list[int]]:
 
 # --- row implementations --------------------------------------------------------
 #
-# Evaluators return (lhs, rhs, lower?, notes); detectors return
-# (verdict, witness) where verdict None means the detector is informational
-# and does not gate the equality flag.
+# A precondition check maps (q, params) to (ok, reason). `ok` is a plain bool
+# when it is the same for the whole batch (it reads only the parameters or
+# the shared shape), and a per-subject mask otherwise.
+#
+# A formula maps (q, params) to (lhs, rhs, lower, mid): per-subject arrays,
+# whether the row is a lower bound, and the per-subject middle term of a
+# chained upper bound or None.
+#
+# Detectors run on one subject (a SubjectContext) and return (verdict,
+# witness); verdict None means the detector is informational and does not
+# gate the equality flag.
 
-def _need_graph(ctx: SubjectContext) -> Optional[str]:
-    return None if ctx.graph is not None else "row applies to graph subjects only"
+def _graph(q, params):
+    return q.is_graph, "row applies to graph subjects only"
 
 
-def _p_in(params, lo, hi, *, hi_strict=False) -> Optional[str]:
-    p = params["p"]
-    if p < lo or p > hi or (hi_strict and p == hi):
-        upper = f"< {hi}" if hi_strict else f"<= {hi}"
-        return f"requires {lo} <= p {upper} (got {p:g})"
-    return None
+def _p_at_least(lo):
+    def check(q, params):
+        p = params["p"]
+        return p >= lo, f"requires p >= {lo:g} (got {p:g})"
+    return check
 
 
-def _eval_mcclelland(ctx, params):
-    lhs = float(ctx.sigmas.sum())
-    rhs = math.sqrt(2.0 * ctx.m_edges * ctx.graph.n)
-    return lhs, rhs, False, ""
+def _p_between(lo, hi, *, hi_strict=False):
+    def check(q, params):
+        p = params["p"]
+        ok = lo <= p and (p < hi if hi_strict else p <= hi)
+        return ok, f"requires {lo:g} <= p {'<' if hi_strict else '<='} {hi:g} (got {p:g})"
+    return check
+
+
+def _tail_factor(m: int, e: float) -> float:
+    """(m - 1)^e, with 0^0 = 1 for a single row or vertex."""
+    return float(m - 1) ** e if m > 1 else (1.0 if e == 0.0 else 0.0)
+
+
+def _f_mcclelland(q, params):
+    return q.sig.sum(axis=1), np.sqrt(2.0 * q.m * q.n_rows), False, None
 
 
 def _detect_mcclelland(ctx, params):
@@ -231,69 +291,63 @@ def _detect_mcclelland(ctx, params):
     return flag and nonzero, {"gram_scale": c}
 
 
-def _eval_schatten_edges(ctx, params):
+def _f_schatten_edges(q, params):
     p = params["p"]
-    lhs = _sum_pow(ctx.sigmas, p)
-    rhs = ctx.graph.n ** (1.0 - p / 2.0) * (2.0 * ctx.m_edges) ** (p / 2.0)
-    return lhs, rhs, p > 2.0, "p-th power on the left; direction reverses for p > 2"
+    rhs = q.n_rows ** (1.0 - p / 2.0) * (2.0 * q.m) ** (p / 2.0)
+    return _spow(q, p), rhs, p > 2.0, None
 
 
 def _detect_schatten_edges(ctx, params):
-    sig = ctx.sigmas
+    sig = ctx.sig[0]
     return _values_equal(sig, float(sig[0])), {"sigma_top": float(sig[0])}
 
 
-def _eval_km_spectral(ctx, params):
+def _f_km_spectral(q, params):
     p = params["p"]
-    mu = float(ctx.graph_eigs[0])
-    lhs = _sum_pow(ctx.sigmas, p)
-    inner = max(0.0, 2.0 * ctx.m_edges - mu * mu)
-    nmin1 = ctx.graph.n - 1
-    rhs = mu**p + nmin1 ** (1.0 - p / 2.0) * inner ** (p / 2.0) if nmin1 else mu**p
-    return lhs, rhs, False, ""
+    mu = q.eigs[:, 0]
+    inner = np.clip(2.0 * q.m - mu * mu, 0.0, None)
+    rhs = mu**p + _tail_factor(q.n_rows, 1.0 - p / 2.0) * inner ** (p / 2.0)
+    return _spow(q, p), rhs, False, None
 
 
 def _detect_sigma_tail_equal(ctx, params):
-    sig = ctx.sigmas
+    sig = ctx.sig[0]
     tail = sig[1:]
     return _values_equal(tail, float(sig[0])), {
         "sigma_tail": float(tail[0]) if tail.size else 0.0
     }
 
 
-def _eval_km_density(ctx, params):
+def _f_km_density(q, params):
     p = params["p"]
-    n = ctx.graph.n
-    d = 2.0 * ctx.m_edges / n
-    lhs = _sum_pow(ctx.sigmas, p)
-    inner = max(0.0, 2.0 * ctx.m_edges - d * d)
-    rhs = d**p + (n - 1) ** (1.0 - p / 2.0) * inner ** (p / 2.0)
-    return lhs, rhs, False, ""
+    d = 2.0 * q.m / q.n_rows
+    inner = np.clip(2.0 * q.m - d * d, 0.0, None)
+    rhs = d**p + _tail_factor(q.n_rows, 1.0 - p / 2.0) * inner ** (p / 2.0)
+    return _spow(q, p), rhs, False, None
 
 
 def _detect_km_density(ctx, params):
     g = ctx.graph
     n = g.n
+    m = g.num_edges()
     degs = g.degrees()
     if all(dg == 1 for dg in degs):
         return True, {"case": "perfect_matching"}
-    if g.num_edges() == n * (n - 1) // 2:
+    if m == n * (n - 1) // 2:
         return True, {"case": "complete"}
     srg = is_strongly_regular(g)
-    if srg is None or ctx.m_edges == 0:
+    if srg is None or m == 0:
         return False, {"case": None}
-    d = 2.0 * ctx.m_edges / n
-    t = math.sqrt(max(0.0, (2.0 * ctx.m_edges - d * d) / (n - 1)))
-    rest = np.abs(ctx.graph_eigs[1:])
+    d = 2.0 * m / n
+    t = math.sqrt(max(0.0, (2.0 * m - d * d) / (n - 1)))
+    rest = np.abs(ctx.eigs[0, 1:])
     ok = bool(np.max(np.abs(rest - t)) <= EQ_TOL * (1.0 + t))
     return ok, {"case": "strongly_regular", "srg": list(srg), "eigenvalue_modulus": t}
 
 
-def _eval_km_absolute(ctx, params):
-    n = ctx.graph.n
-    lhs = float(ctx.sigmas.sum())
-    rhs = n * (1.0 + math.sqrt(n)) / 2.0
-    return lhs, rhs, False, ""
+def _f_km_absolute(q, params):
+    n = q.n_rows
+    return q.sig.sum(axis=1), np.full(q.size, n * (1.0 + math.sqrt(n)) / 2.0), False, None
 
 
 def _detect_km_absolute(ctx, params):
@@ -312,61 +366,49 @@ def _detect_km_absolute(ctx, params):
     }
 
 
-def _eval_schatten_abs_n(ctx, params):
-    p = params["p"]
-    n = ctx.graph.n
-    lhs = _sum_pow(ctx.sigmas, p)
-    rhs = 2.0 ** (-p) * n ** (1.0 + p / 2.0) + n**p
-    return lhs, rhs, False, "strict for finite graphs; tight asymptotically"
+def _f_schatten_abs_n(q, params):
+    p, n = params["p"], q.n_rows
+    rhs = 2.0 ** (-p) * n ** (1.0 + p / 2.0) + float(n) ** p
+    return _spow(q, p), np.full(q.size, rhs), False, None
 
 
-def _eval_schatten_p_ge2(ctx, params):
+def _f_schatten_p_ge2(q, params):
     p = params["p"]
-    lhs = _sum_pow(ctx.sigmas, p) ** (1.0 / p)
-    rhs = math.sqrt(2.0 * ctx.m_edges)
-    return lhs, rhs, False, (
-        "norm-level form; the p-th-powered variant is not an inequality "
-        "(fails already for K_4 at p = 3)"
-    )
+    return _spow(q, p) ** (1.0 / p), np.sqrt(2.0 * q.m), False, None
 
 
 def _detect_schatten_p_ge2(ctx, params):
-    count, equal, value = _nonzero_sigma_profile(ctx.sigmas)
+    count, equal, value = _nonzero_sigma_profile(ctx.sig[0])
     return count == 1 and equal, {"nonzero_sigma": count}
 
 
-def _eval_schr_lower(ctx, params):
+def _f_schr_lower(q, params):
     p = params["p"]
-    sigma1 = float(ctx.sigmas[0])
-    chi = ctx.chi
-    rhs = sigma1 * (1.0 + (chi - 1.0) ** (1.0 - p)) ** (1.0 / p)
-    lhs = _sum_pow(ctx.sigmas, p) ** (1.0 / p)
-    return lhs, rhs, True, f"chi = {chi}"
+    rhs = q.sig[:, 0] * (1.0 + (q.chi - 1.0) ** (1.0 - p)) ** (1.0 / p)
+    return _spow(q, p) ** (1.0 / p), rhs, True, None
 
 
 def _detect_schr_lower(ctx, params):
+    chi = int(ctx.chi[0])
     parts = detect_complete_multipartite(ctx.graph)
-    if parts is None or len(parts) != ctx.chi:
+    if parts is None or len(parts) != chi:
         return False, {"parts": parts}
     # at p > 1 equality needs sigma_1 = ... = sigma_chi: equal parts, or
     # chi = 2, where K_{a,b} has sigma_1 = sigma_2 = sqrt(ab)
-    if params["p"] > 1.0 and ctx.chi > 2 and len(set(parts)) > 1:
+    if params["p"] > 1.0 and chi > 2 and len(set(parts)) > 1:
         return False, {"parts": parts, "regular": False}
     return True, {"parts": parts}
 
 
-def _eval_hoffman(ctx, params):
-    mu = ctx.graph_eigs
-    chi = ctx.chi
-    lhs = float(np.sum(np.abs(mu[ctx.graph.n - chi + 1:])))
-    rhs = float(mu[0])
-    return lhs, rhs, True, f"sum of the {chi - 1} bottom |eigenvalues|"
+def _f_hoffman(q, params):
+    # sum of the chi - 1 smallest |eigenvalues|
+    bottom = np.cumsum(np.abs(q.eigs)[:, ::-1], axis=1)
+    idx = np.clip(q.chi - 2, 0, None)[:, None]
+    return np.take_along_axis(bottom, idx, axis=1)[:, 0], q.eigs[:, 0], True, None
 
 
-def _eval_caporossi(ctx, params):
-    lhs = float(ctx.sigmas.sum())
-    rhs = 2.0 * float(ctx.graph_eigs[0])
-    return lhs, rhs, True, ""
+def _f_caporossi(q, params):
+    return q.sig.sum(axis=1), 2.0 * q.eigs[:, 0], True, None
 
 
 def _detect_caporossi(ctx, params):
@@ -374,28 +416,25 @@ def _detect_caporossi(ctx, params):
     return parts is not None, {"parts": parts}
 
 
-def _eval_kyfan_chromatic(ctx, params):
-    chi = ctx.chi
-    sig = ctx.sigmas
-    lhs = float(sig[: min(chi, sig.size)].sum())
-    rhs = 2.0 * float(sig[0])
-    return lhs, rhs, True, f"Ky Fan order is chi = {chi}"
+def _f_kyfan_chromatic(q, params):
+    idx = np.clip(q.chi - 1, 0, q.sig.shape[1] - 1)[:, None]
+    lhs = np.take_along_axis(np.cumsum(q.sig, axis=1), idx, axis=1)[:, 0]
+    return lhs, 2.0 * q.sig[:, 0], True, None
 
 
-def _eval_emna(ctx, params):
-    mu = ctx.graph_eigs
-    lhs = abs(float(mu[0])) + abs(float(mu[1]))
-    rhs = (0.5 + math.sqrt(5.0 / 12.0)) * ctx.graph.n
-    return lhs, rhs, False, ""
+_EMNA_COEF = 0.5 + math.sqrt(5.0 / 12.0)
 
 
-def _eval_power_mean(ctx, params):
-    p, q = params["p"], params["q"]
-    m = ctx.m_rows
-    sig = ctx.sigmas
-    lhs = m ** (-1.0 / p) * _sum_pow(sig, p) ** (1.0 / p)
-    rhs = m ** (-1.0 / q) * _sum_pow(sig, q) ** (1.0 / q)
-    return lhs, rhs, False, ""
+def _f_emna(q, params):
+    lhs = np.abs(q.eigs[:, 0]) + np.abs(q.eigs[:, 1])
+    return lhs, np.full(q.size, _EMNA_COEF * q.n_rows), False, None
+
+
+def _f_power_mean(q, params):
+    p, qq, m = params["p"], params["q"], q.n_rows
+    lhs = m ** (-1.0 / p) * _spow(q, p) ** (1.0 / p)
+    rhs = m ** (-1.0 / qq) * _spow(q, qq) ** (1.0 / qq)
+    return lhs, rhs, False, None
 
 
 def _detect_power_mean(ctx, params):
@@ -403,59 +442,56 @@ def _detect_power_mean(ctx, params):
     return flag, {"gram_scale": c}
 
 
-def _eval_schatten_abs_mat(ctx, params):
+def _f_schatten_abs_mat(q, params):
     p = params["p"]
-    lhs = _sum_pow(ctx.sigmas, p) ** (1.0 / p)
-    rhs = ctx.m_rows ** (1.0 / p) * math.sqrt(ctx.n_cols) * ctx.entinf
-    return lhs, rhs, False, ""
+    rhs = q.n_rows ** (1.0 / p) * math.sqrt(q.n_cols) * q.entinf
+    return _spow(q, p) ** (1.0 / p), rhs, False, None
 
 
 def _detect_schatten_abs_mat(ctx, params):
     return in_had_class(ctx.oriented), {}
 
 
-def _eval_km_matrix(ctx, params):
-    p, q = params["p"], params["q"]
-    m = ctx.m_rows
-    sig = ctx.sigmas
-    s1 = float(sig[0])
-    lhs = _sum_pow(sig, p)
-    inner = max(0.0, _sum_pow(sig, q) - s1**q)
-    rhs = s1**p + (m - 1.0) ** (1.0 - p / q) * inner ** (p / q)
-    rhs_alt = s1**p + (m - 1.0) ** (1.0 - p / q) * inner ** (1.0 / q)
-    notes = (
-        "final exponent p/q (confirmed sound by numeric sweep); "
-        f"the 1/q variant would give rhs = {rhs_alt:.12g}"
-    )
-    return lhs, rhs, False, notes
+def _km_matrix_rhs(q, params, final_exponent):
+    p, qq = params["p"], params["q"]
+    s1 = q.sig[:, 0]
+    inner = np.clip(_spow(q, qq) - s1**qq, 0.0, None)
+    return s1**p + _tail_factor(q.n_rows, 1.0 - p / qq) * inner**final_exponent
 
 
-def _eval_nonneg_energy(ctx, params):
-    m, n = ctx.m_rows, ctx.n_cols
-    lhs = float(ctx.sigmas.sum())
-    ray = ctx.ent1 / math.sqrt(m * n)
-    mid = ray + math.sqrt(max(0.0, (m - 1.0) * (ctx.ent2_sq - ray * ray)))
-    rhs = (m + math.sqrt(m)) * math.sqrt(n) * ctx.entinf / 2.0
-    notes = f"middle bound {mid:.12g}; chain checked on both links"
-    return lhs, rhs, False, notes, mid
+def _f_km_matrix(q, params):
+    rhs = _km_matrix_rhs(q, params, params["p"] / params["q"])
+    return _spow(q, params["p"]), rhs, False, None
+
+
+def _notes_km_matrix(q, params, mid):
+    alt = _km_matrix_rhs(q, params, 1.0 / params["q"])[0]
+    return ("final exponent p/q (confirmed sound by numeric sweep); "
+            f"the 1/q variant would give rhs = {alt:.12g}")
+
+
+def _f_nonneg_energy(q, params):
+    m, n = q.n_rows, q.n_cols
+    ray = q.ent1 / math.sqrt(m * n)
+    mid = ray + np.sqrt(np.clip((m - 1.0) * (q.ent2_sq - ray * ray), 0.0, None))
+    rhs = (m + math.sqrt(m)) * math.sqrt(n) / 2.0 * q.entinf
+    return q.sig.sum(axis=1), rhs, False, mid
 
 
 def _detect_nonneg_energy(ctx, params):
-    if ctx.entinf <= 0.0:
+    entinf = float(ctx.entinf[0])
+    if entinf <= 0.0:
         return False, {"reason": "zero matrix"}
-    scaled = ctx.oriented.data / ctx.entinf
+    scaled = ctx.oriented.data / entinf
     b = CMatrix.from_array(np.ones_like(scaled) - 2.0 * scaled)
     plain = is_plain(b)
     had = in_had_class(b)
     return plain and had, {"plain": plain, "had_class": had}
 
 
-def _eval_kyfan_01(ctx, params):
-    k = params["k"]
-    sig = ctx.sigmas
-    lhs = float(sig[: min(k, sig.size)].sum())
-    rhs = (1.0 + math.sqrt(k)) * math.sqrt(ctx.m_rows * ctx.n_cols) / 2.0
-    return lhs, rhs, False, ""
+def _f_kyfan_01(q, params):
+    rhs = (1.0 + math.sqrt(params["k"])) * math.sqrt(q.n_rows * q.n_cols) / 2.0
+    return _kyfan_lhs(q, params), np.full(q.size, rhs), False, None
 
 
 def _flip_profile(ctx) -> tuple[bool, int, float]:
@@ -475,17 +511,16 @@ def _detect_kyfan_01(ctx, params):
 
 def _detect_kyfan_l2(ctx, params):
     k = params["k"]
-    count, equal, value = _nonzero_sigma_profile(ctx.sigmas)
+    count, equal, value = _nonzero_sigma_profile(ctx.sig[0])
     return equal and count == k, {"nonzero_sigma": count, "sigma_value": value}
 
 
 def _detect_kyfan_inf(ctx, params):
     k = params["k"]
-    count, equal, value = _nonzero_sigma_profile(ctx.sigmas)
+    entinf = float(ctx.entinf[0])
+    count, equal, value = _nonzero_sigma_profile(ctx.sig[0])
     mods = np.abs(ctx.matrix.data)
-    unimodular = bool(
-        ctx.entinf > 0.0 and float(mods.min()) >= ctx.entinf * (1.0 - 1e-9)
-    )
+    unimodular = bool(entinf > 0.0 and float(mods.min()) >= entinf * (1.0 - 1e-9))
     return equal and count == k and unimodular, {
         "nonzero_sigma": count,
         "constant_modulus": unimodular,
@@ -494,9 +529,10 @@ def _detect_kyfan_inf(ctx, params):
 
 def _detect_kyfan_nonneg(ctx, params):
     k = params["k"]
-    if ctx.entinf <= 0.0:
+    entinf = float(ctx.entinf[0])
+    if entinf <= 0.0:
         return False, {"reason": "zero matrix"}
-    scaled = ctx.oriented.data.real / ctx.entinf
+    scaled = ctx.oriented.data.real / entinf
     zero_one = bool(np.all((np.abs(scaled) <= 1e-9) | (np.abs(scaled - 1.0) <= 1e-9)))
     if not zero_one:
         return False, {"zero_one_multiple": False}
@@ -508,282 +544,285 @@ def _detect_kyfan_nonneg(ctx, params):
     return ok, {"zero_one_multiple": True, "plain": plain, "nonzero_sigma": count}
 
 
-def _eval_kyfan_helper(ctx, params, rhs):
-    k = params["k"]
-    sig = ctx.sigmas
-    lhs = float(sig[: min(k, sig.size)].sum())
-    return lhs, rhs, False, ""
+def _kyfan_lhs(q, params):
+    return np.cumsum(q.sig, axis=1)[:, params["k"] - 1]
+
+
+def _f_kyfan_l2(q, params):
+    return _kyfan_lhs(q, params), math.sqrt(params["k"]) * np.sqrt(q.ent2_sq), False, None
+
+
+def _f_kyfan_inf(q, params):
+    rhs = math.sqrt(params["k"]) * math.sqrt(q.n_rows * q.n_cols) * q.entinf
+    return _kyfan_lhs(q, params), rhs, False, None
+
+
+def _f_kyfan_nonneg(q, params):
+    rhs = (1.0 + math.sqrt(params["k"])) * math.sqrt(q.n_rows * q.n_cols) / 2.0 * q.entinf
+    return _kyfan_lhs(q, params), rhs, False, None
 
 
 # --- the registry ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BoundRow:
+    """One inequality: its preconditions, its formula and its detector.
+
+    `notes` is a string, or a function of (q, params, mid) for notes that
+    quote one subject's values.
+    """
+
     bound_id: str
     statement: str
     takes: tuple
-    graph_only: bool
-    evaluate: object
-    precondition: object = None
-    detector: object = None
+    applies: tuple
+    formula: Callable
+    detector: Optional[Callable] = None
+    notes: object = ""
+
+    def gate(self, q, params) -> tuple[np.ndarray, Optional[str]]:
+        """Mask of the subjects that meet every precondition, in order.
+
+        The reason is that of the check that left no subject, else None.
+        Checks after that one are not evaluated.
+        """
+        app = np.ones(q.size, dtype=bool)
+        for check in self.applies:
+            ok, reason = check(q, params)
+            app &= ok
+            if not app.any():
+                return app, reason
+        return app, None
+
+    def evaluate(self, q, params, tol_scale: float):
+        """(lhs, rhs, mid, slack, holds, numeric equality) per subject."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lhs, rhs, lower, mid = self.formula(q, params)
+            slack = (lhs - rhs) if lower else (rhs - lhs)
+            tol = EQ_TOL * (1.0 + np.abs(lhs) + np.abs(rhs)) * tol_scale
+            holds = slack >= -tol
+            if mid is not None:
+                # chained upper bound: both links must hold
+                tol_a = EQ_TOL * (1.0 + np.abs(lhs) + np.abs(mid)) * tol_scale
+                tol_b = EQ_TOL * (1.0 + np.abs(mid) + np.abs(rhs)) * tol_scale
+                holds = (lhs <= mid + tol_a) & (mid <= rhs + tol_b)
+            equal = holds & (np.abs(slack) <= tol)
+        return lhs, rhs, mid, slack, holds, equal
 
 
-def _pre_graph_edge(ctx, params):
-    return _need_graph(ctx) or (
-        None if ctx.m_edges >= 1 else "graph must have at least one edge"
-    )
+def _has_edge(q, params):
+    return q.m >= 1, "graph must have at least one edge"
 
 
-def _pre_chi(ctx, params):
-    if reason := _pre_graph_edge(ctx, params):
-        return reason
-    if ctx.graph.n > CHI_MAX_ORDER:
-        return f"exact chromatic number is capped at order {CHI_MAX_ORDER}"
-    return None
+def _chi_exact(q, params):
+    return (q.n_rows <= CHI_MAX_ORDER,
+            f"exact chromatic number is capped at order {CHI_MAX_ORDER}")
 
 
-def _pre_km_density(ctx, params):
-    reason = _need_graph(ctx) or _p_in(params, 1.0, 2.0)
-    if reason:
-        return reason
-    return None if ctx.m_edges >= ctx.graph.n / 2.0 else "requires m >= n/2"
+def _half_dense(q, params):
+    return 2.0 * q.m >= q.n_rows, "requires m >= n/2"
 
 
-def _pre_pq(ctx, params):
-    p, q = params["p"], params["q"]
-    if p < 1.0:
-        return f"requires p >= 1 (got {p:g})"
-    if q < p:
-        return f"requires p <= q (got p={p:g}, q={q:g})"
-    return None
+def _q_at_least_p(q, params):
+    p, qq = params["p"], params["q"]
+    return qq >= p, f"requires p <= q (got p={p:g}, q={qq:g})"
 
 
-def _pre_nonneg_energy(ctx, params):
-    if not ctx.is_nonnegative:
-        return "matrix must be nonnegative"
-    if ctx.ent1 < ctx.n_cols * ctx.entinf - 1e-12 * (1.0 + ctx.entinf):
-        return "requires |A|_1 >= n |A|_inf"
-    return None
+def _two_vertices(q, params):
+    return q.n_rows >= 2, "requires n >= 2"
 
 
-def _pre_kyfan_k(ctx, params):
+def _nonneg(q, params):
+    return q.nonneg, "matrix must be nonnegative"
+
+
+def _mass_spread(q, params):
+    ok = q.ent1 >= q.n_cols * q.entinf - 1e-12 * (1.0 + q.entinf)
+    return ok, "requires |A|_1 >= n |A|_inf"
+
+
+def _zero_one(q, params):
+    return q.zero_one, "matrix entries must all be 0 or 1"
+
+
+def _k_range(q, params):
     k = params["k"]
-    return None if 1 <= k <= ctx.m_rows else f"requires 1 <= k <= m (got k={k})"
-
-
-def _pre_kyfan_01(ctx, params):
-    if not ctx.is_zero_one:
-        return "matrix entries must all be 0 or 1"
-    return _pre_kyfan_k(ctx, params)
-
-
-def _pre_kyfan_nonneg(ctx, params):
-    if not ctx.is_nonnegative:
-        return "matrix must be nonnegative"
-    return _pre_kyfan_k(ctx, params)
+    return 1 <= k <= q.n_rows, f"requires 1 <= k <= m (got k={k})"
 
 
 _ROWS: dict[str, BoundRow] = {}
 
 
-def _row(bound_id, statement, takes, graph_only, evaluate, precondition=None, detector=None):
-    _ROWS[bound_id] = BoundRow(
-        bound_id, statement, takes, graph_only, evaluate, precondition, detector
-    )
+def _row(bound_id, statement, takes, applies, formula, detector=None, notes=""):
+    _ROWS[bound_id] = BoundRow(bound_id, statement, takes, applies, formula, detector, notes)
 
 
 _row(
     "MCCLELLAND",
     "||G||_S1 <= sqrt(2mn)",
     (),
-    True,
-    _eval_mcclelland,
-    None,
+    (_graph,),
+    _f_mcclelland,
     _detect_mcclelland,
 )
 _row(
     "SCHATTEN_EDGES",
     "||G||_Sp^p <= n^(1-p/2) (2m)^(p/2) for 1<=p<=2; reversed for p>2",
     ("p",),
-    True,
-    _eval_schatten_edges,
-    lambda ctx, params: _need_graph(ctx)
-    or (None if params["p"] >= 1.0 else f"requires p >= 1 (got {params['p']:g})"),
+    (_graph, _p_at_least(1.0)),
+    _f_schatten_edges,
     _detect_schatten_edges,
+    "p-th power on the left; direction reverses for p > 2",
 )
 _row(
     "KM_SPECTRAL",
     "||G||_Sp^p <= mu^p + (n-1)^(1-p/2) (2m - mu^2)^(p/2), 1<=p<=2",
     ("p",),
-    True,
-    _eval_km_spectral,
-    lambda ctx, params: _need_graph(ctx) or _p_in(params, 1.0, 2.0),
+    (_graph, _p_between(1.0, 2.0)),
+    _f_km_spectral,
     _detect_sigma_tail_equal,
 )
 _row(
     "KM_DENSITY",
     "||G||_Sp^p <= (2m/n)^p + (n-1)^(1-p/2) (2m - (2m/n)^2)^(p/2), 1<=p<=2, m>=n/2",
     ("p",),
-    True,
-    _eval_km_density,
-    _pre_km_density,
+    (_graph, _p_between(1.0, 2.0), _half_dense),
+    _f_km_density,
     _detect_km_density,
 )
 _row(
     "SCHATTEN_ABS_N",
     "||G||_Sp^p <= 2^-p n^(1+p/2) + n^p, 1<=p<2",
     ("p",),
-    True,
-    _eval_schatten_abs_n,
-    lambda ctx, params: _need_graph(ctx) or _p_in(params, 1.0, 2.0, hi_strict=True),
+    (_graph, _p_between(1.0, 2.0, hi_strict=True)),
+    _f_schatten_abs_n,
+    None,
+    "strict for finite graphs; tight asymptotically",
 )
 _row(
     "KM_ABSOLUTE",
     "||G||_S1 <= n(1+sqrt(n))/2",
     (),
-    True,
-    _eval_km_absolute,
-    None,
+    (_graph,),
+    _f_km_absolute,
     _detect_km_absolute,
 )
 _row(
     "SCHATTEN_P_GE2",
     "||G||_Sp <= sqrt(2m) for p >= 2",
     ("p",),
-    True,
-    _eval_schatten_p_ge2,
-    lambda ctx, params: _need_graph(ctx)
-    or (None if params["p"] >= 2.0 else f"requires p >= 2 (got {params['p']:g})"),
+    (_graph, _p_at_least(2.0)),
+    _f_schatten_p_ge2,
     _detect_schatten_p_ge2,
+    "norm-level form; the p-th-powered variant is not an inequality "
+    "(fails already for K_4 at p = 3)",
 )
 _row(
     "SCHR_LOWER",
     "||G||_Sp >= sigma_1 (1 + (chi-1)^(1-p))^(1/p)",
     ("p",),
-    True,
-    _eval_schr_lower,
-    lambda ctx, params: _pre_graph_edge(ctx, params)
-    or (None if params["p"] >= 1.0 else f"requires p >= 1 (got {params['p']:g})")
-    or _pre_chi(ctx, params),
+    (_graph, _has_edge, _p_at_least(1.0), _chi_exact),
+    _f_schr_lower,
     _detect_schr_lower,
+    lambda q, params, mid: f"chi = {q.chi[0]}",
 )
 _row(
     "HOFFMAN",
     "|mu_n| + ... + |mu_(n-chi+2)| >= mu_1",
     (),
-    True,
-    _eval_hoffman,
-    _pre_chi,
+    (_graph, _has_edge, _chi_exact),
+    _f_hoffman,
+    None,
+    lambda q, params, mid: f"sum of the {q.chi[0] - 1} bottom |eigenvalues|",
 )
 _row(
     "CAPOROSSI",
     "||G||_S1 >= 2 mu_1",
     (),
-    True,
-    _eval_caporossi,
-    None,
+    (_graph,),
+    _f_caporossi,
     _detect_caporossi,
 )
 _row(
     "KYFAN_CHROMATIC",
     "||G||_F_chi >= 2 sigma_1",
     (),
-    True,
-    _eval_kyfan_chromatic,
-    _pre_chi,
+    (_graph, _has_edge, _chi_exact),
+    _f_kyfan_chromatic,
+    None,
+    lambda q, params, mid: f"Ky Fan order is chi = {q.chi[0]}",
 )
 _row(
     "EMNA",
     "|mu_1| + |mu_2| <= (1/2 + sqrt(5/12)) n",
     (),
-    True,
-    _eval_emna,
-    lambda ctx, params: _need_graph(ctx)
-    or (None if ctx.graph.n >= 2 else "requires n >= 2"),
+    (_graph, _two_vertices),
+    _f_emna,
 )
 _row(
     "POWER_MEAN",
     "m^(-1/p) ||A||_Sp <= m^(-1/q) ||A||_Sq, 1<=p<=q",
     ("p", "q"),
-    False,
-    _eval_power_mean,
-    _pre_pq,
+    (_p_at_least(1.0), _q_at_least_p),
+    _f_power_mean,
     _detect_power_mean,
 )
 _row(
     "SCHATTEN_ABS_MAT",
     "||A||_Sp <= m^(1/p) n^(1/2) |A|_inf, 1<=p<=2",
     ("p",),
-    False,
-    _eval_schatten_abs_mat,
-    lambda ctx, params: _p_in(params, 1.0, 2.0),
+    (_p_between(1.0, 2.0),),
+    _f_schatten_abs_mat,
     _detect_schatten_abs_mat,
 )
 _row(
     "KM_MATRIX",
     "||A||_Sp^p <= sigma_1^p + (m-1)^(1-p/q) (||A||_Sq^q - sigma_1^q)^(p/q), 1<=p<=q",
     ("p", "q"),
-    False,
-    _eval_km_matrix,
-    _pre_pq,
+    (_p_at_least(1.0), _q_at_least_p),
+    _f_km_matrix,
     _detect_sigma_tail_equal,
+    _notes_km_matrix,
 )
 _row(
     "NONNEG_ENERGY",
     "||A||_S1 <= |A|_1/sqrt(mn) + sqrt((m-1)(|A|_2^2 - |A|_1^2/(mn))) <= (m+sqrt(m)) sqrt(n) |A|_inf / 2",
     (),
-    False,
-    _eval_nonneg_energy,
-    _pre_nonneg_energy,
+    (_nonneg, _mass_spread),
+    _f_nonneg_energy,
     _detect_nonneg_energy,
+    lambda q, params, mid: f"middle bound {mid[0]:.12g}; chain checked on both links",
 )
 _row(
     "KYFAN_01",
     "||A||_Fk <= (1+sqrt(k)) sqrt(mn) / 2 for 0/1 A, k <= m <= n",
     ("k",),
-    False,
-    _eval_kyfan_01,
-    _pre_kyfan_01,
+    (_zero_one, _k_range),
+    _f_kyfan_01,
     _detect_kyfan_01,
 )
 _row(
     "KYFAN_L2",
     "||A||_Fk <= sqrt(k) |A|_2, k <= m <= n",
     ("k",),
-    False,
-    lambda ctx, params: _eval_kyfan_helper(
-        ctx, params, math.sqrt(params["k"]) * math.sqrt(ctx.ent2_sq)
-    ),
-    _pre_kyfan_k,
+    (_k_range,),
+    _f_kyfan_l2,
     _detect_kyfan_l2,
 )
 _row(
     "KYFAN_INF",
     "||A||_Fk <= sqrt(kmn) |A|_inf, k <= m <= n",
     ("k",),
-    False,
-    lambda ctx, params: _eval_kyfan_helper(
-        ctx,
-        params,
-        math.sqrt(params["k"] * ctx.m_rows * ctx.n_cols) * ctx.entinf,
-    ),
-    _pre_kyfan_k,
+    (_k_range,),
+    _f_kyfan_inf,
     _detect_kyfan_inf,
 )
 _row(
     "KYFAN_NONNEG",
     "||A||_Fk <= (1+sqrt(k)) sqrt(mn) |A|_inf / 2 for nonnegative A",
     ("k",),
-    False,
-    lambda ctx, params: _eval_kyfan_helper(
-        ctx,
-        params,
-        (1.0 + math.sqrt(params["k"]))
-        * math.sqrt(ctx.m_rows * ctx.n_cols)
-        * ctx.entinf
-        / 2.0,
-    ),
-    _pre_kyfan_nonneg,
+    (_nonneg, _k_range),
+    _f_kyfan_nonneg,
     _detect_kyfan_nonneg,
 )
 
@@ -792,41 +831,24 @@ def registry_ids() -> list[str]:
     return list(_ROWS)
 
 
-def registry_statement(bound_id: str) -> str:
-    return _ROWS[bound_id].statement
-
-
-def _evaluate_row(row: BoundRow, ctx: SubjectContext, params: dict,
-                  tol_scale: float) -> BoundCheck:
-    result = row.evaluate(ctx, params)
-    if len(result) == 5:
-        lhs, rhs, lower, notes, mid = result
-    else:
-        lhs, rhs, lower, notes = result
-        mid = None
-    slack = (lhs - rhs) if lower else (rhs - lhs)
-    tol = EQ_TOL * (1.0 + abs(lhs) + abs(rhs)) * tol_scale
-    holds = slack >= -tol
-    if mid is not None:
-        # chained upper bound: both links must hold
-        tol_a = EQ_TOL * (1.0 + abs(lhs) + abs(mid)) * tol_scale
-        tol_b = EQ_TOL * (1.0 + abs(mid) + abs(rhs)) * tol_scale
-        holds = (lhs <= mid + tol_a) and (mid <= rhs + tol_b)
-    numeric_eq = abs(slack) <= tol and bool(holds)
-    equality = numeric_eq
+def _check_one(row: BoundRow, ctx: SubjectContext, params: dict,
+               tol_scale: float) -> BoundCheck:
+    lhs, rhs, mid, slack, holds, equal = row.evaluate(ctx, params, tol_scale)
+    equality = bool(equal[0])
     witness = None
-    if numeric_eq and row.detector is not None:
+    if equality and row.detector is not None:
         verdict, witness = row.detector(ctx, params)
         if verdict is not None:
-            equality = numeric_eq and verdict
+            equality = bool(verdict)
+    notes = row.notes(ctx, params, mid) if callable(row.notes) else row.notes
     return BoundCheck(
         bound_id=row.bound_id,
         params=dict(params),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        holds=bool(holds),
-        equality=bool(equality),
+        lhs=float(lhs[0]),
+        rhs=float(rhs[0]),
+        slack=float(slack[0]),
+        holds=bool(holds[0]),
+        equality=equality,
         equality_witness=witness,
         notes=notes,
     )
@@ -846,13 +868,10 @@ def check_bound(bound_id: str, subject, *, p: float = None, q: float = None,
             raise PreconditionFailed(f"{bound_id} needs parameter {name}")
         params[name] = float(supplied[name]) if name in ("p", "q") else int(supplied[name])
     ctx = SubjectContext(subject)
-    if row.graph_only and ctx.graph is None:
-        raise PreconditionFailed(f"{bound_id} applies to graph subjects only")
-    if row.precondition is not None:
-        reason = row.precondition(ctx, params)
-        if reason:
-            raise PreconditionFailed(f"{bound_id}: {reason}")
-    return _evaluate_row(row, ctx, params, tol_scale)
+    _, reason = row.gate(ctx, params)
+    if reason:
+        raise PreconditionFailed(f"{bound_id}: {reason}")
+    return _check_one(row, ctx, params, tol_scale)
 
 
 def _param_grid(row: BoundRow, p_values, q_values, k_values) -> list[dict]:
@@ -879,14 +898,10 @@ def run_registry(subject, *, p_values=(1.0,), q_values=None, k_values=(1,),
     out = []
     for row in _ROWS.values():
         for params in _param_grid(row, p_values, q_values, k_values):
-            if row.graph_only and ctx.graph is None:
-                out.append(BoundCheck(row.bound_id, dict(params), skipped=True,
-                                      skip_reason="row applies to graph subjects only"))
-                continue
-            reason = row.precondition(ctx, params) if row.precondition else None
+            _, reason = row.gate(ctx, params)
             if reason:
                 out.append(BoundCheck(row.bound_id, dict(params), skipped=True,
                                       skip_reason=reason))
-                continue
-            out.append(_evaluate_row(row, ctx, params, tol_scale))
+            else:
+                out.append(_check_one(row, ctx, params, tol_scale))
     return out

@@ -8,6 +8,7 @@ that parallel consumers merge deterministically.
 
 from __future__ import annotations
 
+from concurrent import futures
 from itertools import permutations
 from typing import Iterator
 
@@ -31,6 +32,19 @@ def mask_ranges(n: int) -> list[tuple[int, int]]:
     _check_order(n)
     total = 1 << pair_count(n)
     return [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
+
+
+def map_chunks(fn, jobs: list, threads: int) -> list:
+    """[fn(job) for job in jobs], spread over `threads` worker processes.
+
+    Results come back in job order whatever the thread count, which is what
+    keeps merged outputs deterministic. `fn` must be a module-level function
+    so that workers can import it.
+    """
+    if threads > 1 and len(jobs) > 1:
+        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _perm_pair_maps(n: int) -> np.ndarray:
@@ -59,10 +73,6 @@ def canonical_keep_mask(masks: np.ndarray, n: int) -> np.ndarray:
             img |= ((masks >> t) & 1) << int(pm[t])
         np.minimum(best, img, out=best)
     return best == masks
-
-
-def is_canonical_mask(mask: int, n: int) -> bool:
-    return bool(canonical_keep_mask(np.array([mask], dtype=np.int64), n)[0])
 
 
 def enumerate_graphs(n: int, canonical: bool = False) -> Iterator[Graph]:

@@ -15,13 +15,12 @@ byte-identical for any thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .enumeration import chunk_quantities, mask_ranges
+from .enumeration import chunk_quantities, map_chunks, mask_ranges
 from .errors import TooLarge
 from .graphs import Graph, write_graph6
 
@@ -125,11 +124,7 @@ def extremal(objective: str, n: int, param=None, *, canonical: bool = False,
         param = None
 
     jobs = [(n, lo, hi, objective, param, canonical) for lo, hi in mask_ranges(n)]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_search_chunk, jobs))
-    else:
-        parts = [_search_chunk(job) for job in jobs]
+    parts = map_chunks(_search_chunk, jobs, threads)
 
     tops = [p["max"] for p in parts if p["max"] is not None]
     if not tops:
@@ -203,12 +198,7 @@ def compare_spread_vs_f2(n: int, *, threads: int = 1) -> SpreadComparison:
     """
     spread = extremal("SPREAD", n, threads=threads)
     xi2 = extremal("XI_K", n, 2 if n >= 2 else 1, threads=threads)
-    jobs = [(n, lo, hi) for lo, hi in mask_ranges(n)]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            gaps = list(pool.map(_identity_chunk, jobs))
-    else:
-        gaps = [_identity_chunk(job) for job in jobs]
+    gaps = map_chunks(_identity_chunk, [(n, lo, hi) for lo, hi in mask_ranges(n)], threads)
     return SpreadComparison(
         n=n,
         max_spread=spread.value,

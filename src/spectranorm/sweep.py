@@ -1,166 +1,25 @@
-"""Vectorized exhaustive bound verification over all order-n graphs.
+"""Exhaustive bound verification over all order-n graphs.
 
-Evaluates every registry row on every labeled graph of a given order, in
-fixed mask chunks, entirely with array arithmetic on batched spectra. The
-scalar registry in `bounds` stays the reference implementation: the sweep's
-per-graph numbers are cross-checked against it in the test suite, and the
-equality examples the sweep reports are re-confirmed through the reference
-path before they are emitted.
+Runs every registry row on every labeled graph of a given order, in fixed
+mask chunks. Each chunk's spectra, edge counts and chromatic numbers fill one
+`bounds.Quantities` record, and the rows' own array-valued preconditions and
+formulas run on it: `check` runs the same definitions on a single subject.
+The equality examples the sweep keeps are re-checked one graph at a time
+through `bounds.check_bound`, which adds the structural detector verdict.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import bounds
-from .enumeration import chunk_quantities, mask_ranges
+from .enumeration import chunk_quantities, map_chunks, mask_ranges
 from .graphs import Graph, write_graph6
 
-_EMNA_COEF = 0.5 + math.sqrt(5.0 / 12.0)
 _MAX_EXAMPLES = 8
-
-
-def _range_reason(bound_id: str, params: dict) -> Optional[str]:
-    p = params.get("p")
-    q = params.get("q")
-    if bound_id in ("KM_SPECTRAL", "KM_DENSITY", "SCHATTEN_ABS_MAT"):
-        if not 1.0 <= p <= 2.0:
-            return f"requires 1 <= p <= 2 (got {p:g})"
-    elif bound_id == "SCHATTEN_ABS_N":
-        if not 1.0 <= p < 2.0:
-            return f"requires 1 <= p < 2 (got {p:g})"
-    elif bound_id == "SCHATTEN_P_GE2":
-        if p < 2.0:
-            return f"requires p >= 2 (got {p:g})"
-    elif bound_id in ("SCHATTEN_EDGES", "SCHR_LOWER"):
-        if p < 1.0:
-            return f"requires p >= 1 (got {p:g})"
-    elif bound_id in ("POWER_MEAN", "KM_MATRIX"):
-        if p < 1.0:
-            return f"requires p >= 1 (got {p:g})"
-        if q < p:
-            return f"requires p <= q (got p={p:g}, q={q:g})"
-    return None
-
-
-def _row_arrays(q: dict, bound_id: str, params: dict):
-    """(applicable, lhs, rhs, lower, mid) arrays for one row over a chunk.
-
-    `mid` is None except for the chained NONNEG_ENERGY row.
-    """
-    n = q["n"]
-    m = q["m"].astype(float)
-    sig = q["sig"]
-    eigs = q["eigs"]
-    b = m.shape[0]
-    ones = np.ones(b, dtype=bool)
-    sig1 = sig[:, 0]
-    entinf = (m > 0).astype(float)
-    mid = None
-
-    if bound_id == "MCCLELLAND":
-        return ones, sig.sum(axis=1), np.sqrt(2.0 * m * n), False, mid
-    if bound_id == "SCHATTEN_EDGES":
-        p = params["p"]
-        lhs = (sig**p).sum(axis=1)
-        rhs = n ** (1.0 - p / 2.0) * (2.0 * m) ** (p / 2.0)
-        return ones, lhs, rhs, p > 2.0, mid
-    if bound_id == "KM_SPECTRAL":
-        p = params["p"]
-        mu = eigs[:, 0]
-        inner = np.clip(2.0 * m - mu * mu, 0.0, None)
-        factor = float(n - 1) ** (1.0 - p / 2.0) if n > 1 else (1.0 if p == 2.0 else 0.0)
-        rhs = mu**p + factor * inner ** (p / 2.0)
-        return ones, (sig**p).sum(axis=1), rhs, False, mid
-    if bound_id == "KM_DENSITY":
-        p = params["p"]
-        app = 2.0 * m >= n
-        d = 2.0 * m / n
-        inner = np.clip(2.0 * m - d * d, 0.0, None)
-        factor = float(n - 1) ** (1.0 - p / 2.0) if n > 1 else (1.0 if p == 2.0 else 0.0)
-        rhs = d**p + factor * inner ** (p / 2.0)
-        return app, (sig**p).sum(axis=1), rhs, False, mid
-    if bound_id == "SCHATTEN_ABS_N":
-        p = params["p"]
-        rhs = 2.0 ** (-p) * n ** (1.0 + p / 2.0) + float(n) ** p
-        return ones, (sig**p).sum(axis=1), np.full(b, rhs), False, mid
-    if bound_id == "KM_ABSOLUTE":
-        rhs = n * (1.0 + math.sqrt(n)) / 2.0
-        return ones, sig.sum(axis=1), np.full(b, rhs), False, mid
-    if bound_id == "SCHATTEN_P_GE2":
-        p = params["p"]
-        return ones, (sig**p).sum(axis=1) ** (1.0 / p), np.sqrt(2.0 * m), False, mid
-    if bound_id == "SCHR_LOWER":
-        p = params["p"]
-        app = m >= 1
-        chi = q["chi"].astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rhs = sig1 * (1.0 + (chi - 1.0) ** (1.0 - p)) ** (1.0 / p)
-        lhs = (sig**p).sum(axis=1) ** (1.0 / p)
-        return app, lhs, np.where(app, rhs, 0.0), True, mid
-    if bound_id == "HOFFMAN":
-        app = m >= 1
-        acs = np.cumsum(np.abs(eigs)[:, ::-1], axis=1)
-        idx = np.clip(q["chi"] - 2, 0, None)[:, None]
-        lhs = np.take_along_axis(acs, idx, axis=1)[:, 0]
-        return app, lhs, eigs[:, 0], True, mid
-    if bound_id == "CAPOROSSI":
-        return ones, sig.sum(axis=1), 2.0 * eigs[:, 0], True, mid
-    if bound_id == "KYFAN_CHROMATIC":
-        app = m >= 1
-        cum = np.cumsum(sig, axis=1)
-        idx = np.clip(q["chi"] - 1, 0, n - 1)[:, None]
-        lhs = np.take_along_axis(cum, idx, axis=1)[:, 0]
-        return app, lhs, 2.0 * sig1, True, mid
-    if bound_id == "EMNA":
-        if n < 2:
-            return np.zeros(b, dtype=bool), np.zeros(b), np.zeros(b), False, mid
-        lhs = np.abs(eigs[:, 0]) + np.abs(eigs[:, 1])
-        return ones, lhs, np.full(b, _EMNA_COEF * n), False, mid
-    if bound_id == "POWER_MEAN":
-        p, qq = params["p"], params["q"]
-        lhs = n ** (-1.0 / p) * (sig**p).sum(axis=1) ** (1.0 / p)
-        rhs = n ** (-1.0 / qq) * (sig**qq).sum(axis=1) ** (1.0 / qq)
-        return ones, lhs, rhs, False, mid
-    if bound_id == "SCHATTEN_ABS_MAT":
-        p = params["p"]
-        lhs = (sig**p).sum(axis=1) ** (1.0 / p)
-        rhs = n ** (1.0 / p) * math.sqrt(n) * entinf
-        return ones, lhs, rhs, False, mid
-    if bound_id == "KM_MATRIX":
-        p, qq = params["p"], params["q"]
-        lhs = (sig**p).sum(axis=1)
-        inner = np.clip((sig**qq).sum(axis=1) - sig1**qq, 0.0, None)
-        factor = float(n - 1) ** (1.0 - p / qq) if n > 1 else (1.0 if p == qq else 0.0)
-        rhs = sig1**p + factor * inner ** (p / qq)
-        return ones, lhs, rhs, False, mid
-    if bound_id == "NONNEG_ENERGY":
-        app = (2.0 * m >= n) | (m == 0)
-        ray = 2.0 * m / n
-        inner = np.clip((n - 1.0) * (2.0 * m - ray * ray), 0.0, None)
-        mid = ray + np.sqrt(inner)
-        rhs = (n + math.sqrt(n)) * math.sqrt(n) / 2.0 * entinf
-        return app, sig.sum(axis=1), rhs, False, mid
-    if bound_id in ("KYFAN_01", "KYFAN_L2", "KYFAN_INF", "KYFAN_NONNEG"):
-        k = params["k"]
-        if k > n:
-            return np.zeros(b, dtype=bool), np.zeros(b), np.zeros(b), False, None
-        lhs = np.cumsum(sig, axis=1)[:, k - 1]
-        if bound_id == "KYFAN_01":
-            rhs = np.full(b, (1.0 + math.sqrt(k)) * n / 2.0)
-        elif bound_id == "KYFAN_L2":
-            rhs = math.sqrt(k) * np.sqrt(2.0 * m)
-        elif bound_id == "KYFAN_INF":
-            rhs = n * math.sqrt(k) * entinf
-        else:
-            rhs = (1.0 + math.sqrt(k)) * n / 2.0 * entinf
-        return ones, lhs, rhs, False, mid
-    raise AssertionError(bound_id)
 
 
 def _param_key(params: dict) -> tuple:
@@ -171,10 +30,21 @@ def _sweep_chunk(args) -> list[dict]:
     n, lo, hi, p_values, q_values, k_values, tol_scale, canonical = args
     q = chunk_quantities(n, lo, hi, need_chi=True, canonical=canonical)
     masks = q["masks"]
-    q["n"] = n
+    if masks.size == 0:  # a canonical chunk can hold no representative
+        return []
+    m = q["m"]
+    every = np.ones(masks.size, dtype=bool)
+    # a graph's adjacency matrix is square, 0/1 and nonnegative, with
+    # |A|_1 = |A|_2^2 = 2m and |A|_inf = 1 unless it has no edge
+    record = bounds.Quantities(
+        size=masks.size, n_rows=n, n_cols=n, sig=q["sig"], eigs=q["eigs"],
+        m=m, chi=q["chi"], ent1=2.0 * m, ent2_sq=2.0 * m,
+        entinf=(m > 0).astype(float), is_graph=every, nonneg=every, zero_one=every,
+    )
     partials = []
     for row in bounds._ROWS.values():
         for params in bounds._param_grid(row, p_values, q_values, k_values):
+            app, reason = row.gate(record, params)
             entry = {
                 "bound_id": row.bound_id,
                 "params": params,
@@ -186,34 +56,22 @@ def _sweep_chunk(args) -> list[dict]:
                 "equality_count": 0,
                 "eq_masks": [],
                 "viol_masks": [],
-                "skip_reason": None,
+                "skip_reason": reason,
             }
-            reason = _range_reason(row.bound_id, params)
-            if reason is not None or masks.size == 0:
-                entry["skip_reason"] = reason
-                partials.append(entry)
+            partials.append(entry)
+            if reason is not None:
                 continue
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                app, lhs, rhs, lower, mid = _row_arrays(q, row.bound_id, params)
-            slack = (lhs - rhs) if lower else (rhs - lhs)
-            tol = bounds.EQ_TOL * (1.0 + np.abs(lhs) + np.abs(rhs)) * tol_scale
-            if mid is not None:
-                tol_a = bounds.EQ_TOL * (1.0 + np.abs(lhs) + np.abs(mid)) * tol_scale
-                tol_b = bounds.EQ_TOL * (1.0 + np.abs(mid) + np.abs(rhs)) * tol_scale
-                viol = app & ((lhs > mid + tol_a) | (mid > rhs + tol_b))
-            else:
-                viol = app & (slack < -tol)
-            eq = app & (np.abs(slack) <= tol)
+            _, _, _, slack, holds, equal = row.evaluate(record, params, tol_scale)
+            viol = app & ~holds
+            eq = app & equal
             n_app = int(app.sum())
             entry["evaluated"] = n_app
             entry["skipped"] = int(masks.size) - n_app
             entry["violations"] = int(viol.sum())
-            if n_app:
-                entry["min_slack"] = float(slack[app].min())
+            entry["min_slack"] = float(slack[app].min())
             entry["equality_count"] = int(eq.sum())
             entry["eq_masks"] = [int(v) for v in masks[eq][:_MAX_EXAMPLES]]
             entry["viol_masks"] = [int(v) for v in masks[viol][:_MAX_EXAMPLES]]
-            partials.append(entry)
     return partials
 
 
@@ -222,7 +80,7 @@ class SweepRowSummary:
     """Aggregate for one (bound, parameter) cell.
 
     equality_count counts numeric equalities (|slack| inside tolerance);
-    the retained examples additionally carry the reference checker's
+    the retained examples additionally carry the single-subject checker's
     detector-gated equality verdict.
     """
 
@@ -290,11 +148,7 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
         (n, lo, hi, p_values, q_values, k_values, tol_scale, canonical)
         for lo, hi in mask_ranges(n)
     ]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            partial_lists = list(pool.map(_sweep_chunk, jobs))
-    else:
-        partial_lists = [_sweep_chunk(job) for job in jobs]
+    partial_lists = map_chunks(_sweep_chunk, jobs, threads)
 
     merged: dict[tuple, SweepRowSummary] = {}
     order: list[tuple] = []
@@ -323,7 +177,7 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
                 if len(s.violation_examples) < _MAX_EXAMPLES:
                     s.violation_examples.append(mask)
 
-    # confirm the retained equality examples through the reference path
+    # re-check the retained equality examples one graph at a time, with detectors
     for s in merged.values():
         confirmed = []
         for mask in s.equality_examples:

@@ -311,6 +311,57 @@ def test_registry_soundness_order_5_exhaustive():
                 assert chk.holds  # equality implies holds
 
 
+_SQ2, _SQ3, _SQ5, _SQ6 = math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(6)
+_PHI = (1 + _SQ5) / 2  # C_5 has eigenvalues 2, 1/phi, 1/phi, -phi, -phi
+
+
+def _mat(rows):
+    return CMatrix.from_array(np.array(rows, dtype=complex))
+
+
+# one subject per row with both sides derived by hand; matrix rows use
+# rectangular subjects (some tall, so orientation is exercised too)
+_ORACLE = [
+    ("MCCLELLAND", lambda: path(3), {}, 2 * _SQ2, math.sqrt(12)),
+    ("SCHATTEN_EDGES", lambda: cycle(4), {"p": 3.0}, 16.0, 8 * _SQ2),
+    ("KM_SPECTRAL", lambda: path(3), {"p": 1.0}, 2 * _SQ2, _SQ2 + 2),
+    ("KM_DENSITY", lambda: cycle(4), {"p": 1.0}, 4.0, 2 + 2 * _SQ3),
+    ("SCHATTEN_ABS_N", lambda: complete(3), {"p": 1.0}, 4.0, 1.5 * _SQ3 + 3),
+    ("KM_ABSOLUTE", lambda: complete(3), {}, 4.0, 3 * (1 + _SQ3) / 2),
+    ("SCHATTEN_P_GE2", lambda: complete(3), {"p": 3.0}, 10 ** (1 / 3), _SQ6),
+    ("SCHR_LOWER", lambda: cycle(5), {"p": 2.0}, math.sqrt(10), _SQ6),
+    ("HOFFMAN", lambda: cycle(5), {}, 2 * _PHI, 2.0),
+    ("CAPOROSSI", lambda: cycle(5), {}, 2 + 2 * _SQ5, 4.0),
+    ("KYFAN_CHROMATIC", lambda: cycle(5), {}, 3 + _SQ5, 4.0),
+    ("EMNA", lambda: cycle(5), {}, 2 + 1 / _PHI, (0.5 + math.sqrt(5 / 12)) * 5),
+    ("POWER_MEAN", lambda: _mat([[1, 0], [0, 2], [0, 0]]), {"p": 1.0, "q": 2.0},
+     1.5, _SQ5 / _SQ2),
+    ("SCHATTEN_ABS_MAT", lambda: _mat([[1, 0, 0], [0, 2, 0]]), {"p": 2.0},
+     _SQ5, _SQ2 * _SQ3 * 2),
+    ("KM_MATRIX", lambda: _mat([[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0]]),
+     {"p": 1.0, "q": 2.0}, 6.0, 3 + math.sqrt(10)),
+    ("NONNEG_ENERGY", lambda: _mat([[1, 1, 0], [0, 1, 1]]), {}, _SQ3 + 1,
+     (2 + _SQ2) * _SQ3 / 2),
+    ("KYFAN_01", lambda: _mat([[1, 0], [1, 1], [0, 1]]), {"k": 1}, _SQ3, _SQ6),
+    ("KYFAN_L2", lambda: _mat([[3, 0, 0], [0, 4, 0]]), {"k": 2}, 7.0, 5 * _SQ2),
+    ("KYFAN_INF", lambda: CMatrix.from_array(dft_matrix(3).data[:2, :]), {"k": 1},
+     _SQ3, _SQ6),
+    ("KYFAN_NONNEG", lambda: _mat([[2, 0], [0, 1], [0, 0]]), {"k": 2}, 3.0,
+     (1 + _SQ2) * _SQ6),
+]
+
+
+@pytest.mark.parametrize("bound_id,subject,params,lhs,rhs", _ORACLE,
+                         ids=[row[0] for row in _ORACLE])
+def test_row_formula_oracle(bound_id, subject, params, lhs, rhs):
+    chk = check_bound(bound_id, subject(), **params)
+    assert abs(chk.lhs - lhs) < 1e-9 and abs(chk.rhs - rhs) < 1e-9, (chk.lhs, chk.rhs)
+
+
+def test_row_formula_oracle_covers_registry():
+    assert sorted(row[0] for row in _ORACLE) == sorted(registry_ids())
+
+
 def test_registry_ids_stable():
     assert registry_ids() == [
         "MCCLELLAND", "SCHATTEN_EDGES", "KM_SPECTRAL", "KM_DENSITY",

@@ -99,6 +99,7 @@ def test_search_thread_determinism():
     a = extremal("XI_K", 5, 2, threads=1)
     b = extremal("XI_K", 5, 2, threads=2)
     assert a == b
+    assert compare_spread_vs_f2(5, threads=1) == compare_spread_vs_f2(5, threads=2)
 
 
 def test_invalid_objective_params():
