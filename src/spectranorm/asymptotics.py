@@ -59,12 +59,10 @@ def sample_gn_half(n: int, seed: int, index: int = 0) -> Graph:
 
 
 def _sample_adjacency(n: int, seed: int, index: int) -> np.ndarray:
-    bits = _pair_bits(n, seed, index).astype(float)
     a = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    # triu_indices orders pairs row-major; our pair index is column-major
-    order = np.argsort(iu[1] * (iu[1] - 1) // 2 + iu[0], kind="stable")
-    a[iu[0][order], iu[1][order]] = bits
+    # pair t = (u, v), u < v, is ordered by v then u: the row-major order
+    # of the strict lower triangle, read as (v, u)
+    a[np.tril_indices(n, -1)] = _pair_bits(n, seed, index)
     return a + a.T
 
 

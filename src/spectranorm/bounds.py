@@ -137,6 +137,9 @@ class SubjectContext:
 
     @cached_property
     def sig(self) -> np.ndarray:
+        if self.graph is not None:
+            # a graph's adjacency matrix is symmetric: sigma_i = |mu_i|
+            return np.sort(np.abs(self.eigs), axis=1)[:, ::-1]
         return singular_values(self.matrix).values[None, :]
 
     @cached_property
@@ -856,7 +859,11 @@ def _check_one(row: BoundRow, ctx: SubjectContext, params: dict,
 
 def check_bound(bound_id: str, subject, *, p: float = None, q: float = None,
                 k: int = None, tol_scale: float = 1.0) -> BoundCheck:
-    """Evaluate one registry row; raises PreconditionFailed when not applicable."""
+    """Evaluate one registry row; raises PreconditionFailed when not applicable.
+
+    `subject` is a Graph, a CMatrix or a `SubjectContext`; passing the same
+    context to several calls computes its spectra and chi once.
+    """
     try:
         row = _ROWS[bound_id]
     except KeyError:
@@ -867,7 +874,7 @@ def check_bound(bound_id: str, subject, *, p: float = None, q: float = None,
         if supplied[name] is None:
             raise PreconditionFailed(f"{bound_id} needs parameter {name}")
         params[name] = float(supplied[name]) if name in ("p", "q") else int(supplied[name])
-    ctx = SubjectContext(subject)
+    ctx = subject if isinstance(subject, SubjectContext) else SubjectContext(subject)
     _, reason = row.gate(ctx, params)
     if reason:
         raise PreconditionFailed(f"{bound_id}: {reason}")

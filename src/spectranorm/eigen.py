@@ -1,14 +1,21 @@
 """Self-contained Hermitian eigensolver and singular value computation.
 
-The solver is a cyclic Jacobi iteration with complex rotations, chosen for
-unconditional accuracy on the small dense matrices this package targets
-(order up to a few hundred). No external eigensolver is used anywhere in the
-package: every norm ultimately reduces to this module.
+One kernel serves both entry points. A Hermitian matrix is reduced by
+Householder reflections to a real symmetric tridiagonal matrix; a matrix whose
+singular values are wanted is reduced by Golub-Kahan bidiagonalization, and
+its singular values are the top half of the spectrum of the zero-diagonal
+tridiagonal built from the bidiagonal. Both tridiagonals are solved by
+Sturm-sequence bisection, vectorized over all wanted eigenvalues at once
+(Barth, Martin & Wilkinson, Numer. Math. 9, 1967). No external eigensolver
+is used anywhere in the package: every norm ultimately reduces to this module.
 
 Conventions:
   * eigenvalues are returned sorted nonincreasing,
-  * singular values are square roots of the spectrum of the Gram product,
-    formed on the smaller side of the matrix,
+  * singular values come from the matrix itself, never from a Gram product,
+    so small ones are not lost to squaring,
+  * every input is divided by its largest entry modulus s before any
+    product and the results are multiplied by s at the end, so spectra are
+    right at any finite scale; the invariant checks run on A / s,
   * all tolerances are relative to the scale of the input; floating data is
     never compared against exact zero.
 """
@@ -22,16 +29,17 @@ import numpy as np
 from .cmatrix import CMatrix
 from .errors import NoConvergence, NonRealRayleigh, NotHermitian
 
-SWEEP_LIMIT = 100
-
-# Convergence: off-diagonal Frobenius norm below _CONV_TOL * (1 + |M|_2).
-_CONV_TOL = 1e-12
 # Hermitian precondition: entrywise within _HERM_TOL * (1 + |M|_inf).
 _HERM_TOL = 1e-12
-# Gram eigenvalues below -_GRAM_NEG_TOL * |A|_2^2 indicate a solver bug.
-_GRAM_NEG_TOL = 1e-9
-
+# Trace and Frobenius-mass checks on A / s.
 _SPECTRUM_SUM_TOL = 1e-9
+
+_EPS = float(np.finfo(float).eps)
+# Bisection halves every bracket each step, so the Gershgorin width reaches
+# 2 * eps * |T| in about 53 steps; the cap only catches a solver bug.
+_BISECT_STEPS = 100
+# Rows per slice of an in-place low-rank update: bounds the temporaries.
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -86,141 +94,200 @@ class SingularSpectrum:
         return self.values[i]
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # summed directly over off-diagonal entries: subtracting the diagonal
-    # mass from the total cancels catastrophically near convergence
-    mods = np.abs(a) ** 2
-    np.einsum("ii->i", mods)[:] = 0.0
-    return float(np.sqrt(np.sum(mods)))
+# --- the kernel -----------------------------------------------------------------
+
+def _house(x: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """Unit v with (I - 2 v v^H) x = alpha e_1 and |alpha| = |x|; returns (v, |x|).
+
+    v is None when x is zero. The phase of alpha is chosen against x_0, so
+    forming v never cancels.
+    """
+    norm = float(np.sqrt(np.vdot(x, x).real))
+    if norm == 0.0:
+        return None, 0.0
+    x0 = x[0]
+    r0 = abs(x0)
+    v = x.copy()
+    v[0] += (x0 / r0 if r0 > 0.0 else 1.0) * norm
+    v /= np.sqrt(2.0 * norm * (norm + r0))
+    return v, norm
 
 
-def _jacobi_real(a: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi on a real symmetric matrix; returns the diagonal."""
+def _subtract_product(target: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """target -= left @ right in place, one block of rows at a time."""
+    for r in range(0, target.shape[0], _ROW_BLOCK):
+        target[r:r + _ROW_BLOCK] -= left[r:r + _ROW_BLOCK] @ right
+
+
+def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder reduction of a Hermitian array, overwritten in place.
+
+    Returns the real diagonal d and off-diagonal e of a symmetric
+    tridiagonal with the spectrum of `a`: the reduced off-diagonal is
+    complex in general, and only its moduli matter, since a diagonal
+    unitary similarity makes it real.
+    """
     n = a.shape[0]
-    frob = float(np.sqrt(np.sum(a * a)))
-    thresh = _CONV_TOL * (1.0 + frob)
-    delay = thresh / (2.0 * n)
-    for _ in range(SWEEP_LIMIT):
-        if _offdiag_norm(a) <= thresh:
-            return np.einsum("ii->i", a).copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= delay:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise NoConvergence(f"Jacobi did not converge in {SWEEP_LIMIT} sweeps (n={n})")
+    e = np.zeros(max(n - 1, 0))
+    for k in range(n - 2):
+        v, e[k] = _house(a[k + 1:, k])
+        if v is None:
+            continue
+        rest = a[k + 1:, k + 1:]
+        # H rest H = rest - v w^H - w v^H with y = rest v, w = 2 (y - (v^H y) v)
+        w = rest @ v
+        w -= np.vdot(v, w).real * v
+        w *= 2.0
+        _subtract_product(rest, np.stack([v, w], axis=1), np.stack([w.conj(), v.conj()]))
+    if n >= 2:
+        e[n - 2] = abs(a[n - 1, n - 2])
+    return a.diagonal().real.copy(), e
 
 
-def _jacobi_complex(a: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi on a Hermitian complex matrix; returns the real diagonal."""
-    n = a.shape[0]
-    frob = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    thresh = _CONV_TOL * (1.0 + frob)
-    delay = thresh / (2.0 * n)
-    for _ in range(SWEEP_LIMIT):
-        if _offdiag_norm(a) <= thresh:
-            return np.einsum("ii->i", a).real.copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= delay:
-                    continue
-                e = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                se = s * e
-                sec = s * np.conj(e)
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - se * rq
-                a[q, :] = sec * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - sec * cq
-                a[:, q] = se * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    raise NoConvergence(f"Jacobi did not converge in {SWEEP_LIMIT} sweeps (n={n})")
+def _bidiagonal(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golub-Kahan reduction of a tall array (rows >= cols), overwritten in place.
+
+    Returns the moduli d (diagonal) and f (superdiagonal) of an upper
+    bidiagonal with the singular values of `b`.
+    """
+    cols = b.shape[1]
+    d = np.zeros(cols)
+    f = np.zeros(max(cols - 1, 0))
+    for k in range(cols):
+        # from the left: zero column k below the diagonal
+        v, d[k] = _house(b[k:, k])
+        rest = b[k:, k + 1:]
+        if v is not None and rest.size:
+            _subtract_product(rest, v[:, None], 2.0 * (v.conj() @ rest)[None, :])
+        if k + 1 >= cols:
+            break
+        # from the right: zero row k right of the superdiagonal; the row
+        # reflector is the conjugate of the column one for the same vector
+        v, f[k] = _house(b[k, k + 1:])
+        rest = b[k + 1:, k + 1:]
+        if v is not None and rest.size:
+            _subtract_product(rest, 2.0 * (rest @ v.conj())[:, None], v[None, :])
+    return d, f
+
+
+def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """An interval holding every eigenvalue of the tridiagonal (d, e)."""
+    radius = np.zeros(d.size)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    return float(np.min(d - radius)), float(np.max(d + radius))
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
+    """Eigenvalues first, first + 1, ... (ascending) of the tridiagonal (d, e).
+
+    Every wanted eigenvalue is bracketed by the Gershgorin interval and
+    bisected at once on Sturm counts, until each bracket is within
+    2 * eps * |T|. A zero pivot divides to an infinity of the right sign and
+    the count reads the sign bit, so -0 counts as negative and no pivot
+    needs a guard; only e_i^2 is kept off exact zero, where 0/0 would
+    give NaN.
+    """
+    n = d.size
+    lo, hi = _gershgorin(d, e)
+    norm = max(-lo, hi)
+    if norm == 0.0:
+        return np.zeros(n - first)
+    tol = 2.0 * _EPS * norm
+    e2 = np.maximum(e * e, np.finfo(float).tiny)
+    rank = np.arange(first, n)
+    lo = np.full(rank.size, lo - tol)
+    hi = np.full(rank.size, hi + tol)
+    q = np.empty(rank.size)
+    shifted = np.empty(rank.size)
+    neg = np.empty(rank.size, dtype=bool)
+    count = np.empty(rank.size, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(_BISECT_STEPS):
+            if np.max(hi - lo) <= tol:
+                return np.sort(0.5 * (lo + hi))
+            mid = 0.5 * (lo + hi)
+            # count the negative pivots of T - mid I: eigenvalues below mid
+            np.subtract(d[0], mid, out=q)
+            np.signbit(q, out=count, casting="unsafe")
+            for i in range(1, n):
+                np.divide(e2[i - 1], q, out=q)
+                np.subtract(d[i], mid, out=shifted)
+                np.subtract(shifted, q, out=q)
+                np.signbit(q, out=neg)
+                count += neg
+            below = count > rank
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+    raise NoConvergence(f"bisection did not converge in {_BISECT_STEPS} steps (n={n})")
+
+
+def _max_modulus(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _real_if_possible(a: np.ndarray) -> np.ndarray:
+    return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
 
 
 def _eigenvalues_of_hermitian_array(w: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of an array already known to be Hermitian."""
-    if w.shape[0] == 1:
-        vals = np.array([float(w[0, 0].real)])
-    elif np.all(w.imag == 0.0):
-        vals = _jacobi_real(w.real.copy())
-    else:
-        vals = _jacobi_complex(w.astype(np.complex128, copy=True))
-    return np.sort(vals)[::-1]
+    s = _max_modulus(w)
+    if s == 0.0:
+        return np.zeros(w.shape[0])
+    return _bisect(*_tridiagonal(_real_if_possible(w) / s))[::-1] * s
 
 
 def hermitian_eigenvalues(m: CMatrix) -> EigenSpectrum:
     """All eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
     Raises NotHermitian when the input is not square or fails the symmetry
-    check, and NoConvergence if the sweep limit is hit (a solver bug).
+    check, and NoConvergence on a solver bug: the bisection step cap, or an
+    eigenvalue sum that drifted from the trace.
     """
     if not m.is_square():
         raise NotHermitian(f"matrix is {m.rows}x{m.cols}, not square")
     a = m.data
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if np.max(np.abs(a - a.conj().T)) > _HERM_TOL * (1.0 + scale):
+    s = _max_modulus(a)
+    if np.max(np.abs(a - a.conj().T)) > _HERM_TOL * (1.0 + s):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    w = (a + a.conj().T) / 2.0  # kill roundoff asymmetry
-    vals = _eigenvalues_of_hermitian_array(w)
-    trace = float(np.einsum("ii->i", a).real.sum())
+    if s == 0.0:
+        return EigenSpectrum(np.zeros(m.rows))
+    w = _real_if_possible(a) / s
+    w = (w + w.conj().T) / 2.0  # kill roundoff asymmetry
+    trace = float(np.einsum("ii->i", w).real.sum())
+    vals = _bisect(*_tridiagonal(w))[::-1]
     if abs(float(vals.sum()) - trace) > _SPECTRUM_SUM_TOL * (1.0 + abs(trace)):
         raise NoConvergence("eigenvalue sum drifted from the trace")
-    return EigenSpectrum(vals)
+    return EigenSpectrum(vals * s)
 
 
 def singular_values(a: CMatrix) -> SingularSpectrum:
     """Singular values of a complex matrix, sorted nonincreasing.
 
-    Forms the Hermitian Gram product on the smaller side, eigendecomposes it
-    with the Jacobi solver, clamps tiny negative eigenvalues to zero and
-    returns their square roots.
+    Bidiagonalizes the tall orientation of A / s and takes the top half of
+    the spectrum of the 2k x 2k zero-diagonal Golub-Kahan tridiagonal, whose
+    eigenvalues are +-sigma_i.
     """
     d = a.data
-    if d.shape[0] <= d.shape[1]:
-        gram = d @ d.conj().T
-    else:
-        gram = d.conj().T @ d
-    gram = (gram + gram.conj().T) / 2.0
-    lam = _eigenvalues_of_hermitian_array(gram)
-    f2sq = float(np.sum(np.abs(d) ** 2))
-    if np.any(lam < -_GRAM_NEG_TOL * f2sq):
-        raise NoConvergence("Gram eigenvalue significantly negative")
-    # Gram eigenvalues carry roundoff of order eps * lambda_max; anything at
-    # that scale is dust from an exact zero, and taking its square root would
-    # inflate it to ~1e-8. Flatten the dust so exact zeros come out exact.
-    if lam.size and lam[0] > 0.0:
-        dust = 64.0 * gram.shape[0] * np.finfo(float).eps * float(lam[0])
-        lam[np.abs(lam) < dust] = 0.0
-    sig = np.sqrt(np.clip(lam, 0.0, None))
-    sig = np.sort(sig)[::-1]
+    k = min(d.shape)
+    s = _max_modulus(d)
+    if s == 0.0:
+        return SingularSpectrum(np.zeros(k))
+    b = _real_if_possible(d if d.shape[0] >= d.shape[1] else d.T) / s
+    f2sq = float(np.vdot(b, b).real)
+    diag, sup = _bidiagonal(b)
+    offdiag = np.zeros(2 * k - 1)
+    offdiag[0::2] = diag
+    offdiag[1::2] = sup
+    zero = np.zeros(2 * k)
+    top = _bisect(zero, offdiag, first=k)
+    if top[0] < -64.0 * k * _EPS * _gershgorin(zero, offdiag)[1]:
+        raise NoConvergence("Golub-Kahan eigenvalue significantly negative")
+    sig = np.clip(top, 0.0, None)[::-1]
     if abs(float(np.sum(sig * sig)) - f2sq) > _SPECTRUM_SUM_TOL * (1.0 + f2sq):
         raise NoConvergence("singular value mass drifted from the Frobenius norm")
-    return SingularSpectrum(sig)
+    return SingularSpectrum(sig * s)
 
 
 def rayleigh_allones(a: CMatrix) -> float:

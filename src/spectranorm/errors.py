@@ -12,7 +12,11 @@ class NotHermitian(SpectranormError):
 
 
 class NoConvergence(SpectranormError):
-    """Jacobi sweep limit reached; indicates a solver bug, not bad input."""
+    """Solver step cap reached or a spectral invariant check failed.
+
+    Raised by the bisection and batched Jacobi solvers; indicates a solver
+    bug, not bad input.
+    """
 
 
 class NonRealRayleigh(SpectranormError):

@@ -177,14 +177,18 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
                 if len(s.violation_examples) < _MAX_EXAMPLES:
                     s.violation_examples.append(mask)
 
-    # re-check the retained equality examples one graph at a time, with detectors
+    # re-check the retained equality examples one graph at a time, with
+    # detectors; a graph kept by several rows is solved once
+    contexts: dict[int, bounds.SubjectContext] = {}
     for s in merged.values():
         confirmed = []
         for mask in s.equality_examples:
-            g = Graph(n, mask)
-            chk = bounds.check_bound(s.bound_id, g, tol_scale=tol_scale, **s.params)
+            if mask not in contexts:
+                contexts[mask] = bounds.SubjectContext(Graph(n, mask))
+            ctx = contexts[mask]
+            chk = bounds.check_bound(s.bound_id, ctx, tol_scale=tol_scale, **s.params)
             confirmed.append({
-                "graph6": write_graph6(g),
+                "graph6": write_graph6(ctx.graph),
                 "slack": chk.slack,
                 "equality": chk.equality,
                 "witness": chk.equality_witness,

@@ -1,8 +1,11 @@
 """Eigensolver and singular value unit tests plus randomized cross-checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spectranorm
 from spectranorm.cmatrix import CMatrix
 from spectranorm.constructions import all_ones, dft_matrix
 from spectranorm.eigen import (
@@ -14,6 +17,7 @@ from spectranorm.eigen import (
 )
 from spectranorm.errors import NonRealRayleigh, NotHermitian
 from spectranorm.graphs import blow_up, complete
+from spectranorm.norms import schatten_norm
 
 
 def test_k2_eigenvalues():
@@ -124,7 +128,7 @@ def test_lapack_crosscheck():
 
 
 def test_degenerate_spectrum_converges():
-    # blow-up Grams have heavily repeated eigenvalues; regression for a
+    # blow-ups have heavily repeated singular values; regression for a
     # convergence-detection failure
     g = blow_up(complete(4), 3)
     sig = singular_values(g.adjacency_matrix()).values
@@ -151,3 +155,100 @@ def test_cmatrix_validation():
     m = CMatrix(2, 3, range(6))
     assert m.rows == 2 and m.cols == 3
     assert m.entries == tuple(complex(x) for x in range(6))
+
+
+# --- scale: inputs are divided by max|a_ij| before any product ------------------
+
+def test_eigenvalues_at_huge_scale():
+    m = CMatrix.from_array(np.array([[0.0, 1e160], [1e160, 0.0]]))
+    vals = hermitian_eigenvalues(m).values
+    assert np.allclose(vals, [1e160, -1e160], rtol=1e-12, atol=0.0)
+
+
+def test_singular_values_at_tiny_scale():
+    a = 1e-200 * np.array([[1.0, 2.0], [3.0, 4.0]])
+    sig = singular_values(CMatrix.from_array(a)).values
+    assert np.allclose(sig, [5.464985704219043e-200, 3.659661906262578e-201],
+                       rtol=1e-12, atol=0.0)
+
+
+def test_schatten_norm_at_huge_scale():
+    assert abs(schatten_norm(CMatrix.from_array(1e200 * np.eye(2)), 1) - 2e200) <= 1e188
+
+
+def test_small_singular_values_survive():
+    # squaring into a Gram product would bury everything below ~1e-8
+    rng = np.random.default_rng(29)
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    expect = np.array([1.0, 1e-3, 1e-5, 1e-6, 1e-8, 1e-10])
+    sig = singular_values(CMatrix.from_array(u @ np.diag(expect) @ v)).values
+    assert np.all(np.abs(sig - expect) <= 1e-6 * expect + 1e-14 * expect[0]), sig
+
+
+# --- cross-checks against numpy at sizes the kernel is used for -----------------
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_eigvalsh_crosscheck_large(n):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for h in ((z + z.T).real, (z + z.conj().T) / 2):
+        mine = hermitian_eigenvalues(CMatrix.from_array(h)).values
+        ref = np.sort(np.linalg.eigvalsh(h))[::-1]
+        assert np.max(np.abs(mine - ref)) < 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_svd_crosscheck_large(n):
+    rng = np.random.default_rng(n + 1)
+    for shape in ((n, n + 7), (n + 7, n)):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mine = singular_values(CMatrix.from_array(z)).values
+        ref = np.linalg.svd(z, compute_uv=False)
+        assert np.max(np.abs(mine - ref)) < 1e-12 * ref[0]
+
+
+# --- edge cases -----------------------------------------------------------------
+
+def test_order_one_and_two():
+    assert np.allclose(hermitian_eigenvalues(CMatrix.from_rows([[-3.5]])).values, [-3.5],
+                       atol=1e-14)
+    assert np.allclose(singular_values(CMatrix.from_rows([[-3 + 4j]])).values, [5.0])
+    h = np.array([[2.0, 1 - 1j], [1 + 1j, -1.0]])
+    assert np.allclose(hermitian_eigenvalues(CMatrix.from_array(h)).values,
+                       np.sort(np.linalg.eigvalsh(h))[::-1], atol=1e-14)
+
+
+def test_zero_matrix_singular_values():
+    assert singular_values(CMatrix.from_array(np.zeros((3, 5)))).values.tolist() == [0.0] * 3
+
+
+def test_diagonal_matrix_has_no_offdiagonal():
+    # e == 0 throughout: every Sturm pivot that hits zero meets e_i^2 = 0
+    d = np.array([3.0, -1.0, 0.0, 3.0, 2.5, -1.0])
+    vals = hermitian_eigenvalues(CMatrix.from_array(np.diag(d))).values
+    assert np.allclose(vals, np.sort(d)[::-1], atol=1e-14)
+    sig = singular_values(CMatrix.from_array(np.diag(d))).values
+    assert np.allclose(sig, np.sort(np.abs(d))[::-1], atol=1e-14)
+
+
+def test_block_diagonal_matrix():
+    rng = np.random.default_rng(31)
+    z = rng.standard_normal((4, 4))
+    h = np.zeros((9, 9))
+    h[:4, :4] = z + z.T
+    h[4:, 4:] = 2 * np.eye(5) - np.ones((5, 5))
+    vals = hermitian_eigenvalues(CMatrix.from_array(h)).values
+    assert np.allclose(vals, np.sort(np.linalg.eigvalsh(h))[::-1], atol=1e-13)
+
+
+def test_blow_up_spectrum():
+    g = blow_up(complete(4), 3)
+    vals = hermitian_eigenvalues(g.adjacency_matrix()).values
+    assert np.allclose(vals, [9.0] + [0.0] * 8 + [-3.0] * 3, atol=1e-13)
+
+
+def test_no_external_eigensolver_in_package():
+    src = Path(spectranorm.__file__).parent
+    users = [p.name for p in sorted(src.glob("*.py")) if "linalg" in p.read_text()]
+    assert users == []
