@@ -16,7 +16,13 @@ import numpy as np
 
 from .batched import symmetric_eigenvalues_batch
 from .errors import TooLarge
-from .graphs import Graph, chromatic_number_masks, pair_count, pair_list
+from .graphs import (
+    Graph,
+    chromatic_number_masks,
+    neighbor_masks_of,
+    pair_count,
+    pair_list,
+)
 
 MAX_ENUM_ORDER = 8
 CHUNK_SIZE = 1 << 13  # masks per work chunk; fixed for deterministic merges
@@ -132,16 +138,7 @@ def chunk_quantities(n: int, lo: int, hi: int, *, need_chi: bool = False,
     if need_chi:
         pairs = pair_list(n)
         chi = np.empty(masks.size, dtype=np.int64)
-        for i, mask in enumerate(masks):
-            mask = int(mask)
-            adj = [0] * n
-            mm = mask
-            while mm:
-                t = (mm & -mm).bit_length() - 1
-                u, v = pairs[t]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                mm &= mm - 1
-            chi[i] = chromatic_number_masks(adj)
+        for i, mask in enumerate(masks.tolist()):
+            chi[i] = chromatic_number_masks(neighbor_masks_of(n, mask, pairs))
         out["chi"] = chi
     return out

@@ -39,6 +39,22 @@ def pair_list(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
+def neighbor_masks_of(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Per-vertex neighbor bitsets of the order-n edge bitset `mask`.
+
+    `pairs` is `pair_list(n)`, passed in so that a caller converting many
+    masks of one order builds it once.
+    """
+    adj = [0] * n
+    while mask:
+        low = mask & -mask
+        u, v = pairs[low.bit_length() - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        mask ^= low
+    return adj
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable."""
 
@@ -80,16 +96,7 @@ class Graph:
 
     def neighbor_masks(self) -> list[int]:
         """Per-vertex neighbor bitsets (bit v set in entry u iff u ~ v)."""
-        adj = [0] * self.n
-        m = self.mask
-        pairs = pair_list(self.n)
-        while m:
-            t = (m & -m).bit_length() - 1
-            u, v = pairs[t]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            m &= m - 1
-        return adj
+        return neighbor_masks_of(self.n, self.mask, pair_list(self.n))
 
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.neighbor_masks()]
@@ -320,45 +327,73 @@ def _greedy_clique_bound(adj: list[int], order: list[int]) -> int:
 
 
 def _greedy_coloring_bound(adj: list[int], order: list[int]) -> int:
-    colors = {}
-    used = 0
+    """Colors used by first-fit coloring in the given vertex order."""
+    classes: list[int] = []  # one vertex bitset per color class
     for v in order:
-        taken = {colors[u] for u in colors if (adj[v] >> u) & 1}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-    return used
-
-
-def _k_colorable(adj: list[int], order: list[int], k: int) -> bool:
-    n = len(order)
-    assign = [-1] * len(adj)
-
-    def place(idx: int, used: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        # colors already introduced, plus at most one new one (symmetry break)
-        limit = min(used + 1, k)
-        forbidden = 0
         nb = adj[v]
-        while nb:
-            u = (nb & -nb).bit_length() - 1
-            if assign[u] >= 0:
-                forbidden |= 1 << assign[u]
-            nb &= nb - 1
-        for c in range(limit):
-            if (forbidden >> c) & 1:
-                continue
-            assign[v] = c
-            if place(idx + 1, max(used, c + 1)):
+        for c, members in enumerate(classes):
+            if not members & nb:
+                classes[c] = members | (1 << v)
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
+def _k_colorable(adj: list[int], k: int) -> bool:
+    """Whether the graph has a proper k-coloring: a DSATUR decision search.
+
+    Each node colors the uncolored vertex that sees the most distinct colors
+    among its neighbors, ties broken by most uncolored neighbors (Brelaz,
+    CACM 22, 1979). It tries every color in use that no neighbor has, plus
+    at most one new color. `forbidden[u]` is the bitset of colors on u's
+    colored neighbors; it is updated in place and undone on backtrack, and a
+    branch fails as soon as some uncolored vertex has all k colors forbidden.
+    """
+    full = (1 << k) - 1
+    forbidden = [0] * len(adj)
+
+    def search(uncolored: int, used: int) -> bool:
+        if not uncolored:
+            return True
+        v, best_sat, best_deg = -1, -1, -1
+        rest = uncolored
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            sat = forbidden[u].bit_count()
+            if sat >= best_sat:
+                deg = (adj[u] & uncolored).bit_count()
+                if sat > best_sat or deg > best_deg:
+                    v, best_sat, best_deg = u, sat, deg
+        uncolored ^= 1 << v
+        nbrs = adj[v] & uncolored
+        free = ~forbidden[v] & ((1 << min(used + 1, k)) - 1)
+        while free:
+            color = free & -free
+            free ^= color
+            touched = []
+            alive = True
+            rest = nbrs
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                f = forbidden[u]
+                if not f & color:
+                    forbidden[u] = f | color
+                    touched.append(u)
+                    if f | color == full:
+                        alive = False
+                        break
+            if alive and search(uncolored, max(used, color.bit_length())):
                 return True
-            assign[v] = -1
+            for u in touched:
+                forbidden[u] ^= color
         return False
 
-    return place(0, 0)
+    return search((1 << len(adj)) - 1, 0)
 
 
 def chromatic_number_masks(adj: list[int]) -> int:
@@ -371,7 +406,7 @@ def chromatic_number_masks(adj: list[int]) -> int:
     ub = _greedy_coloring_bound(adj, order)
     lb = max(lb, 2)
     for k in range(lb, ub):
-        if _k_colorable(adj, order, k):
+        if _k_colorable(adj, k):
             return k
     return ub
 
@@ -380,7 +415,12 @@ CHI_MAX_ORDER = 32  # largest order chromatic_number accepts
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number via branch and bound; order capped at CHI_MAX_ORDER."""
+    """Exact chromatic number; order capped at CHI_MAX_ORDER (32).
+
+    A DSATUR branch and bound between a greedy clique (lower) and a greedy
+    first-fit coloring (upper) bound: k is tried upward from the lower bound
+    by `_k_colorable`, and the first k that admits a coloring is chi.
+    """
     if g.n > CHI_MAX_ORDER:
         raise TooLargeForExact(
             f"exact coloring capped at order {CHI_MAX_ORDER}, got {g.n}")

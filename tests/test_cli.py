@@ -92,6 +92,19 @@ def test_check_order_past_chi_cap(capsys, tmp_path):
     assert len(checks) == 20  # the other rows are evaluated, not aborted
 
 
+def test_check_paley29_chromatic_number(capsys, tmp_path):
+    from spectranorm.graphs import paley, write_graph6
+
+    f = tmp_path / "p29.g6"
+    f.write_text(write_graph6(paley(29)) + "\n")
+    code, out = _run(capsys, "check", "--in", str(f), "--bound", "SCHR_LOWER",
+                     "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["checks"]
+    assert row["bound_id"] == "SCHR_LOWER" and row["notes"] == "chi = 8"
+    assert row["holds"] and not row["skipped"]
+
+
 def test_sweep_exit_codes(capsys):
     code, _ = _run(capsys, "sweep", "--n", "4", "--threads", "1")
     assert code == 0

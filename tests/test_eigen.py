@@ -43,6 +43,25 @@ def test_not_hermitian_raises():
         hermitian_eigenvalues(all_ones(2, 3))
 
 
+@pytest.mark.parametrize("s", [1e-13, 1e-200])
+def test_not_hermitian_raises_at_small_scale(s):
+    # the symmetry tolerance is relative to max|a_ij|, not absolute
+    with pytest.raises(NotHermitian):
+        hermitian_eigenvalues(CMatrix.from_array(np.array([[0.0, s], [0.0, 0.0]])))
+
+
+def test_roundoff_asymmetry_accepted_at_small_scale():
+    rng = np.random.default_rng(41)
+    z = rng.standard_normal((6, 6))
+    h = (z + z.T) * 1e-200
+    h[0, 1] = np.nextafter(h[0, 1], np.inf)
+    h[4, 2] = h[4, 2] * (1 + 4e-16)
+    assert h[0, 1] != h[1, 0] and h[4, 2] != h[2, 4]
+    vals = hermitian_eigenvalues(CMatrix.from_array(h)).values
+    ref = np.sort(np.linalg.eigvalsh(z + z.T))[::-1] * 1e-200
+    assert np.allclose(vals, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
 def test_dft4_singular_values():
     assert np.allclose(singular_values(dft_matrix(4)).values, 2.0, atol=1e-10)
 

@@ -168,6 +168,20 @@ def _brute_chromatic(g: Graph) -> int:
     return g.n
 
 
+def _mycielskian(g: Graph) -> Graph:
+    """Mycielski's construction: chi goes up by one, the clique number stays."""
+    n = g.n
+    edges = list(g.edges())
+    for u, v in g.edges():
+        edges += [(u, n + v), (v, n + u)]
+    edges += [(n + u, 2 * n) for u in range(n)]
+    return Graph.from_edge_list(2 * n + 1, edges)
+
+
+def _wheel(rim: int) -> Graph:
+    return Graph.from_edge_list(rim + 1, cycle(rim).edges() + [(v, rim) for v in range(rim)])
+
+
 def test_chromatic_known_values():
     for n in range(1, 7):
         assert chromatic_number(complete(n)) == n
@@ -175,6 +189,20 @@ def test_chromatic_known_values():
     assert chromatic_number(cycle(6)) == 2
     assert chromatic_number(empty_graph(4)) == 1
     assert chromatic_number(complete_multipartite([2, 2, 2])) == 3
+    assert chromatic_number(paley(13)) == 5
+    assert chromatic_number(paley(29)) == 8
+    petersen = Graph.from_edge_list(10, [(i, (i + 1) % 5) for i in range(5)]
+                                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                                    + [(i, 5 + i) for i in range(5)])
+    assert chromatic_number(petersen) == 3
+    grotzsch = _mycielskian(cycle(5))  # M_11: triangle-free, so the clique bound is 2
+    m23 = _mycielskian(grotzsch)
+    assert (grotzsch.n, m23.n) == (11, 23)
+    assert chromatic_number(grotzsch) == 4
+    assert chromatic_number(m23) == 5
+    for rim in (3, 5, 7, 9, 11):
+        assert chromatic_number(_wheel(rim)) == 4
+    assert chromatic_number(_wheel(8)) == 3
     with pytest.raises(TooLargeForExact):
         chromatic_number(empty_graph(33))
 
@@ -187,6 +215,42 @@ def test_chromatic_against_brute_force():
     for mask in rng.integers(0, 1 << 10, size=60):
         g = Graph(5, int(mask))
         assert chromatic_number(g) == _brute_chromatic(g)
+
+
+def _subset_dp_chromatic(n: int, adj: list[int]) -> int:
+    """f(S) = 1 + min over independent I with min(S) in I, I within S, of f(S - I)."""
+    full = (1 << n) - 1
+    independent = [True] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        v = low.bit_length() - 1
+        rest = s ^ low
+        independent[s] = independent[rest] and not adj[v] & rest
+    f = [0] * (1 << n)
+    for s in range(1, full + 1):
+        low = s & -s
+        rest = s ^ low
+        best = n
+        sub = rest
+        while True:
+            if independent[sub | low]:
+                best = min(best, 1 + f[rest & ~sub])
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        f[s] = best
+    return f[full]
+
+
+def test_chromatic_against_graph_atlas():
+    # networkx's atlas (all 1253 graphs with n <= 7) as inputs; the oracle is
+    # the subset DP above
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for gx in atlas[1:]:  # entry 0 is the order-0 graph
+        g = Graph.from_edge_list(gx.number_of_nodes(), gx.edges())
+        assert chromatic_number(g) == _subset_dp_chromatic(g.n, g.neighbor_masks()), gx.edges()
 
 
 def test_closed_walks_known_values():
