@@ -1,10 +1,11 @@
 """Schatten and Ky Fan norms of graphs and complex matrices.
 
-A self-contained Householder and Sturm-bisection eigensolver (Golub-Kahan
-bidiagonalization for singular values) feeds norm functionals, a registry of
-extremal bounds with equality detection, named graph and matrix
-constructions, seeded Monte Carlo experiments on G(n, 1/2), and exhaustive
-extremal search over all small-order graphs.
+A self-contained Householder and Sturm-count multisection eigensolver, which
+reproduces bisection exactly (Golub-Kahan bidiagonalization for singular
+values), feeds norm functionals, a registry of extremal bounds with equality
+detection, named graph and matrix constructions, seeded Monte Carlo
+experiments on G(n, 1/2), and exhaustive extremal search over all
+small-order graphs.
 """
 
 from .asymptotics import (

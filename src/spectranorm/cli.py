@@ -21,7 +21,7 @@ from .constructions import all_ones, dft_matrix, sylvester_hadamard
 from .errors import PreconditionFailed, SpectranormError
 from .fileio import format_matrix_csv, load_subject
 from .graphs import Graph, blow_up, family, with_isolated, write_graph6
-from .norms import entrywise_norm, kyfan_norm, schatten_norm
+from .norms import entrywise_norm, spectral_norms
 from .search import OBJECTIVES, compare_spread_vs_f2, extremal
 from .sweep import run_sweep
 
@@ -125,11 +125,12 @@ def _cmd_norms(args) -> int:
     subject = load_subject(_read_input(args.infile))
     p_list = args.p or [1.0, 2.0]
     k_list = args.k or [1, 2]
+    schatten, kyfan = spectral_norms(subject, p_list, k_list)
     results = {
         "input": args.infile,
         "kind": "graph" if isinstance(subject, Graph) else "matrix",
-        "schatten": {_fmt(p): schatten_norm(subject, p) for p in p_list},
-        "kyfan": {str(k): kyfan_norm(subject, k) for k in k_list},
+        "schatten": {_fmt(p): v for p, v in zip(p_list, schatten)},
+        "kyfan": {str(k): v for k, v in zip(k_list, kyfan)},
         "entrywise": {_fmt(p): entrywise_norm(subject, p) for p in p_list},
     }
     results["entrywise"]["inf"] = entrywise_norm(subject, math.inf)

@@ -4,10 +4,13 @@ One kernel serves both entry points. A Hermitian matrix is reduced by
 Householder reflections to a real symmetric tridiagonal matrix; a matrix whose
 singular values are wanted is reduced by Golub-Kahan bidiagonalization, and
 its singular values are the top half of the spectrum of the zero-diagonal
-tridiagonal built from the bidiagonal. Both tridiagonals are solved by
-Sturm-sequence bisection, vectorized over all wanted eigenvalues at once
-(Barth, Martin & Wilkinson, Numer. Math. 9, 1967). No external eigensolver
-is used anywhere in the package: every norm ultimately reduces to this module.
+tridiagonal built from the bidiagonal. Both tridiagonals are solved on
+Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) by
+multisection, vectorized over all wanted eigenvalues at once: one pass over
+the rows counts at every node of a dyadic tree inside each bracket, and the
+nodes are bisection's own midpoints, so the result is bisection's bit for
+bit. No external eigensolver is used anywhere in the package: every norm
+ultimately reduces to this module.
 
 Conventions:
   * eigenvalues are returned sorted nonincreasing,
@@ -35,11 +38,17 @@ _HERM_TOL = 1e-12
 _SPECTRUM_SUM_TOL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
-# Bisection halves every bracket each step, so the Gershgorin width reaches
-# 2 * eps * |T| in about 53 steps; the cap only catches a solver bug.
+# Bisection halves every bracket each step (one replayed multisection level
+# is one step), so the Gershgorin width reaches 2 * eps * |T| in about 53
+# steps; the cap only catches a solver bug.
 _BISECT_STEPS = 100
-# Rows per slice of an in-place low-rank update: bounds the temporaries.
+# Rows per slice of an in-place low-rank update or of a Sturm-count pass:
+# bounds the temporaries.
 _ROW_BLOCK = 64
+# W, the points per Sturm-count pass: multisection counts at up to W points
+# at once for m wanted eigenvalues, so a pass's temporaries hold at most
+# _ROW_BLOCK x max(W, m) doubles.
+_MULTISECT_WIDTH = 512
 
 
 @dataclass(frozen=True)
@@ -182,11 +191,16 @@ def _bisect(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
     """Eigenvalues first, first + 1, ... (ascending) of the tridiagonal (d, e).
 
     Every wanted eigenvalue is bracketed by the Gershgorin interval and
-    bisected at once on Sturm counts, until each bracket is within
-    2 * eps * |T|. A zero pivot divides to an infinity of the right sign and
-    the count reads the sign bit, so -0 counts as negative and no pivot
-    needs a guard; only e_i^2 is kept off exact zero, where 0/0 would
-    give NaN.
+    bisected on Sturm counts until each bracket is within 2 * eps * |T|.
+    The counts come by multisection (Lo, Philippe & Sameh, SIAM J. Sci.
+    Stat. Comput. 8, 1987): one pass over the rows counts the eigenvalues
+    below every node of an L-level dyadic tree inside each bracket, and L
+    bisection steps are then replayed from the stored counts. Each node is
+    0.5 * (a + b) of the bracket bisection holds there, so the result is
+    bisection's, bit for bit. A zero pivot divides to an infinity of the
+    right sign and the count reads the sign bit, so -0 counts as negative
+    and no pivot needs a guard; only e_i^2 is kept off exact zero, where
+    0/0 would give NaN.
     """
     n = d.size
     lo, hi = _gershgorin(d, e)
@@ -194,31 +208,58 @@ def _bisect(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
     if norm == 0.0:
         return np.zeros(n - first)
     tol = 2.0 * _EPS * norm
-    e2 = np.maximum(e * e, np.finfo(float).tiny)
+    e2 = np.maximum(e * e, np.finfo(float).tiny).tolist()
     rank = np.arange(first, n)
-    lo = np.full(rank.size, lo - tol)
-    hi = np.full(rank.size, hi + tol)
-    q = np.empty(rank.size)
-    shifted = np.empty(rank.size)
-    neg = np.empty(rank.size, dtype=bool)
-    count = np.empty(rank.size, dtype=np.int64)
+    m = rank.size
+    lo = np.full(m, lo - tol)
+    hi = np.full(m, hi + tol)
+    # L = floor(log2(W / m + 1)) levels of 2^L - 1 nodes, so at most W points
+    # a pass while m <= W, and plain bisection (L = 1) past that
+    levels = max(1, (_MULTISECT_WIDTH // m + 1).bit_length() - 1)
+    width = ((1 << levels) - 1) * m
+    rows = min(n, _ROW_BLOCK)
+    q = np.empty((rows, width))
+    q_rows = list(q)
+    t = np.empty(width)
+    cols = np.arange(m)
     with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(_BISECT_STEPS):
+        for step in range(_BISECT_STEPS):
             if np.max(hi - lo) <= tol:
                 return np.sort(0.5 * (lo + hi))
-            mid = 0.5 * (lo + hi)
-            # count the negative pivots of T - mid I: eigenvalues below mid
-            np.subtract(d[0], mid, out=q)
-            np.signbit(q, out=count, casting="unsafe")
-            for i in range(1, n):
-                np.divide(e2[i - 1], q, out=q)
-                np.subtract(d[i], mid, out=shifted)
-                np.subtract(shifted, q, out=q)
-                np.signbit(q, out=neg)
-                count += neg
-            below = count > rank
+            if step % levels == 0:
+                # the tree's nodes in heap order (node j has children 2j+1
+                # and 2j+2), built level by level from the grid of bracket ends
+                grid, nodes = np.stack([lo, hi]), []
+                for _ in range(levels):
+                    nodes.append(0.5 * (grid[:-1] + grid[1:]))
+                    finer = np.empty((2 * grid.shape[0] - 1, m))
+                    finer[0::2] = grid
+                    finer[1::2] = nodes[-1]
+                    grid = finer
+                points = np.concatenate(nodes)
+                x = points.ravel()
+                # count the negative pivots of T - x I, q_i = (d_i - x) -
+                # e_{i-1}^2 / q_{i-1}, for every point at once; the last row
+                # of a block is divided before the next block overwrites it
+                count = np.zeros(width, dtype=np.int64)
+                for r in range(0, n, rows):
+                    block = q[:min(rows, n - r)]
+                    if r:
+                        np.divide(e2[r - 1], q_rows[-1], out=t)
+                    np.subtract(d[r:r + rows, None], x, out=block)
+                    if r:
+                        np.subtract(q_rows[0], t, out=q_rows[0])
+                    for c, prev, cur in zip(e2[r:r + len(block) - 1], q_rows, q_rows[1:]):
+                        np.divide(c, prev, out=t)
+                        np.subtract(cur, t, out=cur)
+                    count += np.signbit(block).sum(axis=0)
+                count = count.reshape(points.shape)
+                node = np.zeros(m, dtype=np.intp)
+            mid = points[node, cols]
+            below = count[node, cols] > rank
             hi = np.where(below, mid, hi)
             lo = np.where(below, lo, mid)
+            node = 2 * node + 1 + ~below
     raise NoConvergence(f"bisection did not converge in {_BISECT_STEPS} steps (n={n})")
 
 

@@ -23,10 +23,11 @@ def parse_complex_literal(cell: str) -> complex:
         raise BadComplexLiteral("empty cell")
     if s.endswith(("i", "I")):
         body = s[:-1]
-        split = -1
-        for idx in range(len(body) - 1, 0, -1):
-            if body[idx] in "+-" and body[idx - 1] not in "eE":
-                split = idx
+        # the last sign past position 0 that is not an exponent's
+        split = len(body)
+        while True:
+            split = max(body.rfind("+", 1, split), body.rfind("-", 1, split))
+            if split < 0 or body[split - 1] not in "eE":
                 break
         if split < 0:
             raise BadComplexLiteral(

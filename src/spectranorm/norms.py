@@ -34,13 +34,30 @@ def _check_schatten_order(p: float) -> float:
     return p
 
 
+def _check_kyfan_order(k: int) -> int:
+    k = operator.index(k)
+    if k < 1:
+        raise ValueError(f"Ky Fan order must be a positive integer, got {k}")
+    return k
+
+
+def spectral_norms(subject: Subject, ps, ks) -> tuple[list[float], list[float]]:
+    """Schatten p-norms for each p in ps and Ky Fan k-norms for each k in ks.
+
+    The singular values are computed once, whatever the number of orders.
+    """
+    ps = [_check_schatten_order(p) for p in ps]
+    ks = [_check_kyfan_order(k) for k in ks]
+    sig = singular_values(as_matrix(subject)).values
+    schatten = [float(sig.sum()) if p == 1.0 else float(np.sum(sig**p) ** (1.0 / p))
+                for p in ps]
+    kyfan = [float(sig[: min(k, len(sig))].sum()) for k in ks]
+    return schatten, kyfan
+
+
 def schatten_norm(subject: Subject, p: float) -> float:
     """(sum_i sigma_i^p)^(1/p) over all singular values; p = 1 is the energy."""
-    p = _check_schatten_order(p)
-    sig = singular_values(as_matrix(subject)).values
-    if p == 1.0:
-        return float(sig.sum())
-    return float(np.sum(sig**p) ** (1.0 / p))
+    return spectral_norms(subject, [p], [])[0][0]
 
 
 def energy(subject: Subject) -> float:
@@ -50,11 +67,7 @@ def energy(subject: Subject) -> float:
 
 def kyfan_norm(subject: Subject, k: int) -> float:
     """Sum of the k largest singular values; k past min(m, n) saturates."""
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError(f"Ky Fan order must be a positive integer, got {k}")
-    sig = singular_values(as_matrix(subject)).values
-    return float(sig[: min(k, len(sig))].sum())
+    return spectral_norms(subject, [], [k])[1][0]
 
 
 def entrywise_norm(subject: Subject, p: float) -> float:

@@ -42,6 +42,42 @@ def test_norms_text_and_json(capsys, tmp_path):
     assert abs(payload["schatten"]["1"] - 6.0) < 1e-9
 
 
+def test_norms_solves_once(capsys, tmp_path, monkeypatch):
+    import numpy as np
+
+    from spectranorm import norms
+
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+    f = tmp_path / "m.csv"
+    f.write_text(format_matrix_csv(CMatrix.from_array(a)))
+    subject = load_subject(f.read_text())
+    calls, solve = [], norms.singular_values
+
+    def counting(m):
+        calls.append(m)
+        return solve(m)
+
+    monkeypatch.setattr(norms, "singular_values", counting)
+    for p_list, k_list in (([1.0, 2.0], [1, 2]), ([1.0, 1.5, 3.0], [1, 2, 9])):
+        argv = ["norms", "--in", str(f), "--format", "json"]
+        if p_list != [1.0, 2.0]:
+            argv += [arg for p in p_list for arg in ("--p", str(p))]
+            argv += [arg for k in k_list for arg in ("--k", str(k))]
+        calls.clear()
+        code, out = _run(capsys, *argv)
+        assert code == 0 and len(calls) == 1
+        payload = json.loads(out)
+        assert list(payload) == ["input", "kind", "schatten", "kyfan", "entrywise"]
+        # the floats each order got from a solve of its own
+        sig = solve(subject).values
+        assert list(payload["schatten"].values()) == [
+            float(sig.sum()) if p == 1.0 else float(np.sum(sig**p) ** (1.0 / p)) for p in p_list]
+        assert list(payload["kyfan"].values()) == [float(sig[:k].sum()) for k in k_list]
+        assert [norms.schatten_norm(subject, p) for p in p_list] == list(payload["schatten"].values())
+        assert [norms.kyfan_norm(subject, k) for k in k_list] == list(payload["kyfan"].values())
+
+
 def test_norms_empty_graph(capsys, tmp_path):
     f = tmp_path / "empty5.g6"
     f.write_text("D??\n")
@@ -217,6 +253,66 @@ def test_parse_matrix_examples():
         parse_matrix_file("ham")
     with pytest.raises(BadComplexLiteral):
         parse_matrix_file("2i")  # needs the a+bi form
+
+
+def _reference_complex_literal(cell):
+    """The a+bi split found by a plain right-to-left scan, one character at a time."""
+    s = cell.strip()
+    if not s:
+        raise BadComplexLiteral("empty cell")
+    if s.endswith(("i", "I")):
+        body = s[:-1]
+        split = -1
+        for idx in range(len(body) - 1, 0, -1):
+            if body[idx] in "+-" and body[idx - 1] not in "eE":
+                split = idx
+                break
+        if split < 0:
+            raise BadComplexLiteral(f"{cell!r}: complex cells need the a+bi / a-bi form")
+        try:
+            return complex(float(body[:split]), float(body[split:]))
+        except ValueError:
+            raise BadComplexLiteral(f"cannot parse complex literal {cell!r}") from None
+    try:
+        return complex(float(s), 0.0)
+    except ValueError:
+        raise BadComplexLiteral(f"cannot parse literal {cell!r}") from None
+
+
+def _literal_outcome(parse, cell):
+    try:
+        return ("value", parse(cell))
+    except BadComplexLiteral as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize("cell", [
+    "1+2i", "-1.5e-3-2e+4i", "1e-5i", "-3i", "+2-1i", "1e+5+1e-5I", " 0.5-0.25i ",
+    "i", "+i", "1 + 2i", "1e+-2i", "--1i", "e-1i", "1.0+-2i",
+    "", "  ", "2", "-0.0", "nan+infi", "1E-5-1E+5i", "e+i", "1e5e-5+1i", "+-i", "1e-i",
+])
+def test_parse_complex_literal_matches_reference_scan(cell):
+    from spectranorm.fileio import parse_complex_literal
+
+    got = _literal_outcome(parse_complex_literal, cell)
+    want = _literal_outcome(_reference_complex_literal, cell)
+    assert got[0] == want[0]
+    if got[0] == "value" and want[1] != want[1]:
+        assert repr(got[1]) == repr(want[1])
+    else:
+        assert got == want
+
+
+def test_parse_complex_literal_matches_reference_scan_random():
+    import random
+
+    from spectranorm.fileio import parse_complex_literal
+
+    rnd = random.Random(5)
+    for _ in range(2000):
+        cell = "".join(rnd.choice("0123456789.eE+-iI ") for _ in range(rnd.randint(0, 9)))
+        assert (_literal_outcome(parse_complex_literal, cell)
+                == _literal_outcome(_reference_complex_literal, cell)), cell
 
 
 def test_matrix_csv_roundtrip():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spectranorm
+from spectranorm import eigen
 from spectranorm.cmatrix import CMatrix
 from spectranorm.constructions import all_ones, dft_matrix
 from spectranorm.eigen import (
@@ -15,7 +16,7 @@ from spectranorm.eigen import (
     rayleigh_allones,
     singular_values,
 )
-from spectranorm.errors import NonRealRayleigh, NotHermitian
+from spectranorm.errors import NoConvergence, NonRealRayleigh, NotHermitian
 from spectranorm.graphs import blow_up, complete
 from spectranorm.norms import schatten_norm
 
@@ -271,3 +272,91 @@ def test_no_external_eigensolver_in_package():
     src = Path(spectranorm.__file__).parent
     users = [p.name for p in sorted(src.glob("*.py")) if "linalg" in p.read_text()]
     assert users == []
+
+
+# --- the bisection kernel against plain bisection ---------------------------------
+
+def _plain_bisect(d, e, first=0):
+    """Sturm bisection one midpoint at a time: the reference _bisect must equal bit for bit."""
+    n = d.size
+    lo, hi = eigen._gershgorin(d, e)
+    norm = max(-lo, hi)
+    if norm == 0.0:
+        return np.zeros(n - first)
+    tol = 2.0 * eigen._EPS * norm
+    e2 = np.maximum(e * e, np.finfo(float).tiny)
+    rank = np.arange(first, n)
+    lo = np.full(rank.size, lo - tol)
+    hi = np.full(rank.size, hi + tol)
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(100):
+            if np.max(hi - lo) <= tol:
+                return np.sort(0.5 * (lo + hi))
+            mid = 0.5 * (lo + hi)
+            q = d[0] - mid
+            count = np.signbit(q).astype(np.int64)
+            for i in range(1, n):
+                q = (d[i] - mid) - e2[i - 1] / q
+                count += np.signbit(q)
+            below = count > rank
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+    raise AssertionError("reference bisection did not converge")
+
+
+def _seeded_tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(n - 1)
+    e[rng.random(n - 1) < 0.2] = 0.0  # exact zeros split the matrix
+    return rng.standard_normal(n), e
+
+
+def _golub_kahan(a):
+    d, f = eigen._bidiagonal(np.array(a, dtype=float))
+    offdiag = np.zeros(2 * d.size - 1)
+    offdiag[0::2] = d
+    offdiag[1::2] = f
+    return np.zeros(2 * d.size), offdiag
+
+
+def _integer_spectra():
+    from spectranorm.graphs import paley
+
+    cases = [eigen._tridiagonal(complete(n).adjacency_matrix().data.real.copy()) for n in (2, 5, 9)]
+    cases.append(eigen._tridiagonal(paley(13).adjacency_matrix().data.real.copy()))
+    cases.append(_golub_kahan(np.ones((16, 16))))
+    cases.append((np.zeros(12), np.ones(11)))  # path P_12
+    cases.append((np.arange(6.0), np.zeros(5)))  # diagonal, e = 0
+    return cases
+
+
+@pytest.mark.parametrize("width", [eigen._MULTISECT_WIDTH, 64, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 130])
+def test_bisect_equals_plain_bisection(monkeypatch, n, width):
+    monkeypatch.setattr(eigen, "_MULTISECT_WIDTH", width)
+    d, e = _seeded_tridiagonal(n, 1000 + n)
+    for first in sorted({0, n // 2, n - 1}):
+        assert np.array_equal(eigen._bisect(d, e, first), _plain_bisect(d, e, first))
+
+
+@pytest.mark.parametrize("width", [eigen._MULTISECT_WIDTH, 4])
+def test_bisect_equals_plain_bisection_integer_spectra(monkeypatch, width):
+    monkeypatch.setattr(eigen, "_MULTISECT_WIDTH", width)
+    for d, e in _integer_spectra():
+        n = d.size
+        for first in sorted({0, n // 2, n - 1}):
+            assert np.array_equal(eigen._bisect(d, e, first), _plain_bisect(d, e, first))
+
+
+def test_bisect_equals_plain_bisection_past_the_width():
+    # more wanted eigenvalues than points a pass: plain bisection, L = 1
+    n = eigen._MULTISECT_WIDTH + 8
+    d, e = _seeded_tridiagonal(n, 77)
+    assert np.array_equal(eigen._bisect(d, e), _plain_bisect(d, e))
+
+
+def test_bisect_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(eigen, "_BISECT_STEPS", 5)
+    d, e = _seeded_tridiagonal(20, 3)
+    with pytest.raises(NoConvergence):
+        eigen._bisect(d, e)
