@@ -1,12 +1,12 @@
 """Batched cyclic Jacobi for stacks of small real symmetric matrices.
 
-Exhaustive sweeps and searches need spectra for hundreds of thousands of
-order <= 8 adjacency matrices. Looping the scalar solver over each one is
-dominated by interpreter overhead, so this module applies one cyclic Jacobi
-schedule to a whole stack at once, with per-matrix rotation angles. The
-stack is stored batch-last, as (n, n, B), so each row or column rotation
-reads and writes contiguous runs of B values. Agreement with the scalar
-solver is covered by tests.
+Exhaustive sweeps and searches need the spectrum of every isomorphism class
+of order <= 8 graphs, up to 12,346 adjacency matrices. Looping the scalar
+solver over each one is dominated by interpreter overhead, so this module
+applies one cyclic Jacobi schedule to a whole stack at once, with
+per-matrix rotation angles. The stack is stored batch-last, as (n, n, B), so
+each row or column rotation reads and writes contiguous runs of B values.
+Agreement with the scalar solver is covered by tests.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ give byte-identical output regardless of thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -59,6 +60,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="multiplier on all relative tolerances")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectranorm",

@@ -1,13 +1,26 @@
-"""Exhaustive enumeration of small-order labeled graphs.
+"""Exhaustive enumeration of small-order graphs, one isomorphism class at a time.
 
 Graphs of order n are identified with edge bitmasks 0 .. 2^C(n,2)-1 in the
-package's pair order, and enumerated in increasing mask order. Work is
-partitioned into fixed-size mask ranges (independent of thread count) so
-that parallel consumers merge deterministically.
+package's pair order. Everything the sweep and the searches read (spectra,
+edge counts, chromatic numbers) is a graph invariant, so each order gets one
+class table, built on first use and kept for the life of the process. It is
+made by orbit marking (Read, "Every one a winner", 1978): walk the masks in
+increasing order, take the smallest unmarked mask as the representative of a
+new class, and mark its orbit under all n! vertex relabellings. The table
+holds each class's representative (the smallest mask of its orbit, which is
+what `canonical` means), its weight (the orbit size n!/|Aut G|), and the
+class of every labelled mask. Spectra are solved once per class, and chromatic
+numbers once per class on first use.
+
+Labelled results are weighted sums over the classes. Work is split into fixed
+ranges of CHUNK_SIZE representatives, independent of the thread count, so
+parallel consumers merge deterministically; up to order 7 every class fits
+in one chunk.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent import futures
 from itertools import permutations
 from typing import Iterator
@@ -25,7 +38,8 @@ from .graphs import (
 )
 
 MAX_ENUM_ORDER = 8
-CHUNK_SIZE = 1 << 13  # masks per work chunk; fixed for deterministic merges
+CHUNK_SIZE = 1 << 13  # representatives per work chunk; fixed for deterministic merges
+_WINDOW = 1 << 12     # masks looked at per step when looking for an unmarked mask
 
 
 def _check_order(n: int) -> None:
@@ -34,10 +48,20 @@ def _check_order(n: int) -> None:
 
 
 def mask_ranges(n: int) -> list[tuple[int, int]]:
-    """Fixed [lo, hi) mask ranges covering all graphs of order n."""
+    """Fixed [lo, hi) mask ranges of CHUNK_SIZE labelled graphs covering order n."""
     _check_order(n)
     total = 1 << pair_count(n)
     return [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
+
+
+def class_ranges(n: int) -> list[tuple[int, int]]:
+    """Fixed [lo, hi) mask ranges holding CHUNK_SIZE class representatives each.
+
+    This builds the table in the calling process, so that pool workers,
+    forked from it, find the table already there.
+    """
+    starts = class_table(n).reps[::CHUNK_SIZE].tolist()
+    return list(zip(starts, starts[1:] + [1 << pair_count(n)]))
 
 
 def map_chunks(fn, jobs: list, threads: int) -> list:
@@ -54,46 +78,12 @@ def map_chunks(fn, jobs: list, threads: int) -> list:
 
 
 def _perm_pair_maps(n: int) -> np.ndarray:
-    """For each vertex permutation, where each pair bit lands."""
-    pairs = pair_list(n)
-    index = {}
-    for t, (u, v) in enumerate(pairs):
-        index[(u, v)] = t
-    maps = []
-    for perm in permutations(range(n)):
-        maps.append([
-            index[tuple(sorted((perm[u], perm[v])))] for (u, v) in pairs
-        ])
-    return np.asarray(maps, dtype=np.int64)
-
-
-def canonical_keep_mask(masks: np.ndarray, n: int) -> np.ndarray:
-    """True where the mask is minimal over all vertex relabelings."""
-    npairs = pair_count(n)
-    masks = masks.astype(np.int64)
-    best = masks.copy()
-    img = np.empty_like(masks)
-    for pm in _perm_pair_maps(n)[1:]:
-        img[:] = 0
-        for t in range(npairs):
-            img |= ((masks >> t) & 1) << int(pm[t])
-        np.minimum(best, img, out=best)
-    return best == masks
-
-
-def enumerate_graphs(n: int, canonical: bool = False) -> Iterator[Graph]:
-    """All labeled graphs of order n in increasing bitmask order.
-
-    With canonical=True only lexicographically minimal representatives of
-    each isomorphism class are yielded.
-    """
-    _check_order(n)
-    for lo, hi in mask_ranges(n):
-        masks = np.arange(lo, hi, dtype=np.int64)
-        if canonical:
-            masks = masks[canonical_keep_mask(masks, n)]
-        for mask in masks:
-            yield Graph(n, int(mask))
+    """(n!, C(n,2)): for each vertex permutation, where each pair bit lands."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    pairs = np.array(pair_list(n), dtype=np.int64).reshape(-1, 2)
+    a, b = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return hi * (hi - 1) // 2 + lo
 
 
 def adjacency_batch(masks: np.ndarray, n: int) -> np.ndarray:
@@ -107,38 +97,120 @@ def adjacency_batch(masks: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
+class ClassTable:
+    """The isomorphism classes of the order-n graphs, numbered in representative order.
+
+    `reps` are the representatives, ascending; `weights` the orbit sizes;
+    `index` the class of every labelled mask (int16, enough for the 12,346
+    classes of order 8, and 512 MB there); `eigs` and `sig` the
+    descending eigenvalues and singular values of each class, `m` its edge
+    count.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        total = 1 << pair_count(n)
+        # a pair bit's image under each relabelling; an orbit is the row sums
+        # over the representative's set bits
+        self._bit_images = np.left_shift(1, _perm_pair_maps(n))
+        self.index = np.full(total, -1, dtype=np.int16)
+        reps, weights = [], []
+        pos = 0
+        while pos < total:
+            free = np.flatnonzero(self.index[pos:pos + _WINDOW] < 0)
+            if free.size == 0:
+                pos += _WINDOW
+                continue
+            rep = pos + int(free[0])
+            images = self._images(rep)
+            self.index[images] = len(reps)
+            reps.append(rep)
+            # orbit-stabiliser: n! / |Aut|, Aut being the relabellings that fix rep
+            weights.append(images.size // np.count_nonzero(images == rep))
+            pos = rep + 1
+        self.reps = np.array(reps, dtype=np.int64)
+        self.weights = np.array(weights, dtype=np.int64)
+        self.eigs = symmetric_eigenvalues_batch(adjacency_batch(self.reps, n))
+        self.sig = np.sort(np.abs(self.eigs), axis=1)[:, ::-1]
+        self.m = np.zeros(self.reps.size, dtype=np.int64)
+        for t in range(pair_count(n)):
+            self.m += (self.reps >> t) & 1
+        self._chi = np.zeros(self.reps.size, dtype=np.int64)  # 0: not solved yet
+
+    def _images(self, mask: int) -> np.ndarray:
+        bits = [t for t in range(self._bit_images.shape[1]) if mask >> t & 1]
+        return self._bit_images[:, bits].sum(axis=1)
+
+    def orbit(self, c: int) -> np.ndarray:
+        """Every labelled mask of class c, ascending."""
+        return np.unique(self._images(int(self.reps[c])))
+
+    def chi(self, classes: np.ndarray) -> np.ndarray:
+        """Chromatic numbers of the given classes, each solved on first use."""
+        pairs = pair_list(self.n)
+        for c in np.unique(classes[self._chi[classes] == 0]).tolist():
+            adj = neighbor_masks_of(self.n, int(self.reps[c]), pairs)
+            self._chi[c] = chromatic_number_masks(adj)
+        return self._chi[classes]
+
+    def first_members(self, classes, limit: int, *, canonical: bool = False) -> list[int]:
+        """The `limit` smallest masks whose class is among `classes`.
+
+        Labelled, that is every member of each class; canonical, only the
+        representatives. A representative is the smallest mask of its
+        class, so only the `limit` classes with the smallest representatives
+        can hold the answer.
+        """
+        first = np.unique(np.asarray(classes, dtype=np.int64))[:limit]
+        if canonical:
+            return self.reps[first].tolist()
+        members = [self.orbit(c) for c in first.tolist()]
+        return np.sort(np.concatenate(members))[:limit].tolist() if members else []
+
+
+@functools.cache
+def class_table(n: int) -> ClassTable:
+    """The order-n class table, built once per process."""
+    _check_order(n)
+    return ClassTable(n)
+
+
+def enumerate_graphs(n: int, canonical: bool = False) -> Iterator[Graph]:
+    """All labeled graphs of order n in increasing bitmask order.
+
+    With canonical=True only the representative of each isomorphism class,
+    the smallest mask of its orbit, is yielded.
+    """
+    _check_order(n)
+    masks = class_table(n).reps.tolist() if canonical else range(1 << pair_count(n))
+    for mask in masks:
+        yield Graph(n, mask)
+
+
 def chunk_quantities(n: int, lo: int, hi: int, *, need_chi: bool = False,
                      canonical: bool = False) -> dict:
-    """Spectra and invariants for every graph in one mask range.
+    """Spectra and invariants for every graph in one mask range, read from the class table.
 
-    Returns masks, descending eigenvalues `eigs`, descending singular values
-    `sig`, edge counts `m`, and (optionally) chromatic numbers `chi`.
+    Returns the masks (with canonical=True only the class representatives
+    among them), their `classes`, descending eigenvalues `eigs`, descending
+    singular values `sig`, edge counts `m`, and (optionally) chromatic
+    numbers `chi`.
     """
-    masks = np.arange(lo, hi, dtype=np.int64)
+    table = class_table(n)
     if canonical:
-        masks = masks[canonical_keep_mask(masks, n)]
-    out = {"masks": masks}
-    if masks.size == 0:
-        out["eigs"] = np.zeros((0, n))
-        out["sig"] = np.zeros((0, n))
-        out["m"] = np.zeros(0, dtype=np.int64)
-        if need_chi:
-            out["chi"] = np.zeros(0, dtype=np.int64)
-        return out
-    if n == 1:
-        eigs = np.zeros((masks.size, 1))
+        first, last = np.searchsorted(table.reps, [lo, hi])
+        classes = np.arange(first, last, dtype=np.int64)
+        masks = table.reps[first:last]
     else:
-        eigs = symmetric_eigenvalues_batch(adjacency_batch(masks, n))
-    out["eigs"] = eigs
-    out["sig"] = np.sort(np.abs(eigs), axis=1)[:, ::-1]
-    mcounts = np.zeros(masks.size, dtype=np.int64)
-    for t in range(pair_count(n)):
-        mcounts += ((masks >> t) & 1)
-    out["m"] = mcounts
+        masks = np.arange(lo, hi, dtype=np.int64)
+        classes = table.index[lo:hi].astype(np.int64)
+    out = {
+        "masks": masks,
+        "classes": classes,
+        "eigs": table.eigs[classes],
+        "sig": table.sig[classes],
+        "m": table.m[classes],
+    }
     if need_chi:
-        pairs = pair_list(n)
-        chi = np.empty(masks.size, dtype=np.int64)
-        for i, mask in enumerate(masks.tolist()):
-            chi[i] = chromatic_number_masks(neighbor_masks_of(n, mask, pairs))
-        out["chi"] = chi
+        out["chi"] = table.chi(classes)
     return out

@@ -429,34 +429,29 @@ def chromatic_number(g: Graph) -> int:
 
 # --- closed walks ---------------------------------------------------------------
 
-def _int_matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
-    n = len(x)
-    yt = [[y[i][j] for i in range(n)] for j in range(n)]
-    return [[sum(a * b for a, b in zip(row, col)) for col in yt] for row in x]
-
-
 def closed_walks(g: Graph, length: int) -> int:
     """Number of closed walks of the given even length: trace of A^length.
 
-    Computed in exact integer arithmetic. Guarded to even length <= 16 and
-    order <= 64.
+    Computed in exact integer arithmetic as |A^k|_F^2 with k = length/2.
+    A^2 counts common neighbours, a popcount of two neighbour bitsets, and
+    each further power of A sums neighbour rows. Guarded to even length
+    <= 16 and order <= 64.
     """
     if length < 2 or length % 2:
         raise OverflowRisk("walk length must be a positive even integer")
     if length > 16 or g.n > 64:
         raise OverflowRisk("guard: length <= 16 and order <= 64")
-    n = g.n
-    a = [[1 if g.has_edge(u, v) else 0 for v in range(n)] for u in range(n)]
-    result = None
-    power = a
-    remaining = length
-    while remaining:
-        if remaining & 1:
-            result = power if result is None else _int_matmul(result, power)
-        remaining >>= 1
-        if remaining:
-            power = _int_matmul(power, power)
-    return sum(result[i][i] for i in range(n))
+    adj = g.neighbor_masks()
+    if length == 2:
+        return sum(a.bit_count() for a in adj)
+    power = [[(a & b).bit_count() for b in adj] for a in adj]
+    zero = [0] * g.n
+    neighbours = [[j for j in range(g.n) if a >> j & 1] for a in adj]
+    for _ in range(length // 2 - 2):
+        # row i of A^(j+1) = A A^j is the sum of the rows of i's neighbours
+        power = [[sum(col) for col in zip(*(power[j] for j in nbrs))] if nbrs else zero
+                 for nbrs in neighbours]
+    return sum(x * x for row in power for x in row)
 
 
 # --- strongly regular detection -------------------------------------------------

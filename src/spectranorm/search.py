@@ -7,8 +7,12 @@ Objectives:
   MAX_ENERGY      max Schatten 1-norm
   MAX_SCHATTEN_P  max Schatten p-norm                  (needs p)
 
-The search scans fixed mask chunks; chunk maxima and their near-tie
-candidates merge by (value, then smallest witness), so records are
+Objectives are graph invariants, so the search evaluates the class
+representatives of the order's class table (`enumeration.class_table`), in
+fixed chunks of 8192 classes, and keeps the classes within `_TIE_TOL` of the
+maximum. A labelled search counts every member of those classes and lists
+them in graph6 order, capped at 100; a canonical search counts and lists the
+representatives alone. Chunks merge in class order, so records are
 byte-identical for any thread count.
 """
 
@@ -20,9 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .enumeration import chunk_quantities, map_chunks, mask_ranges
-from .errors import TooLarge
-from .graphs import Graph, write_graph6
+from .enumeration import chunk_quantities, class_ranges, class_table, map_chunks
+from .graphs import Graph, pair_count, write_graph6
 
 OBJECTIVES = ("XI_K", "TAU_K", "SPREAD", "MAX_ENERGY", "MAX_SCHATTEN_P")
 
@@ -75,21 +78,40 @@ def _objective_values(q: dict, objective: str, param) -> np.ndarray:
 
 
 def _search_chunk(args) -> dict:
-    n, lo, hi, objective, param, canonical = args
-    q = chunk_quantities(n, lo, hi, canonical=canonical)
+    n, lo, hi, objective, param = args
+    q = chunk_quantities(n, lo, hi, canonical=True)
     q["n"] = n
-    masks = q["masks"]
-    if masks.size == 0:
-        return {"max": None, "masks": [], "values": [], "scanned": 0}
     vals = _objective_values(q, objective, param)
     top = float(vals.max())
     keep = vals >= top - _TIE_TOL
-    return {
-        "max": top,
-        "masks": masks[keep].tolist(),
-        "values": vals[keep].tolist(),
-        "scanned": int(masks.size),
-    }
+    return {"max": top, "classes": q["classes"][keep].tolist(),
+            "values": vals[keep].tolist()}
+
+
+def _graph6_order(masks: np.ndarray, n: int) -> np.ndarray:
+    """Masks with their pair bits reversed, which sorts them as graph6 does.
+
+    graph6 writes pair bit 0 first, so for one order its string order is
+    the order of the reversed masks. Reversing twice gives the mask back.
+    """
+    npairs = pair_count(n)
+    key = np.zeros_like(masks)
+    for t in range(npairs):
+        key |= ((masks >> t) & 1) << (npairs - 1 - t)
+    return key
+
+
+def _witnesses(n: int, classes: list, canonical: bool) -> tuple[str, ...]:
+    """graph6 strings of the graphs scanned in the given classes, sorted, capped."""
+    table = class_table(n)
+    if canonical:
+        groups = [table.reps[classes]]
+    else:
+        groups = (table.orbit(c) for c in classes)
+    keys = np.concatenate(
+        [np.sort(_graph6_order(g, n))[:_WITNESS_CAP] for g in groups])
+    masks = _graph6_order(np.sort(keys)[:_WITNESS_CAP], n)
+    return tuple(write_graph6(Graph(n, int(mask))) for mask in masks)
 
 
 def _notes_for(objective: str, n: int, param) -> str:
@@ -123,30 +145,22 @@ def extremal(objective: str, n: int, param=None, *, canonical: bool = False,
     else:
         param = None
 
-    jobs = [(n, lo, hi, objective, param, canonical) for lo, hi in mask_ranges(n)]
+    jobs = [(n, lo, hi, objective, param) for lo, hi in class_ranges(n)]
     parts = map_chunks(_search_chunk, jobs, threads)
 
-    tops = [p["max"] for p in parts if p["max"] is not None]
-    if not tops:
-        raise TooLarge("no graphs scanned")
-    best = max(tops)
-    candidates = []
-    for part in parts:
-        if part["max"] is None or part["max"] < best - _TIE_TOL:
-            continue
-        for mask, value in zip(part["masks"], part["values"]):
-            if value >= best - _TIE_TOL:
-                candidates.append(write_graph6(Graph(n, mask)))
-    candidates.sort()  # graph6 string order: ties listed smallest witness first
-    witnesses = tuple(candidates[:_WITNESS_CAP])
+    best = max(part["max"] for part in parts)
+    tied = [c for part in parts for c, value in zip(part["classes"], part["values"])
+            if value >= best - _TIE_TOL]
+    table = class_table(n)
+    weights = np.ones(table.reps.size, dtype=np.int64) if canonical else table.weights
     return SearchRecord(
         objective=objective,
         n=n,
         param=param,
         value=best,
-        witnesses=witnesses,
-        witness_count=len(candidates),
-        graphs_scanned=sum(p["scanned"] for p in parts),
+        witnesses=_witnesses(n, tied, canonical),
+        witness_count=int(weights[tied].sum()),
+        graphs_scanned=int(weights.sum()),
         notes=_notes_for(objective, n, param),
     )
 
@@ -177,9 +191,7 @@ class SpreadComparison:
 
 def _identity_chunk(args) -> float:
     n, lo, hi = args
-    q = chunk_quantities(n, lo, hi)
-    if q["masks"].size == 0:
-        return 0.0
+    q = chunk_quantities(n, lo, hi, canonical=True)
     sig = q["sig"]
     eigs = q["eigs"]
     f2 = sig[:, : min(2, n)].sum(axis=1)
@@ -198,7 +210,7 @@ def compare_spread_vs_f2(n: int, *, threads: int = 1) -> SpreadComparison:
     """
     spread = extremal("SPREAD", n, threads=threads)
     xi2 = extremal("XI_K", n, 2 if n >= 2 else 1, threads=threads)
-    gaps = map_chunks(_identity_chunk, [(n, lo, hi) for lo, hi in mask_ranges(n)], threads)
+    gaps = map_chunks(_identity_chunk, [(n, lo, hi) for lo, hi in class_ranges(n)], threads)
     return SpreadComparison(
         n=n,
         max_spread=spread.value,

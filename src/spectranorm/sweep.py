@@ -1,11 +1,16 @@
 """Exhaustive bound verification over all order-n graphs.
 
-Runs every registry row on every labeled graph of a given order, in fixed
-mask chunks. Each chunk's spectra, edge counts and chromatic numbers fill one
+Runs every registry row on every graph of a given order. The rows only read
+graph invariants, so they run on the class representatives of the order's
+class table (`enumeration.class_table`), 8192 classes at a time: each
+chunk's spectra, edge counts and chromatic numbers fill one
 `bounds.Quantities` record, and the rows' own array-valued preconditions and
-formulas run on it: `check` runs the same definitions on a single subject.
-The equality examples the sweep keeps are re-checked one graph at a time
-through `bounds.check_bound`, which adds the structural detector verdict.
+formulas run on it (`check` runs the same definitions on a single subject).
+Labelled counts are sums of orbit sizes, and a row's examples are the first
+labelled graphs in mask order whose class it flags; a canonical sweep counts
+and lists the representatives alone. The equality examples kept are
+re-checked one graph at a time through `bounds.check_bound`, which adds the
+structural detector verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .enumeration import chunk_quantities, map_chunks, mask_ranges
+from .enumeration import chunk_quantities, class_ranges, class_table, map_chunks
 from .graphs import Graph, write_graph6
 
 _MAX_EXAMPLES = 8
@@ -28,16 +33,18 @@ def _param_key(params: dict) -> tuple:
 
 def _sweep_chunk(args) -> list[dict]:
     n, lo, hi, p_values, q_values, k_values, tol_scale, canonical = args
-    q = chunk_quantities(n, lo, hi, need_chi=True, canonical=canonical)
-    masks = q["masks"]
-    if masks.size == 0:  # a canonical chunk can hold no representative
-        return []
-    m = q["m"]
-    every = np.ones(masks.size, dtype=bool)
+    q = chunk_quantities(n, lo, hi, need_chi=True, canonical=True)
+    classes, m = q["classes"], q["m"]
+    # a representative counts for its whole orbit, or only for itself in a
+    # canonical sweep
+    weight = np.ones(classes.size, dtype=np.int64) if canonical \
+        else class_table(n).weights[classes]
+    scanned = int(weight.sum())
+    every = np.ones(classes.size, dtype=bool)
     # a graph's adjacency matrix is square, 0/1 and nonnegative, with
     # |A|_1 = |A|_2^2 = 2m and |A|_inf = 1 unless it has no edge
     record = bounds.Quantities(
-        size=masks.size, n_rows=n, n_cols=n, sig=q["sig"], eigs=q["eigs"],
+        size=classes.size, n_rows=n, n_cols=n, sig=q["sig"], eigs=q["eigs"],
         m=m, chi=q["chi"], ent1=2.0 * m, ent2_sq=2.0 * m,
         entinf=(m > 0).astype(float), is_graph=every, nonneg=every, zero_one=every,
     )
@@ -48,14 +55,14 @@ def _sweep_chunk(args) -> list[dict]:
             entry = {
                 "bound_id": row.bound_id,
                 "params": params,
-                "scanned": int(masks.size),
+                "scanned": scanned,
                 "evaluated": 0,
-                "skipped": int(masks.size),
+                "skipped": scanned,
                 "violations": 0,
                 "min_slack": None,
                 "equality_count": 0,
-                "eq_masks": [],
-                "viol_masks": [],
+                "eq_classes": [],
+                "viol_classes": [],
                 "skip_reason": reason,
             }
             partials.append(entry)
@@ -64,14 +71,13 @@ def _sweep_chunk(args) -> list[dict]:
             _, _, _, slack, holds, equal = row.evaluate(record, params, tol_scale)
             viol = app & ~holds
             eq = app & equal
-            n_app = int(app.sum())
-            entry["evaluated"] = n_app
-            entry["skipped"] = int(masks.size) - n_app
-            entry["violations"] = int(viol.sum())
+            entry["evaluated"] = int(weight[app].sum())
+            entry["skipped"] = scanned - entry["evaluated"]
+            entry["violations"] = int(weight[viol].sum())
             entry["min_slack"] = float(slack[app].min())
-            entry["equality_count"] = int(eq.sum())
-            entry["eq_masks"] = [int(v) for v in masks[eq][:_MAX_EXAMPLES]]
-            entry["viol_masks"] = [int(v) for v in masks[viol][:_MAX_EXAMPLES]]
+            entry["equality_count"] = int(weight[eq].sum())
+            entry["eq_classes"] = classes[eq].tolist()
+            entry["viol_classes"] = classes[viol].tolist()
     return partials
 
 
@@ -139,29 +145,27 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
               threads: int = 1) -> SweepReport:
     """Check every registry row on every order-n graph; fully deterministic.
 
-    Results are merged chunk-by-chunk in mask order, so the report is
+    Results are merged chunk by chunk in class order, so the report is
     byte-identical for any thread count.
     """
     p_values = tuple(float(p) for p in p_values)
     k_values = tuple(int(k) for k in k_values)
     jobs = [
         (n, lo, hi, p_values, q_values, k_values, tol_scale, canonical)
-        for lo, hi in mask_ranges(n)
+        for lo, hi in class_ranges(n)
     ]
     partial_lists = map_chunks(_sweep_chunk, jobs, threads)
 
+    # the example lists gather the flagged classes until every chunk is in
     merged: dict[tuple, SweepRowSummary] = {}
-    order: list[tuple] = []
     scanned = 0
-    for idx, partials in enumerate(partial_lists):
-        chunk_scanned = partials[0]["scanned"] if partials else 0
-        scanned += chunk_scanned
+    for partials in partial_lists:
+        scanned += partials[0]["scanned"]
         for e in partials:
             key = (e["bound_id"], _param_key(e["params"]))
             if key not in merged:
                 merged[key] = SweepRowSummary(e["bound_id"], e["params"],
                                               skip_reason=e["skip_reason"])
-                order.append(key)
             s = merged[key]
             s.evaluated += e["evaluated"]
             s.skipped += e["skipped"]
@@ -170,12 +174,16 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
             if e["min_slack"] is not None:
                 s.min_slack = e["min_slack"] if s.min_slack is None else min(
                     s.min_slack, e["min_slack"])
-            for mask in e["eq_masks"]:
-                if len(s.equality_examples) < _MAX_EXAMPLES:
-                    s.equality_examples.append(mask)
-            for mask in e["viol_masks"]:
-                if len(s.violation_examples) < _MAX_EXAMPLES:
-                    s.violation_examples.append(mask)
+            s.equality_examples.extend(e["eq_classes"])
+            s.violation_examples.extend(e["viol_classes"])
+
+    # the examples are the first flagged graphs in mask order
+    table = class_table(n)
+    for s in merged.values():
+        s.equality_examples = table.first_members(s.equality_examples, _MAX_EXAMPLES,
+                                                  canonical=canonical)
+        s.violation_examples = table.first_members(s.violation_examples, _MAX_EXAMPLES,
+                                                   canonical=canonical)
 
     # re-check the retained equality examples one graph at a time, with
     # detectors; a graph kept by several rows is solved once
@@ -196,7 +204,7 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
         s.equality_examples = confirmed
         s.violation_examples = [write_graph6(Graph(n, mk)) for mk in s.violation_examples]
 
-    rows = [merged[k] for k in order]
+    rows = list(merged.values())
     return SweepReport(
         n=n,
         p_values=p_values,

@@ -280,6 +280,24 @@ def test_closed_walks_equals_trace_powers():
             assert closed_walks(g, length) == ref
 
 
+def _int_matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    n = len(x)
+    yt = [[y[i][j] for i in range(n)] for j in range(n)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in yt] for row in x]
+
+
+def test_closed_walks_equals_integer_matrix_powers():
+    for n in range(1, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = Graph(n, mask)
+            a = [[int(g.has_edge(u, v)) for v in range(n)] for u in range(n)]
+            square = power = _int_matmul(a, a)
+            for length in range(2, 17, 2):
+                assert closed_walks(g, length) == sum(power[i][i] for i in range(n)), \
+                    (n, mask, length)
+                power = _int_matmul(power, square)
+
+
 def test_strongly_regular():
     assert is_strongly_regular(cycle(5)) == (5, 2, 0, 1)
     assert is_strongly_regular(path(3)) is None

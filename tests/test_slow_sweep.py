@@ -1,8 +1,8 @@
-"""Full order-7 soundness sweep: 2,097,152 labeled graphs.
+"""Full order-7 soundness sweep over 2,097,152 labeled graphs, and the order-8 class table.
 
-Opt in with SPECTRANORM_SLOW=1; single-core runtime is a few minutes (the
-acceptance criterion's 30-minute budget assumes 8 cores, and the default
-acceptance suite runs the order-6 fallback instead).
+Opt in with SPECTRANORM_SLOW=1. The order-7 sweep runs on the 1044 class
+representatives and takes seconds; the order-8 table (12,346 classes, a
+512 MB labelled index) takes a minute or two to build.
 """
 
 import os
@@ -14,7 +14,7 @@ from spectranorm.sweep import run_sweep
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("SPECTRANORM_SLOW"),
-    reason="set SPECTRANORM_SLOW=1 to run the full order-7 sweep",
+    reason="set SPECTRANORM_SLOW=1 to run the order-7 sweep and the order-8 table",
 )
 
 
@@ -28,3 +28,25 @@ def test_order7_sweep_zero_violations():
     assert report.graphs_scanned == 2097152
     assert report.total_violations == 0
     assert elapsed < 1800.0, f"runtime {elapsed:.0f}s exceeds 30 min"
+
+
+def test_order8_class_table():
+    import math
+
+    from spectranorm.enumeration import class_table
+
+    table = class_table(8)
+    assert table.reps.size == 12346  # OEIS A000088
+    assert int(table.weights.sum()) == 1 << 28
+    assert all(math.factorial(8) % int(w) == 0 for w in table.weights)
+
+
+def test_order7_sweep_labelled_and_canonical_counts():
+    p_values, k_values = (1.0, 1.5, 2.0, 3.0), (1, 2, 3)
+    labelled = run_sweep(7, p_values, k_values)
+    assert labelled.graphs_scanned == 2097152
+    assert labelled.total_violations == 0
+    assert all(r.evaluated + r.skipped == 2097152 for r in labelled.rows)
+    canonical = run_sweep(7, p_values, k_values, canonical=True)
+    assert canonical.graphs_scanned == 1044
+    assert canonical.total_violations == 0
