@@ -9,16 +9,20 @@ Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) by
 multisection, vectorized over all wanted eigenvalues at once: one pass over
 the rows counts at every node of a dyadic tree inside each bracket, and the
 nodes are bisection's own midpoints, so the result is bisection's bit for
-bit. No external eigensolver is used anywhere in the package: every norm
-ultimately reduces to this module.
+bit. The kernel takes a leading stack axis: `symmetric_eigenvalues_batch`
+reduces and bisects a (B, n, n) stack in one pass, each lane with its own
+scale, bracket and tolerance, and a single matrix is the case B = 1. No
+external eigensolver is used anywhere in the package: every norm ultimately
+reduces to this module.
 
 Conventions:
   * eigenvalues are returned sorted nonincreasing,
   * singular values come from the matrix itself, never from a Gram product,
     so small ones are not lost to squaring,
-  * every input is divided by its largest entry modulus s before any
-    product and the results are multiplied by s at the end, so spectra are
-    right at any finite scale; the invariant checks run on A / s,
+  * every input (every lane of a stack) is divided by its largest entry
+    modulus s before any product and the results are multiplied by s at the
+    end, so spectra are right at any finite scale; the invariant checks run
+    on A / s,
   * all tolerances are relative to the scale of the input; floating data is
     never compared against exact zero.
 """
@@ -38,6 +42,9 @@ _HERM_TOL = 1e-12
 _SPECTRUM_SUM_TOL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
+# Larger than any bracket width: the bracket update adds it to push a
+# bracket end out of a min or max.
+_HUGE = float(np.finfo(float).max)
 # Bisection halves every bracket each step (one replayed multisection level
 # is one step), so the Gershgorin width reaches 2 * eps * |T| in about 53
 # steps; the cap only catches a solver bug.
@@ -105,52 +112,67 @@ class SingularSpectrum:
 
 # --- the kernel -----------------------------------------------------------------
 
-def _house(x: np.ndarray) -> tuple[np.ndarray | None, float]:
+def _house(x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | float]:
     """Unit v with (I - 2 v v^H) x = alpha e_1 and |alpha| = |x|; returns (v, |x|).
 
-    v is None when x is zero. The phase of alpha is chosen against x_0, so
-    forming v never cancels.
+    For a (B, k) stack, one v and |x| per row, and a zero row gets v = 0,
+    which reflects nothing; one zero vector gets v = None. The phase of alpha
+    is chosen against x_0, so forming v never cancels.
     """
-    norm = float(np.sqrt(np.vdot(x, x).real))
-    if norm == 0.0:
-        return None, 0.0
-    x0 = x[0]
-    r0 = abs(x0)
+    if x.ndim == 1 or x.shape[0] == 1:
+        # one vector, as from a single matrix: the same arithmetic on Python
+        # scalars, several times cheaper per call than the array form below
+        norm = float(np.sqrt(np.vdot(x, x).real))
+        if norm == 0.0:
+            return None, 0.0
+        v = x.copy()
+        x0 = v.flat[0]
+        r0 = abs(x0)
+        v.flat[0] += (x0 / r0 if r0 > 0.0 else 1.0) * norm
+        v /= np.sqrt(2.0 * norm * (norm + r0))
+        return v, norm
+    norm = np.sqrt(np.einsum("bi,bi->b", x.conj(), x).real)
+    x0 = x[:, 0]
+    r0 = np.abs(x0)
     v = x.copy()
-    v[0] += (x0 / r0 if r0 > 0.0 else 1.0) * norm
-    v /= np.sqrt(2.0 * norm * (norm + r0))
+    v[:, 0] += np.divide(x0, r0, out=np.ones_like(x0), where=r0 > 0.0) * norm
+    v /= np.sqrt(2.0 * norm * (norm + r0) + (norm == 0.0))[:, None]
     return v, norm
 
 
 def _subtract_product(target: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
     """target -= left @ right in place, one block of rows at a time."""
-    for r in range(0, target.shape[0], _ROW_BLOCK):
-        target[r:r + _ROW_BLOCK] -= left[r:r + _ROW_BLOCK] @ right
+    for r in range(0, target.shape[-2], _ROW_BLOCK):
+        target[..., r:r + _ROW_BLOCK, :] -= left[..., r:r + _ROW_BLOCK, :] @ right
 
 
 def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction of a Hermitian array, overwritten in place.
+    """Householder reduction of a Hermitian array or (B, n, n) stack, overwritten in place.
 
     Returns the real diagonal d and off-diagonal e of a symmetric
-    tridiagonal with the spectrum of `a`: the reduced off-diagonal is
-    complex in general, and only its moduli matter, since a diagonal
-    unitary similarity makes it real.
+    tridiagonal with the spectrum of each matrix, as rows of (B, n) and
+    (B, n - 1) arrays for a stack: the reduced off-diagonal is complex in
+    general, and only its moduli matter, since a diagonal unitary similarity
+    makes it real.
     """
-    n = a.shape[0]
-    e = np.zeros(max(n - 1, 0))
+    stack = a if a.ndim == 3 else a[None]
+    b, n = stack.shape[:2]
+    e = np.zeros((b, max(n - 1, 0)))
     for k in range(n - 2):
-        v, e[k] = _house(a[k + 1:, k])
+        v, e[:, k] = _house(stack[:, k + 1:, k])
         if v is None:
             continue
-        rest = a[k + 1:, k + 1:]
+        rest = stack[:, k + 1:, k + 1:]
         # H rest H = rest - v w^H - w v^H with y = rest v, w = 2 (y - (v^H y) v)
-        w = rest @ v
-        w -= np.vdot(v, w).real * v
+        w = (rest @ v[..., None])[..., 0]
+        w -= np.einsum("bi,bi->b", v.conj(), w).real[:, None] * v
         w *= 2.0
-        _subtract_product(rest, np.stack([v, w], axis=1), np.stack([w.conj(), v.conj()]))
+        _subtract_product(rest, np.concatenate((v[..., None], w[..., None]), axis=-1),
+                          np.concatenate((w.conj()[:, None], v.conj()[:, None]), axis=-2))
     if n >= 2:
-        e[n - 2] = abs(a[n - 1, n - 2])
-    return a.diagonal().real.copy(), e
+        e[:, n - 2] = np.abs(stack[:, n - 1, n - 2])
+    d = stack.diagonal(axis1=1, axis2=2).real.copy()
+    return (d, e) if a.ndim == 3 else (d[0], e[0])
 
 
 def _bidiagonal(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,19 +201,58 @@ def _bidiagonal(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, f
 
 
-def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    """An interval holding every eigenvalue of the tridiagonal (d, e)."""
-    radius = np.zeros(d.size)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    return float(np.min(d - radius)), float(np.max(d + radius))
+def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An interval holding every eigenvalue of the tridiagonal (d, e), per lane of a stack."""
+    radius = np.zeros(d.shape)
+    radius[..., :-1] += np.abs(e)
+    radius[..., 1:] += np.abs(e)
+    return np.min(d - radius, axis=-1), np.max(d + radius, axis=-1)
+
+
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """For each point x[j, b], the eigenvalues of lane b's tridiagonal below it.
+
+    Lanes run along the last axis: d is (n, B), e2 (n - 1, B) and x (K, B).
+    Counts the negative pivots of T_b - x I, q_i = (d_i - x) - e_{i-1}^2 /
+    q_{i-1}, at every point at once, a block of rows at a time; the last
+    row of a block is divided before the next block overwrites it. The
+    pivots live in `scratch`, at least (min(n, _ROW_BLOCK) + 1) x.size
+    doubles, which the passes of one solve share.
+    """
+    n = d.shape[0]
+    rows = min(n, _ROW_BLOCK)
+    q = scratch[:rows * x.size].reshape((rows,) + x.shape)
+    q_rows = list(q)
+    t = scratch[rows * x.size:(rows + 1) * x.size].reshape(x.shape)
+    negative = np.empty(q.shape, dtype=bool)
+    # a count never passes n, and the narrowest type that holds n is the fastest
+    count = np.zeros(x.shape, dtype=np.min_scalar_type(n))
+    # a lone lane divides by Python floats, the cheapest operand to broadcast
+    e2 = e2[:, 0].tolist() if x.shape[1] == 1 else list(e2)
+    for r in range(0, n, rows):
+        block = q[:min(rows, n - r)]
+        if r:
+            np.divide(e2[r - 1], q_rows[-1], out=t)
+        np.subtract(d[r:r + rows, None], x, out=block)
+        if r:
+            np.subtract(q_rows[0], t, out=q_rows[0])
+        for c, prev, cur in zip(e2[r:r + len(block) - 1], q_rows, q_rows[1:]):
+            np.divide(c, prev, out=t)
+            np.subtract(cur, t, out=cur)
+        np.signbit(block, out=negative[:len(block)])
+        count += np.add.reduce(negative[:len(block)], axis=0, dtype=count.dtype)
+    return count
 
 
 def _bisect(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
     """Eigenvalues first, first + 1, ... (ascending) of the tridiagonal (d, e).
 
-    Every wanted eigenvalue is bracketed by the Gershgorin interval and
-    bisected on Sturm counts until each bracket is within 2 * eps * |T|.
+    For a stack, d is (B, n), e is (B, n - 1) and each row of the result
+    is one lane's. Every wanted eigenvalue is bracketed by its lane's
+    Gershgorin interval and bisected on Sturm counts until each bracket of
+    the lane is within 2 * eps * |T_b|. A lane then stops moving and leaves
+    the count pass, so its result is the one it gets alone, bit for bit, and
+    an all-zero lane is done at once.
     The counts come by multisection (Lo, Philippe & Sameh, SIAM J. Sci.
     Stat. Comput. 8, 1987): one pass over the rows counts the eigenvalues
     below every node of an L-level dyadic tree inside each bracket, and L
@@ -202,64 +263,70 @@ def _bisect(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
     and no pivot needs a guard; only e_i^2 is kept off exact zero, where
     0/0 would give NaN.
     """
-    n = d.size
-    lo, hi = _gershgorin(d, e)
-    norm = max(-lo, hi)
-    if norm == 0.0:
-        return np.zeros(n - first)
-    tol = 2.0 * _EPS * norm
-    e2 = np.maximum(e * e, np.finfo(float).tiny).tolist()
-    rank = np.arange(first, n)
-    m = rank.size
-    lo = np.full(m, lo - tol)
-    hi = np.full(m, hi + tol)
-    # L = floor(log2(W / m + 1)) levels of 2^L - 1 nodes, so at most W points
-    # a pass while m <= W, and plain bisection (L = 1) past that
-    levels = max(1, (_MULTISECT_WIDTH // m + 1).bit_length() - 1)
-    width = ((1 << levels) - 1) * m
-    rows = min(n, _ROW_BLOCK)
-    q = np.empty((rows, width))
-    q_rows = list(q)
-    t = np.empty(width)
-    cols = np.arange(m)
+    dd, ee = np.atleast_2d(d, e)
+    b, n = dd.shape
+    m = n - first
+    lo, hi = _gershgorin(dd, ee)
+    norm = np.maximum(-lo, hi)
+    out = np.zeros((m, b))
+    # lanes run along the last axis from here on, so that a lane's d_i and
+    # e_i^2 broadcast over long contiguous runs of its points
+    live = np.flatnonzero(norm > 0.0)
+    tol = 2.0 * _EPS * norm[live]
+    lo = np.repeat((lo[live] - tol)[None], m, axis=0)
+    hi = np.repeat((hi[live] + tol)[None], m, axis=0)
+    # compress and take keep the lanes contiguous, where indexing would not
+    d_live = np.take(dd.T, live, axis=-1)
+    e2_live = np.take(np.maximum(ee * ee, np.finfo(float).tiny).T, live, axis=-1)
+    cols = np.arange(m)[:, None]
+    rank = np.arange(first, n, dtype=np.min_scalar_type(n))[:, None]  # the counts' type
+    # a pass never has more than max(W, B m) points (see L below)
+    scratch = np.empty((min(n, _ROW_BLOCK) + 1) * max(_MULTISECT_WIDTH, m * live.size))
+    replay = 0  # bisection steps left to replay from the last count pass
     with np.errstate(divide="ignore", over="ignore"):
-        for step in range(_BISECT_STEPS):
-            if np.max(hi - lo) <= tol:
-                return np.sort(0.5 * (lo + hi))
-            if step % levels == 0:
-                # the tree's nodes in heap order (node j has children 2j+1
-                # and 2j+2), built level by level from the grid of bracket ends
-                grid, nodes = np.stack([lo, hi]), []
-                for _ in range(levels):
-                    nodes.append(0.5 * (grid[:-1] + grid[1:]))
-                    finer = np.empty((2 * grid.shape[0] - 1, m))
+        for _ in range(_BISECT_STEPS):
+            done = (hi - lo).max(axis=0) <= tol
+            if done.any():
+                out[:, live[done]] = np.sort(0.5 * (lo[:, done] + hi[:, done]), axis=0)
+                keep = ~done
+                live, tol, lo, hi, d_live, e2_live = (
+                    np.compress(keep, a, axis=-1) for a in (live, tol, lo, hi, d_live, e2_live))
+                if replay:
+                    count, node = (np.compress(keep, a, axis=-1) for a in (count, node))
+            if live.size == 0:
+                return out.T if d.ndim == 2 else out[:, 0]
+            mid = 0.5 * (lo + hi)
+            if replay == 0:
+                # L = floor(log2(W / (B m) + 1)) levels of 2^L - 1 nodes, so
+                # at most W points a pass while B m <= W, and plain bisection
+                # (L = 1) past that; the tree's nodes go in heap order (node j
+                # has children 2j+1 and 2j+2), built level by level from the
+                # grid of bracket ends, and its root is the midpoint
+                replay = max(1, (_MULTISECT_WIDTH // (live.size * m) + 1).bit_length() - 1)
+                nodes, grid = [mid[None]], (lo, hi)
+                for _ in range(1, replay):
+                    finer = np.empty((2 * len(grid) - 1,) + lo.shape)
                     finer[0::2] = grid
                     finer[1::2] = nodes[-1]
                     grid = finer
+                    nodes.append(0.5 * (grid[:-1] + grid[1:]))
                 points = np.concatenate(nodes)
-                x = points.ravel()
-                # count the negative pivots of T - x I, q_i = (d_i - x) -
-                # e_{i-1}^2 / q_{i-1}, for every point at once; the last row
-                # of a block is divided before the next block overwrites it
-                count = np.zeros(width, dtype=np.int64)
-                for r in range(0, n, rows):
-                    block = q[:min(rows, n - r)]
-                    if r:
-                        np.divide(e2[r - 1], q_rows[-1], out=t)
-                    np.subtract(d[r:r + rows, None], x, out=block)
-                    if r:
-                        np.subtract(q_rows[0], t, out=q_rows[0])
-                    for c, prev, cur in zip(e2[r:r + len(block) - 1], q_rows, q_rows[1:]):
-                        np.divide(c, prev, out=t)
-                        np.subtract(cur, t, out=cur)
-                    count += np.signbit(block).sum(axis=0)
+                count = _sturm_counts(d_live, e2_live, points.reshape(-1, live.size), scratch)
                 count = count.reshape(points.shape)
-                node = np.zeros(m, dtype=np.intp)
-            mid = points[node, cols]
-            below = count[node, cols] > rank
-            hi = np.where(below, mid, hi)
-            lo = np.where(below, lo, mid)
-            node = 2 * node + 1 + ~below
+                node = np.zeros(lo.shape, dtype=np.intp)
+            # the node a bracket stands at is its midpoint, bit for bit; a
+            # one-level tree is its root alone
+            at_node = count[0] if len(count) == 1 else count[node, cols, np.arange(live.size)]
+            below = at_node > rank
+            # lo <= mid <= hi and mid + 0 = mid - 0 = mid (mid is never -0),
+            # so min and max select exactly; np.where's branches mispredict
+            # on these coin-flip masks and cost more
+            shift = below * _HUGE
+            hi = np.minimum(hi, mid + (_HUGE - shift))
+            lo = np.maximum(lo, mid - shift)
+            replay -= 1
+            if replay:
+                node = 2 * node + 2 - below
     raise NoConvergence(f"bisection did not converge in {_BISECT_STEPS} steps (n={n})")
 
 
@@ -271,12 +338,23 @@ def _real_if_possible(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
 
 
+def symmetric_eigenvalues_batch(mats: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues for a (B, n, n) stack of Hermitian matrices, one row each.
+
+    Each matrix is divided by its own max|a_ij| before the reduction and its
+    eigenvalues are multiplied back, so every lane is right at its own scale.
+    """
+    a = np.asarray(mats)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("expected a (B, n, n) stack")
+    s = np.abs(a).max(axis=(1, 2), initial=0.0)
+    w = _real_if_possible(a) / np.where(s > 0.0, s, 1.0)[:, None, None]
+    return _bisect(*_tridiagonal(w))[:, ::-1] * s[:, None]
+
+
 def _eigenvalues_of_hermitian_array(w: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of an array already known to be Hermitian."""
-    s = _max_modulus(w)
-    if s == 0.0:
-        return np.zeros(w.shape[0])
-    return _bisect(*_tridiagonal(_real_if_possible(w) / s))[::-1] * s
+    return symmetric_eigenvalues_batch(w[None])[0]
 
 
 def hermitian_eigenvalues(m: CMatrix) -> EigenSpectrum:

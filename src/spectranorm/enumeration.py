@@ -9,8 +9,9 @@ increasing order, take the smallest unmarked mask as the representative of a
 new class, and mark its orbit under all n! vertex relabellings. The table
 holds each class's representative (the smallest mask of its orbit, which is
 what `canonical` means), its weight (the orbit size n!/|Aut G|), and the
-class of every labelled mask. Spectra are solved once per class, and chromatic
-numbers once per class on first use.
+class of every labelled mask. Spectra are solved once per class, as one stack
+through the eigensolver kernel (`eigen.symmetric_eigenvalues_batch`), and
+chromatic numbers once per class on first use.
 
 Labelled results are weighted sums over the classes. Work is split into fixed
 ranges of CHUNK_SIZE representatives, independent of the thread count, so
@@ -27,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .batched import symmetric_eigenvalues_batch
+from .eigen import symmetric_eigenvalues_batch
 from .errors import TooLarge
 from .graphs import (
     Graph,

@@ -14,8 +14,8 @@ class NotHermitian(SpectranormError):
 class NoConvergence(SpectranormError):
     """Solver step cap reached or a spectral invariant check failed.
 
-    Raised by the bisection and batched Jacobi solvers; indicates a solver
-    bug, not bad input.
+    Raised by the eigensolver kernel in `eigen` (its bisection step cap and
+    spectral invariant checks); indicates a solver bug, not bad input.
     """
 
 

@@ -10,7 +10,8 @@ Labelled counts are sums of orbit sizes, and a row's examples are the first
 labelled graphs in mask order whose class it flags; a canonical sweep counts
 and lists the representatives alone. The equality examples kept are
 re-checked one graph at a time through `bounds.check_bound`, which adds the
-structural detector verdict.
+structural detector verdict; its spectrum and chromatic number come from the
+class table, so the re-check solves nothing.
 """
 
 from __future__ import annotations
@@ -186,13 +187,16 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
                                                    canonical=canonical)
 
     # re-check the retained equality examples one graph at a time, with
-    # detectors; a graph kept by several rows is solved once
+    # detectors; a graph's spectrum and chromatic number are its class's,
+    # read from the table, and a graph kept by several rows gets one context
     contexts: dict[int, bounds.SubjectContext] = {}
     for s in merged.values():
         confirmed = []
         for mask in s.equality_examples:
             if mask not in contexts:
-                contexts[mask] = bounds.SubjectContext(Graph(n, mask))
+                ctx = contexts[mask] = bounds.SubjectContext(Graph(n, mask))
+                c = np.array([table.index[mask]], dtype=np.int64)
+                ctx.eigs, ctx.chi = table.eigs[c], table.chi(c)
             ctx = contexts[mask]
             chk = bounds.check_bound(s.bound_id, ctx, tol_scale=tol_scale, **s.params)
             confirmed.append({

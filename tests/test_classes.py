@@ -1,7 +1,7 @@
 """The per-order class table, against independent oracles and a labelled reference.
 
 The reference sweep and search below solve every labelled graph (or every
-orbit minimum, found here by trying all relabellings) with the batched
+orbit minimum, found here by trying all relabellings) with the stack
 solver, and run the bound rows on them directly; the class-table
 `run_sweep` and `extremal` must reproduce them.
 """

@@ -360,3 +360,62 @@ def test_bisect_step_cap_raises(monkeypatch):
     d, e = _seeded_tridiagonal(20, 3)
     with pytest.raises(NoConvergence):
         eigen._bisect(d, e)
+
+
+# --- the stack axis ---------------------------------------------------------------
+
+_FLIP = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-200, 1e160])
+def test_stack_eigenvalues_at_any_scale(s):
+    vals = eigen.symmetric_eigenvalues_batch(s * _FLIP)
+    assert np.allclose(vals, [[s, -s]], rtol=1e-14, atol=0.0)
+
+
+def test_stack_lanes_keep_their_own_scale():
+    scales = np.array([1e-200, 1.0, 1e160])
+    vals = eigen.symmetric_eigenvalues_batch(scales[:, None, None] * _FLIP)
+    expected = np.stack([scales, -scales], axis=1)
+    assert np.allclose(vals, expected, rtol=1e-14, atol=0.0)
+
+
+def _stacked_tridiagonals(n, seed):
+    # lanes of very different norms, and an all-zero lane
+    lanes = [_seeded_tridiagonal(n, seed + k) for k in range(5)]
+    d = np.stack([s * dk for s, (dk, _) in zip((1e-150, 1e-3, 1.0, 1e3, 1e150), lanes)])
+    e = np.stack([s * ek for s, (_, ek) in zip((1e-150, 1e-3, 1.0, 1e3, 1e150), lanes)])
+    return np.vstack([d, np.zeros((1, n))]), np.vstack([e, np.zeros((1, n - 1))])
+
+
+@pytest.mark.parametrize("width", [512, 64, 4])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_stacked_bisect_equals_each_lane_alone(monkeypatch, n, width):
+    monkeypatch.setattr(eigen, "_MULTISECT_WIDTH", width)
+    d, e = _stacked_tridiagonals(n, 500 + n)
+    for first in sorted({0, n // 2, n - 1}):
+        stacked = eigen._bisect(d, e, first)
+        alone = np.stack([eigen._bisect(dk, ek, first) for dk, ek in zip(d, e)])
+        assert np.array_equal(stacked, alone)
+    assert not eigen._bisect(d, e)[-1].any()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_table_spectra_against_eigvalsh(n):
+    from spectranorm.enumeration import adjacency_batch, class_table
+
+    table = class_table(n)
+    ref = np.linalg.eigvalsh(adjacency_batch(table.reps, n))[:, ::-1]
+    assert np.all(np.abs(table.eigs - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_complex_hermitian_stack_against_eigvalsh():
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    h = z + z.conj().transpose(0, 2, 1)
+    h[1] = 0.0
+    h[2] *= 1e-100
+    ref = np.linalg.eigvalsh(h)[:, ::-1]
+    vals = eigen.symmetric_eigenvalues_batch(h)
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(vals - ref) <= 1e-14 * np.maximum(scale, 1e-300))
