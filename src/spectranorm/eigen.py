@@ -1,10 +1,13 @@
 """Self-contained Hermitian eigensolver and singular value computation.
 
 One kernel serves both entry points. A Hermitian matrix is reduced by
-Householder reflections to a real symmetric tridiagonal matrix; a matrix whose
-singular values are wanted is reduced by Golub-Kahan bidiagonalization, and
-its singular values are the top half of the spectrum of the zero-diagonal
-tridiagonal built from the bidiagonal. Both tridiagonals are solved on
+Householder reflections to a real symmetric tridiagonal matrix, a panel of
+columns at a time: a panel's reflections are collected as a rank-2 * _PANEL
+correction and reach the trailing matrix in one matrix product (LAPACK's
+xSYTRD/xLATRD). A matrix whose singular values are wanted is reduced by
+Golub-Kahan bidiagonalization, unblocked, and its singular values are the
+top half of the spectrum of the zero-diagonal tridiagonal built from the
+bidiagonal. Both tridiagonals are solved on
 Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) by
 multisection, vectorized over all wanted eigenvalues at once: one pass over
 the rows counts at every node of a dyadic tree inside each bracket, and the
@@ -29,6 +32,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +56,9 @@ _BISECT_STEPS = 100
 # Rows per slice of an in-place low-rank update or of a Sturm-count pass:
 # bounds the temporaries.
 _ROW_BLOCK = 64
+# Columns per panel of the blocked Householder reduction: the trailing
+# matrix takes one rank-2 * _PANEL update per panel.
+_PANEL = 32
 # W, the points per Sturm-count pass: multisection counts at up to W points
 # at once for m wanted eigenvalues, so a pass's temporaries hold at most
 # _ROW_BLOCK x max(W, m) doubles.
@@ -117,23 +124,26 @@ def _house(x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | float]:
 
     For a (B, k) stack, one v and |x| per row, and a zero row gets v = 0,
     which reflects nothing; one zero vector gets v = None. The phase of alpha
-    is chosen against x_0, so forming v never cancels.
+    is chosen against x_0, so forming v never cancels. Both forms do the same
+    arithmetic, so a row of a stack gets the v it would get alone: |x| is a
+    BLAS dot either way, and a complex |x_0| is libm's hypot either way
+    (numpy's vector abs rounds differently).
     """
     if x.ndim == 1 or x.shape[0] == 1:
-        # one vector, as from a single matrix: the same arithmetic on Python
-        # scalars, several times cheaper per call than the array form below
-        norm = float(np.sqrt(np.vdot(x, x).real))
+        # one vector, as from a single matrix: the same arithmetic on scalars,
+        # several times cheaper per call than the array form below
+        norm = math.sqrt(np.vdot(x, x).real)
         if norm == 0.0:
             return None, 0.0
         v = x.copy()
         x0 = v.flat[0]
         r0 = abs(x0)
         v.flat[0] += (x0 / r0 if r0 > 0.0 else 1.0) * norm
-        v /= np.sqrt(2.0 * norm * (norm + r0))
+        v /= math.sqrt(2.0 * norm * (norm + r0))
         return v, norm
-    norm = np.sqrt(np.einsum("bi,bi->b", x.conj(), x).real)
+    norm = np.sqrt((x.conj()[:, None, :] @ x[:, :, None])[:, 0, 0].real)
     x0 = x[:, 0]
-    r0 = np.abs(x0)
+    r0 = np.hypot(x0.real, x0.imag) if np.iscomplexobj(x0) else np.abs(x0)
     v = x.copy()
     v[:, 0] += np.divide(x0, r0, out=np.ones_like(x0), where=r0 > 0.0) * norm
     v /= np.sqrt(2.0 * norm * (norm + r0) + (norm == 0.0))[:, None]
@@ -154,21 +164,54 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (B, n - 1) arrays for a stack: the reduced off-diagonal is complex in
     general, and only its moduli matter, since a diagonal unitary similarity
     makes it real.
+
+    The reduction is blocked by panels of _PANEL columns, as in LAPACK's
+    xSYTRD/xLATRD (Dongarra, Sorensen & Hammarling, J. Comput. Appl. Math.
+    27, 1989). Reflecting column k by H = I - 2 v v^H takes the trailing
+    matrix R to R - v w^H - w v^H, with w = 2 (y - (v^H y) v) and y = R v.
+    Inside a panel these updates are only collected, as left = [v_0, w_0,
+    v_1, w_1, ...] and right = [w_0^H; v_0^H; ...], so the trailing matrix
+    is a - left @ right: each column is brought up to date just before it is
+    reflected, and each y is a v less left @ (right @ v). The panel then
+    reaches the rest of the matrix as one rank-2 * _PANEL update, one row
+    block at a time. A zero column has v = 0, hence w = 0, and reflects
+    nothing.
     """
     stack = a if a.ndim == 3 else a[None]
     b, n = stack.shape[:2]
     e = np.zeros((b, max(n - 1, 0)))
-    for k in range(n - 2):
-        v, e[:, k] = _house(stack[:, k + 1:, k])
-        if v is None:
-            continue
-        rest = stack[:, k + 1:, k + 1:]
-        # H rest H = rest - v w^H - w v^H with y = rest v, w = 2 (y - (v^H y) v)
-        w = (rest @ v[..., None])[..., 0]
-        w -= np.einsum("bi,bi->b", v.conj(), w).real[:, None] * v
-        w *= 2.0
-        _subtract_product(rest, np.concatenate((v[..., None], w[..., None]), axis=-1),
-                          np.concatenate((w.conj()[:, None], v.conj()[:, None]), axis=-2))
+    # a panel's corrections pay only while the trailing matrix is wider than
+    # two panels; past that, and so for the small lanes of a class-table
+    # stack, each column is a panel of its own
+    width = _PANEL if n > 2 * _PANEL else 1
+    # row i of left and column i of right stand for row and column i + 1;
+    # an entry is read only after this panel has written it
+    left = np.empty((b, n - 1, 2 * width), dtype=stack.dtype)
+    right = np.empty((b, 2 * width, n - 1), dtype=stack.dtype)
+    k0 = 0
+    while k0 < n - 2:
+        k1 = min(k0 + (_PANEL if n - k0 > 2 * _PANEL else 1), n - 2)
+        for k in range(k0, k1):
+            j = 2 * (k - k0)
+            if j:
+                stack[:, k:, k] -= (left[:, k - 1:, :j] @ right[:, :j, k - 1, None])[..., 0]
+            v, e[:, k] = _house(stack[:, k + 1:, k])
+            if v is None:
+                left[:, k:, j:j + 2] = 0.0
+                right[:, j:j + 2, k:] = 0.0
+                continue
+            w = (stack[:, k + 1:, k + 1:] @ v[..., None])[..., 0]
+            if j:
+                w -= (left[:, k:, :j] @ (right[:, :j, k:] @ v[..., None]))[..., 0]
+            w -= np.einsum("bi,bi->b", v.conj(), w).real[:, None] * v
+            w *= 2.0
+            left[:, k:, j] = v
+            left[:, k:, j + 1] = w
+            right[:, j, k:] = w.conj()
+            right[:, j + 1, k:] = v.conj()
+        cols = 2 * (k1 - k0)
+        _subtract_product(stack[:, k1:, k1:], left[:, k1 - 1:, :cols], right[:, :cols, k1 - 1:])
+        k0 = k1
     if n >= 2:
         e[:, n - 2] = np.abs(stack[:, n - 1, n - 2])
     d = stack.diagonal(axis1=1, axis2=2).real.copy()
@@ -338,23 +381,49 @@ def _real_if_possible(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
 
 
+def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, e, s) for a (B, n, n) stack: the tridiagonal of each A_b / s_b, s_b = max|a_ij|.
+
+    Raises NotHermitian when some lane has max|A_b - A_b^H| > _HERM_TOL * s_b.
+    """
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("expected a (B, n, n) stack")
+    s = np.abs(a).max(axis=(1, 2), initial=0.0)
+    skew = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(skew > _HERM_TOL * s)
+    if bad.size:
+        raise NotHermitian(f"lane {bad[0]} of {len(a)} is not Hermitian within tolerance")
+    return (*_tridiagonal(_real_if_possible(a) / np.where(s > 0.0, s, 1.0)[:, None, None]), s)
+
+
 def symmetric_eigenvalues_batch(mats: np.ndarray) -> np.ndarray:
     """Descending eigenvalues for a (B, n, n) stack of Hermitian matrices, one row each.
 
     Each matrix is divided by its own max|a_ij| before the reduction and its
     eigenvalues are multiplied back, so every lane is right at its own scale.
+    Raises NotHermitian when a lane fails the relative symmetry check.
     """
-    a = np.asarray(mats)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("expected a (B, n, n) stack")
-    s = np.abs(a).max(axis=(1, 2), initial=0.0)
-    w = _real_if_possible(a) / np.where(s > 0.0, s, 1.0)[:, None, None]
-    return _bisect(*_tridiagonal(w))[:, ::-1] * s[:, None]
+    d, e, s = _scaled_tridiagonal(np.asarray(mats))
+    return _bisect(d, e)[:, ::-1] * s[:, None]
 
 
-def _eigenvalues_of_hermitian_array(w: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of an array already known to be Hermitian."""
-    return symmetric_eigenvalues_batch(w[None])[0]
+def _eigenvalues_of_hermitian_array(w: np.ndarray, extremes: bool = False) -> np.ndarray:
+    """Descending eigenvalues of a Hermitian array.
+
+    With `extremes`, only lambda_1, lambda_2 and lambda_n (lambda_1 and
+    lambda_n when n = 1), for far fewer Sturm counts: the top two are
+    bisected on the tridiagonal and the bottom one as the top of its
+    negation. The first two are the full solve's bit for bit, and so is the
+    last unless a midpoint meets an exact zero pivot, which the mirrored
+    count resolves the other way; it still lies within the bisection
+    tolerance.
+    """
+    if not extremes:
+        return symmetric_eigenvalues_batch(w[None])[0]
+    d, e, s = _scaled_tridiagonal(w[None])
+    n = w.shape[0]
+    top = _bisect(d[0], e[0], max(n - 2, 0))[::-1]
+    return np.append(top, -_bisect(-d[0], e[0], n - 1)) * s[0]
 
 
 def hermitian_eigenvalues(m: CMatrix) -> EigenSpectrum:

@@ -102,3 +102,47 @@ def test_order_guard():
         sample_gn_half(2001, 1)
     with pytest.raises(TooLarge):
         run_experiment(2001, 1.0, 1, 1)
+
+
+def test_experiment_determinism_past_the_cache():
+    from spectranorm.asymptotics import _sample_sigma
+
+    for p in (1.0, 2.0, 3.0):
+        a = run_experiment(70, p, 2, 13)
+        _sample_sigma.cache_clear()
+        assert run_experiment(70, p, 2, 13) == a
+
+
+def test_p2_cache_entry_is_not_read_as_a_full_spectrum():
+    # p = 2 caches sigma_1 and sigma_2 only; a later p = 1 call on the same
+    # samples must still see every singular value
+    from spectranorm.asymptotics import _sample_sigma
+
+    _sample_sigma.cache_clear()
+    fresh = run_experiment(50, 1.0, 2, 21)
+    _sample_sigma.cache_clear()
+    p2 = run_experiment(50, 2.0, 2, 21)
+    assert run_experiment(50, 1.0, 2, 21) == fresh
+    assert p2.sigma1_over_n == fresh.sigma1_over_n
+    assert p2.sigma2_over_sqrt_n == fresh.sigma2_over_sqrt_n
+
+
+def test_random_json_is_identical_across_blas_threads():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spectranorm
+
+    src = str(Path(spectranorm.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "spectranorm", "random", "--n", "300", "--p", "1",
+            "--samples", "1", "--seed", "5", "--format", "json"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert b'"n": 300' in outs[0]

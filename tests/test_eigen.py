@@ -419,3 +419,145 @@ def test_complex_hermitian_stack_against_eigvalsh():
     vals = eigen.symmetric_eigenvalues_batch(h)
     scale = np.abs(ref).max(axis=1, keepdims=True)
     assert np.all(np.abs(vals - ref) <= 1e-14 * np.maximum(scale, 1e-300))
+
+
+# --- the blocked reduction against eigvalsh ---------------------------------------
+
+_NB = eigen._PANEL
+# panels start once n > 2 * nb; these sizes put panel and crossover edges at
+# every offset the loop distinguishes
+_REDUCTION_SIZES = sorted({_NB - 1, _NB, _NB + 1, _NB + 2, 2 * _NB, 2 * _NB + 1, 2 * _NB + 2,
+                           2 * _NB + 3, 3 * _NB + 1, 130})
+
+
+def _hermitian(n, seed, complex_entries):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n))
+    if complex_entries:
+        z = z + 1j * rng.standard_normal((n, n))
+    return (z + z.conj().T) / 2
+
+
+def _reduced_spectrum(h):
+    return eigen._bisect(*eigen._tridiagonal(h.copy()))
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("n", _REDUCTION_SIZES)
+def test_blocked_reduction_against_eigvalsh(n, complex_entries):
+    h = _hermitian(n, 700 + n, complex_entries)
+    ref = np.linalg.eigvalsh(h)
+    assert np.max(np.abs(_reduced_spectrum(h) - ref)) <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_narrow_panels_against_eigvalsh(monkeypatch, complex_entries):
+    # nb = 3: many panels, partial last panels and the crossover at small n
+    monkeypatch.setattr(eigen, "_PANEL", 3)
+    for n in range(1, 20):
+        h = _hermitian(n, 900 + n, complex_entries)
+        ref = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(_reduced_spectrum(h) - ref)) <= 1e-13 * np.abs(ref).max()
+
+
+def _reducible_inputs(n, first_block):
+    """A block-diagonal matrix and a graph whose last vertices are isolated.
+
+    Both have a first block of `first_block` rows, so the reduction meets a
+    zero column at step first_block - 1.
+    """
+    rng = np.random.default_rng(n + first_block)
+    z = rng.standard_normal((first_block, first_block))
+    block = np.zeros((n, n))
+    block[:first_block, :first_block] = z + z.T
+    block[first_block:, first_block:] = 2 * np.eye(n - first_block) - 1.0
+    g = (rng.random((first_block, first_block)) < 0.5).astype(float)
+    g = np.triu(g, 1)
+    graph = np.zeros((n, n))
+    graph[:first_block, :first_block] = g + g.T
+    return block, graph
+
+
+@pytest.mark.parametrize("panel", [eigen._PANEL, 4])
+@pytest.mark.parametrize("n, first_block", [(130, 40), (130, 75), (70, 10), (20, 6)])
+def test_zero_reflectors_mid_panel(monkeypatch, panel, n, first_block):
+    monkeypatch.setattr(eigen, "_PANEL", panel)
+    inputs = _reducible_inputs(n, first_block)
+    for h in inputs:
+        d, e = eigen._tridiagonal(h.copy())
+        assert e[first_block - 1] == 0.0
+        ref = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(eigen._bisect(d, e) - ref)) <= 1e-13 * np.abs(ref).max()
+    # as lanes of one stack, where a zero column gets v = 0 rather than None
+    ref = np.linalg.eigvalsh(np.stack(inputs))[:, ::-1]
+    vals = eigen.symmetric_eigenvalues_batch(np.stack(inputs))
+    assert np.all(np.abs(vals - ref) <= 1e-13 * np.abs(ref).max(axis=1, keepdims=True))
+
+
+def _scaled_stack(n, seed, complex_entries):
+    # lanes at 1e-150, 1 and 1e150, an all-zero lane, and a block-diagonal lane
+    lanes = [s * _hermitian(n, seed + k, complex_entries)
+             for k, s in enumerate((1e-150, 1.0, 1e150))]
+    lanes.append(np.zeros((n, n)))
+    lanes.append(_reducible_inputs(n, max(1, n // 3))[0])
+    return np.stack(lanes).astype(complex if complex_entries else float)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("n", [3, 2 * _NB + 3, 130])
+def test_stacked_reduction_equals_each_lane_alone(n, complex_entries):
+    stack = _scaled_stack(n, 40 + n, complex_entries)
+    d, e = eigen._tridiagonal(stack.copy())
+    for k, lane in enumerate(stack):
+        d1, e1 = eigen._tridiagonal(lane.copy())
+        assert np.array_equal(d[k], d1) and np.array_equal(e[k], e1)
+    assert not d[3].any() and not e[3].any()
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("n", [3, 2 * _NB + 3, 130])
+def test_scaled_stack_against_eigvalsh(n, complex_entries):
+    stack = _scaled_stack(n, 60 + n, complex_entries)
+    ref = np.linalg.eigvalsh(stack)[:, ::-1]
+    vals = eigen.symmetric_eigenvalues_batch(stack)
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(vals - ref) <= 1e-13 * np.maximum(scale, 1e-300))
+    assert not vals[3].any()
+
+
+# --- the Hermitian check on stacks ------------------------------------------------
+
+def test_stack_rejects_non_hermitian():
+    with pytest.raises(NotHermitian):
+        eigen.symmetric_eigenvalues_batch(np.array([[[0.0, 2.0], [1.0, 0.0]]]))
+
+
+def test_stack_rejects_a_single_bad_lane():
+    stack = np.repeat(_FLIP, 4, axis=0) * np.array([1e-200, 1.0, 1e150, 3.0])[:, None, None]
+    assert eigen.symmetric_eigenvalues_batch(stack).shape == (4, 2)
+    stack[2, 0, 1] *= 1.0 + 1e-9  # relative to its own lane's scale of 1e150
+    with pytest.raises(NotHermitian, match="lane 2 of 4"):
+        eigen.symmetric_eigenvalues_batch(stack)
+
+
+# --- the extremes of a spectrum ----------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 40, 130, 300])
+def test_extremes_equal_the_full_solve_on_samples(n):
+    from spectranorm.asymptotics import _sample_adjacency
+
+    a = _sample_adjacency(n, 3, 0)
+    full = eigen._eigenvalues_of_hermitian_array(a)
+    ends = eigen._eigenvalues_of_hermitian_array(a, extremes=True)
+    assert np.array_equal(ends, np.append(full[:2], full[-1]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_extremes_of_integer_spectra(n):
+    # a midpoint can meet an exact zero pivot here, which the mirrored count
+    # resolves the other way: the values agree to the bisection tolerance
+    a = complete(n).adjacency_matrix().data.real.copy()
+    full = eigen._eigenvalues_of_hermitian_array(a)
+    ends = eigen._eigenvalues_of_hermitian_array(a, extremes=True)
+    assert ends.size == min(n, 2) + 1
+    assert np.allclose(ends, np.append(full[:2], full[-1]), rtol=0.0, atol=8 * eigen._EPS * n)
