@@ -396,6 +396,49 @@ def _k_colorable(adj: list[int], k: int) -> bool:
     return search((1 << len(adj)) - 1, 0)
 
 
+def _clique_number(adj: list[int], lo: int, hi: int) -> int:
+    """The clique number clamped to [lo, hi] (lo <= hi), from neighbor bitsets.
+
+    A branch and bound: each node colors its candidate set greedily, one
+    color class at a time. A clique takes at most one vertex from each
+    class, so branching on a vertex of color c adds at most c vertices, and
+    the node is cut as soon as size + c cannot beat the best clique found
+    (Tomita & Seki, DMTCS 2003, LNCS 2731). Vertices are branched on from
+    the highest color down, and each leaves the candidate set once its
+    branch is done. The search looks only for cliques larger than `lo`, so
+    a caller that knows of a clique of lo vertices gets omega exactly, and
+    it stops as soon as it holds a clique of `hi` vertices.
+    """
+    best = lo
+
+    def expand(cand: int, size: int) -> None:
+        nonlocal best
+        colored = []  # (vertex bit, color), in color order
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                low = avail & -avail
+                avail &= ~(adj[low.bit_length() - 1] | low)
+                uncolored ^= low
+                colored.append((low, color))
+        for low, color in reversed(colored):
+            if size + color <= best or best >= hi:
+                return
+            grown = cand & adj[low.bit_length() - 1]
+            if grown:
+                expand(grown, size + 1)
+            elif size + 1 > best:
+                best = size + 1
+            cand ^= low
+
+    if best < hi:
+        expand((1 << len(adj)) - 1, 0)
+    return min(best, hi)
+
+
 def chromatic_number_masks(adj: list[int]) -> int:
     """Exact chromatic number from per-vertex neighbor bitsets."""
     n = len(adj)
@@ -404,6 +447,18 @@ def chromatic_number_masks(adj: list[int]) -> int:
     order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
     lb = _greedy_clique_bound(adj, order)
     ub = _greedy_coloring_bound(adj, order)
+    if lb < ub:  # the greedy clique is a clique, and omega <= chi <= ub
+        lb = _clique_number(adj, lb, ub)
+    if lb < ub:
+        # Each color class is an independent set, so chi >= n / alpha. The
+        # search starts from a greedy independent set, smallest degrees
+        # first, and stops at ceil(n / lb) vertices, which would leave lb
+        # as it is.
+        full = (1 << n) - 1
+        complement = [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
+        greedy = _greedy_clique_bound(complement, order[::-1])
+        alpha = _clique_number(complement, greedy, -(-n // lb))
+        lb = max(lb, -(-n // alpha))
     lb = max(lb, 2)
     for k in range(lb, ub):
         if _k_colorable(adj, k):
@@ -417,9 +472,16 @@ CHI_MAX_ORDER = 32  # largest order chromatic_number accepts
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number; order capped at CHI_MAX_ORDER (32).
 
-    A DSATUR branch and bound between a greedy clique (lower) and a greedy
-    first-fit coloring (upper) bound: k is tried upward from the lower bound
-    by `_k_colorable`, and the first k that admits a coloring is chi.
+    A DSATUR branch and bound between a lower and an upper bound: k is
+    tried upward from the lower bound by `_k_colorable`, and the first k
+    that admits a coloring is chi. A greedy clique and a greedy first-fit
+    coloring bracket chi first. When they differ, the lower bound is raised
+    to max(omega, ceil(n / alpha)), with the clique number omega and the
+    independence number alpha from `_clique_number` on the graph and on its
+    complement. Every color class is an independent set, and on
+    vertex-transitive graphs such as Paley graphs n / alpha is the
+    fractional chromatic number, so chi(paley(29)) = 8 = ceil(29 / 4) needs
+    no refutation of 7 colors.
     """
     if g.n > CHI_MAX_ORDER:
         raise TooLargeForExact(

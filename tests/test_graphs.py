@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spectranorm import graphs
 from spectranorm.errors import (
     BadFamilyParams,
     LoopEdge,
@@ -15,6 +16,7 @@ from spectranorm.errors import (
 )
 from spectranorm.graphs import (
     Graph,
+    _clique_number,
     blow_up,
     chromatic_number,
     closed_walks,
@@ -182,6 +184,14 @@ def _wheel(rim: int) -> Graph:
     return Graph.from_edge_list(rim + 1, cycle(rim).edges() + [(v, rim) for v in range(rim)])
 
 
+def _kneser2(m: int) -> Graph:
+    """Kneser graph K(m, 2): the 2-subsets of range(m), adjacent when disjoint."""
+    subsets = list(itertools.combinations(range(m), 2))
+    return Graph.from_edge_list(len(subsets), [
+        (i, j) for j, b in enumerate(subsets) for i, a in enumerate(subsets[:j])
+        if not set(a) & set(b)])
+
+
 def test_chromatic_known_values():
     for n in range(1, 7):
         assert chromatic_number(complete(n)) == n
@@ -203,6 +213,12 @@ def test_chromatic_known_values():
     for rim in (3, 5, 7, 9, 11):
         assert chromatic_number(_wheel(rim)) == 4
     assert chromatic_number(_wheel(8)) == 3
+    # Kneser K(m, 2), chi = m - 2 (Lovasz); from m = 6 on, ceil(n / alpha) < chi,
+    # so the search must still refute chi - 1
+    for m in (5, 6, 7, 8):
+        assert chromatic_number(_kneser2(m)) == m - 2
+    assert chromatic_number(paley(5)) == 3
+    assert chromatic_number(paley(17)) == 6
     with pytest.raises(TooLargeForExact):
         chromatic_number(empty_graph(33))
 
@@ -251,6 +267,47 @@ def test_chromatic_against_graph_atlas():
     for gx in atlas[1:]:  # entry 0 is the order-0 graph
         g = Graph.from_edge_list(gx.number_of_nodes(), gx.edges())
         assert chromatic_number(g) == _subset_dp_chromatic(g.n, g.neighbor_masks()), gx.edges()
+
+
+def _assert_clique_and_independence_numbers(nx, g: Graph) -> None:
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges())
+    omega = max(len(c) for c in nx.find_cliques(gx))
+    alpha = max(len(c) for c in nx.find_cliques(nx.complement(gx)))
+    adj, co = g.neighbor_masks(), g.complement().neighbor_masks()
+    assert (_clique_number(adj, 0, g.n), _clique_number(co, 0, g.n)) == (omega, alpha), \
+        (g.n, g.mask)
+    # a known clique of lo vertices and a stop at hi clamp omega to [lo, hi]
+    for lo, hi in ((1, g.n), (omega, omega), (0, max(omega - 1, 0)), (omega + 1, g.n + 1)):
+        assert _clique_number(adj, lo, hi) == min(max(omega, lo), hi), (g.n, g.mask, lo, hi)
+
+
+def test_clique_number_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(29)
+    for n in range(1, 33):
+        for density in np.linspace(0.1, 0.9, 9):
+            bits = rng.random(n * (n - 1) // 2) < density
+            mask = sum(1 << int(t) for t in np.flatnonzero(bits))
+            _assert_clique_and_independence_numbers(nx, Graph(n, mask))
+
+
+def test_clique_number_against_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    for gx in nx.graph_atlas_g()[1:]:  # entry 0 is the order-0 graph
+        g = Graph.from_edge_list(gx.number_of_nodes(), gx.edges())
+        _assert_clique_and_independence_numbers(nx, g)
+
+
+def test_chromatic_starts_at_n_over_alpha(monkeypatch):
+    # paley(29): the greedy clique bound is 4, but alpha = 4 gives chi >= 29/4,
+    # so no k below chi = 8 is ever tried
+    tried = []
+    decide = graphs._k_colorable
+    monkeypatch.setattr(graphs, "_k_colorable", lambda adj, k: tried.append(k) or decide(adj, k))
+    assert chromatic_number(paley(29)) == 8
+    assert min(tried, default=8) == 8
 
 
 def test_closed_walks_known_values():

@@ -2,7 +2,8 @@
 
 Opt in with SPECTRANORM_SLOW=1. The order-7 sweep runs on the 1044 class
 representatives and takes seconds; the order-8 table (12,346 classes, a
-512 MB labelled index) takes a minute or two to build.
+512 MB labelled index) takes a minute or two to build, and its chromatic
+numbers are checked against a scan with no bounds.
 """
 
 import os
@@ -39,6 +40,25 @@ def test_order8_class_table():
     assert table.reps.size == 12346  # OEIS A000088
     assert int(table.weights.sum()) == 1 << 28
     assert all(math.factorial(8) % int(w) == 0 for w in table.weights)
+
+
+def test_order8_chi_against_the_plain_decision_scan():
+    # reference: the first k from 1 up that the DSATUR decision search accepts,
+    # with no clique, independence or coloring bound to start from
+    import numpy as np
+
+    from spectranorm.enumeration import class_table
+    from spectranorm.graphs import _k_colorable, neighbor_masks_of, pair_list
+
+    table = class_table(8)
+    chi = table.chi(np.arange(table.reps.size))
+    pairs = pair_list(8)
+    for c, rep in enumerate(table.reps.tolist()):
+        adj = neighbor_masks_of(8, rep, pairs)
+        k = 1
+        while not _k_colorable(adj, k):
+            k += 1
+        assert chi[c] == k, rep
 
 
 def test_order7_sweep_labelled_and_canonical_counts():
