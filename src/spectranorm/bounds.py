@@ -4,10 +4,10 @@ Each row is defined once, over a batch of B subjects of one shape and kind
 (a `Quantities` record): `applies` lists its preconditions in order, and
 `formula` gives both sides of the inequality as arrays over the batch.
 `check_bound` and `run_registry` run a row on one subject, as the lazy B = 1
-record `SubjectContext`; the exhaustive sweep runs the same rows on chunks of
-8192 graphs. When a single subject's slack is inside tolerance, a structural
-equality detector runs on the subject itself. Registry ids are stable strings
-used by the CLI and the JSON report schema.
+record `SubjectContext`; the exhaustive sweep runs the same rows on every
+class of an order at once. When a single subject's slack is inside
+tolerance, a structural equality detector runs on the subject itself.
+Registry ids are stable strings used by the CLI and the JSON report schema.
 
 Conventions:
   * upper rows assert lhs <= rhs and use slack = rhs - lhs,
@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .cmatrix import CMatrix
-from .constructions import in_had_class, is_plain
+from .constructions import _complement, _plain_at, in_had_class
 from .eigen import hermitian_eigenvalues, singular_values
 from .errors import PreconditionFailed, UnknownBoundId
 from .graphs import CHI_MAX_ORDER, Graph, chromatic_number, is_strongly_regular
@@ -174,14 +174,33 @@ class SubjectContext:
     def nonneg(self) -> np.ndarray:
         d = self.matrix.data
         return np.array([
-            np.all(d.real >= 0.0)
-            and np.all(np.abs(d.imag) <= 1e-12 * (1.0 + self.entinf[0]))
+            np.all(d.real >= 0.0) and np.all(np.abs(d.imag) <= 1e-12 * self.entinf[0])
         ])
 
     @cached_property
     def zero_one(self) -> np.ndarray:
         d = self.matrix.data
         return np.array([np.all((np.abs(d) <= 1e-12) | (np.abs(d - 1.0) <= 1e-12))])
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """Real part of the oriented subject over |A|_inf (over 1 if A = 0)."""
+        entinf = float(self.entinf[0])
+        return self.oriented.data.real / (entinf if entinf > 0.0 else 1.0)
+
+    @cached_property
+    def flip(self) -> CMatrix:
+        """J - 2 `unit`, the +-1 matrix of a 0/1 multiple, for the flip detectors."""
+        return _complement(self.unit)
+
+    @cached_property
+    def flip_sig(self) -> np.ndarray:
+        return singular_values(self.flip).values
+
+    @cached_property
+    def flip_plain(self) -> bool:
+        """Whether `flip` is plain (`constructions.is_plain`), from `flip_sig`."""
+        return _plain_at(self.flip, float(self.flip_sig[0]))
 
 
 # --- small shared predicates ---------------------------------------------------
@@ -482,13 +501,10 @@ def _f_nonneg_energy(q, params):
 
 
 def _detect_nonneg_energy(ctx, params):
-    entinf = float(ctx.entinf[0])
-    if entinf <= 0.0:
+    if ctx.entinf[0] <= 0.0:
         return False, {"reason": "zero matrix"}
-    scaled = ctx.oriented.data / entinf
-    b = CMatrix.from_array(np.ones_like(scaled) - 2.0 * scaled)
-    plain = is_plain(b)
-    had = in_had_class(b)
+    plain = ctx.flip_plain
+    had = in_had_class(ctx.flip)
     return plain and had, {"plain": plain, "had_class": had}
 
 
@@ -497,17 +513,11 @@ def _f_kyfan_01(q, params):
     return _kyfan_lhs(q, params), np.full(q.size, rhs), False, None
 
 
-def _flip_profile(ctx) -> tuple[bool, int, float]:
-    """Plainness and nonzero-sigma profile of J - 2A for 0/1 subjects."""
-    b = CMatrix.from_array(np.ones_like(ctx.oriented.data.real) - 2.0 * ctx.oriented.data.real)
-    sig = singular_values(b).values
-    count, equal, value = _nonzero_sigma_profile(sig)
-    return is_plain(b), count if equal else -1, value
-
-
 def _detect_kyfan_01(ctx, params):
     k = params["k"]
-    plain, count, value = _flip_profile(ctx)
+    plain = ctx.flip_plain
+    count, equal, value = _nonzero_sigma_profile(ctx.flip_sig)
+    count = count if equal else -1
     ok = plain and count == k
     return ok, {"plain": plain, "nonzero_sigma": count, "sigma_value": value}
 
@@ -532,17 +542,14 @@ def _detect_kyfan_inf(ctx, params):
 
 def _detect_kyfan_nonneg(ctx, params):
     k = params["k"]
-    entinf = float(ctx.entinf[0])
-    if entinf <= 0.0:
+    if ctx.entinf[0] <= 0.0:
         return False, {"reason": "zero matrix"}
-    scaled = ctx.oriented.data.real / entinf
-    zero_one = bool(np.all((np.abs(scaled) <= 1e-9) | (np.abs(scaled - 1.0) <= 1e-9)))
+    unit = ctx.unit
+    zero_one = bool(np.all((np.abs(unit) <= 1e-9) | (np.abs(unit - 1.0) <= 1e-9)))
     if not zero_one:
         return False, {"zero_one_multiple": False}
-    b = CMatrix.from_array(np.ones_like(scaled) - 2.0 * scaled)
-    sig = singular_values(b).values
-    count, equal, value = _nonzero_sigma_profile(sig)
-    plain = is_plain(b)
+    count, equal, value = _nonzero_sigma_profile(ctx.flip_sig)
+    plain = ctx.flip_plain
     ok = plain and equal and count == k
     return ok, {"zero_one_multiple": True, "plain": plain, "nonzero_sigma": count}
 
@@ -640,7 +647,7 @@ def _nonneg(q, params):
 
 
 def _mass_spread(q, params):
-    ok = q.ent1 >= q.n_cols * q.entinf - 1e-12 * (1.0 + q.entinf)
+    ok = q.ent1 >= q.n_cols * q.entinf * (1.0 - 1e-12)
     return ok, "requires |A|_1 >= n |A|_inf"
 
 

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: norms | check | sweep | random | construct | search.
-Global flags (per subcommand): --threads, --format {text,json,csv},
---tol-scale. Exit codes: 0 success, 1 failed check/violation, 2 usage or
-input error. Stdout carries no timing or host details, so identical inputs
-give byte-identical output regardless of thread count.
+Global flags (per subcommand): --format {text,json,csv}, --tol-scale, and
+--threads, which is accepted for compatibility and has no effect: every
+subcommand runs in the calling process. Exit codes: 0 success, 1 failed
+check/violation, 2 usage or input error. Stdout carries no timing or host
+details, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -48,13 +49,10 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _default_threads() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker processes (default: available parallelism)")
+                     help="accepted for compatibility; has no effect, every "
+                          "subcommand runs in one process")
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--tol-scale", type=float, default=1.0,
                      help="multiplier on all relative tolerances")
@@ -198,9 +196,8 @@ def _cmd_check(args) -> int:
 def _cmd_sweep(args) -> int:
     p_values = tuple(args.p) if args.p else (1.0, 1.5, 2.0, 3.0)
     k_values = tuple(args.k) if args.k else (1, 2, 3)
-    threads = args.threads or _default_threads()
     report = run_sweep(args.n, p_values, k_values, tol_scale=args.tol_scale,
-                       canonical=args.canonical, threads=threads)
+                       canonical=args.canonical)
     if args.format == "json":
         _emit_json(report.to_dict())
     elif args.format == "csv":
@@ -275,9 +272,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    threads = args.threads or _default_threads()
     if args.objective == "SPREAD_VS_F2":
-        rep = compare_spread_vs_f2(args.n, threads=threads)
+        rep = compare_spread_vs_f2(args.n)
         if args.format == "json":
             _emit_json(rep.to_dict())
         elif args.format == "csv":
@@ -299,8 +295,7 @@ def _cmd_search(args) -> int:
         if args.p is None:
             raise PreconditionFailed("MAX_SCHATTEN_P needs --p")
         param = args.p
-    record = extremal(args.objective, args.n, param,
-                      canonical=args.canonical, threads=threads)
+    record = extremal(args.objective, args.n, param, canonical=args.canonical)
     if args.format == "json":
         _emit_json(record.to_dict())
     elif args.format == "csv":

@@ -56,10 +56,20 @@ def _check_zero_one(a: CMatrix) -> None:
         raise NotZeroOne("matrix entries must all be 0 or 1")
 
 
+def _complement(d: np.ndarray) -> CMatrix:
+    """J - 2D, unchecked."""
+    return CMatrix.from_array(np.ones_like(d) - 2.0 * d)
+
+
 def one_complement(a: CMatrix) -> CMatrix:
     """J - 2A for a 0/1 matrix; the result has entries +-1."""
     _check_zero_one(a)
-    return CMatrix.from_array(np.ones_like(a.data) - 2.0 * a.data)
+    return _complement(a.data)
+
+
+def _plain_at(a: CMatrix, sigma1: float) -> bool:
+    """`is_plain` for a matrix whose sigma_1 is already known."""
+    return abs(allones_quotient_modulus(a) - sigma1) <= 1e-7 * (1.0 + sigma1)
 
 
 def is_plain(a: CMatrix) -> bool:
@@ -68,9 +78,7 @@ def is_plain(a: CMatrix) -> bool:
     Checked as |<j_m, A j_n>| / sqrt(mn) == sigma_1(A) within a relative
     tolerance; the modulus reading keeps sign-flipped matrices plain.
     """
-    sigma1 = float(singular_values(a)[0])
-    quotient = allones_quotient_modulus(a)
-    return abs(quotient - sigma1) <= 1e-7 * (1.0 + sigma1)
+    return _plain_at(a, float(singular_values(a)[0]))
 
 
 def in_had_class(a: CMatrix) -> bool:

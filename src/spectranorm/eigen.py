@@ -385,6 +385,9 @@ def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """(d, e, s) for a (B, n, n) stack: the tridiagonal of each A_b / s_b, s_b = max|a_ij|.
 
     Raises NotHermitian when some lane has max|A_b - A_b^H| > _HERM_TOL * s_b.
+    Each scaled lane W is reduced as (W + W^H) / 2, which drops its roundoff
+    asymmetry; that is W bit for bit when W is exactly Hermitian, so it is
+    only formed when some lane is not.
     """
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a (B, n, n) stack")
@@ -393,7 +396,10 @@ def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     bad = np.flatnonzero(skew > _HERM_TOL * s)
     if bad.size:
         raise NotHermitian(f"lane {bad[0]} of {len(a)} is not Hermitian within tolerance")
-    return (*_tridiagonal(_real_if_possible(a) / np.where(s > 0.0, s, 1.0)[:, None, None]), s)
+    w = _real_if_possible(a) / np.where(s > 0.0, s, 1.0)[:, None, None]
+    if skew.any():
+        w = (w + w.conj().transpose(0, 2, 1)) / 2.0
+    return (*_tridiagonal(w), s)
 
 
 def symmetric_eigenvalues_batch(mats: np.ndarray) -> np.ndarray:
@@ -429,25 +435,21 @@ def _eigenvalues_of_hermitian_array(w: np.ndarray, extremes: bool = False) -> np
 def hermitian_eigenvalues(m: CMatrix) -> EigenSpectrum:
     """All eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
-    Raises NotHermitian when the input is not square or fails the symmetry
-    check, and NoConvergence on a solver bug: the bisection step cap, or an
-    eigenvalue sum that drifted from the trace.
+    The stack kernel with B = 1, so equal to `symmetric_eigenvalues_batch`
+    on the one-matrix stack. Raises NotHermitian when the input is not
+    square or fails the symmetry check, and NoConvergence on a solver bug:
+    the bisection step cap, or an eigenvalue sum that drifted from the trace.
     """
     if not m.is_square():
         raise NotHermitian(f"matrix is {m.rows}x{m.cols}, not square")
-    a = m.data
-    s = _max_modulus(a)
-    if np.max(np.abs(a - a.conj().T)) > _HERM_TOL * s:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    if s == 0.0:
+    d, e, s = _scaled_tridiagonal(m.data[None])
+    if s[0] == 0.0:
         return EigenSpectrum(np.zeros(m.rows))
-    w = _real_if_possible(a) / s
-    w = (w + w.conj().T) / 2.0  # kill roundoff asymmetry
-    trace = float(np.einsum("ii->i", w).real.sum())
-    vals = _bisect(*_tridiagonal(w))[::-1]
+    vals = _bisect(d, e)[0, ::-1]
+    trace = float((np.diagonal(m.data).real / s[0]).sum())
     if abs(float(vals.sum()) - trace) > _SPECTRUM_SUM_TOL * (1.0 + abs(trace)):
         raise NoConvergence("eigenvalue sum drifted from the trace")
-    return EigenSpectrum(vals * s)
+    return EigenSpectrum(vals * s[0])
 
 
 def singular_values(a: CMatrix) -> SingularSpectrum:

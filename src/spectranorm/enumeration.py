@@ -13,16 +13,14 @@ class of every labelled mask. Spectra are solved once per class, as one stack
 through the eigensolver kernel (`eigen.symmetric_eigenvalues_batch`), and
 chromatic numbers once per class on first use.
 
-Labelled results are weighted sums over the classes. Work is split into fixed
-ranges of CHUNK_SIZE representatives, independent of the thread count, so
-parallel consumers merge deterministically; up to order 7 every class fits
-in one chunk.
+Labelled results are weighted sums over the classes. The sweep and the
+searches read the whole table at once, in the calling process; at order 8
+that is 12,346 classes, few enough to evaluate as one stack.
 """
 
 from __future__ import annotations
 
 import functools
-from concurrent import futures
 from itertools import permutations
 from typing import Iterator
 
@@ -39,7 +37,7 @@ from .graphs import (
 )
 
 MAX_ENUM_ORDER = 8
-CHUNK_SIZE = 1 << 13  # representatives per work chunk; fixed for deterministic merges
+CHUNK_SIZE = 1 << 13  # labelled masks per range of `mask_ranges`
 _WINDOW = 1 << 12     # masks looked at per step when looking for an unmarked mask
 
 
@@ -53,29 +51,6 @@ def mask_ranges(n: int) -> list[tuple[int, int]]:
     _check_order(n)
     total = 1 << pair_count(n)
     return [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
-
-
-def class_ranges(n: int) -> list[tuple[int, int]]:
-    """Fixed [lo, hi) mask ranges holding CHUNK_SIZE class representatives each.
-
-    This builds the table in the calling process, so that pool workers,
-    forked from it, find the table already there.
-    """
-    starts = class_table(n).reps[::CHUNK_SIZE].tolist()
-    return list(zip(starts, starts[1:] + [1 << pair_count(n)]))
-
-
-def map_chunks(fn, jobs: list, threads: int) -> list:
-    """[fn(job) for job in jobs], spread over `threads` worker processes.
-
-    Results come back in job order whatever the thread count, which is what
-    keeps merged outputs deterministic. `fn` must be a module-level function
-    so that workers can import it.
-    """
-    if threads > 1 and len(jobs) > 1:
-        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
 
 
 def _perm_pair_maps(n: int) -> np.ndarray:

@@ -8,12 +8,11 @@ Objectives:
   MAX_SCHATTEN_P  max Schatten p-norm                  (needs p)
 
 Objectives are graph invariants, so the search evaluates the class
-representatives of the order's class table (`enumeration.class_table`), in
-fixed chunks of 8192 classes, and keeps the classes within `_TIE_TOL` of the
-maximum. A labelled search counts every member of those classes and lists
-them in graph6 order, capped at 100; a canonical search counts and lists the
-representatives alone. Chunks merge in class order, so records are
-byte-identical for any thread count.
+representatives of the order's class table (`enumeration.class_table`), all
+at once and in the calling process, and keeps the classes within `_TIE_TOL`
+of the maximum. A labelled search counts every member of those classes and
+lists them in graph6 order, capped at 100; a canonical search counts and
+lists the representatives alone.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .enumeration import chunk_quantities, class_ranges, class_table, map_chunks
+from .enumeration import chunk_quantities, class_table
 from .graphs import Graph, pair_count, write_graph6
 
 OBJECTIVES = ("XI_K", "TAU_K", "SPREAD", "MAX_ENERGY", "MAX_SCHATTEN_P")
@@ -57,10 +56,9 @@ class SearchRecord:
         }
 
 
-def _objective_values(q: dict, objective: str, param) -> np.ndarray:
+def _objective_values(q: dict, n: int, objective: str, param) -> np.ndarray:
     sig = q["sig"]
     eigs = q["eigs"]
-    n = q["n"]
     if objective == "XI_K":
         k = min(int(param), n)
         return sig[:, :k].sum(axis=1)
@@ -77,15 +75,14 @@ def _objective_values(q: dict, objective: str, param) -> np.ndarray:
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def _search_chunk(args) -> dict:
-    n, lo, hi, objective, param = args
-    q = chunk_quantities(n, lo, hi, canonical=True)
-    q["n"] = n
-    vals = _objective_values(q, objective, param)
-    top = float(vals.max())
-    keep = vals >= top - _TIE_TOL
-    return {"max": top, "classes": q["classes"][keep].tolist(),
-            "values": vals[keep].tolist()}
+def _table_quantities(n: int) -> dict:
+    """Spectra of every class of order n, in class order."""
+    return chunk_quantities(n, 0, 1 << pair_count(n), canonical=True)
+
+
+def _search_chunk(n: int, objective: str, param) -> np.ndarray:
+    """The objective on every class of order n, in class order."""
+    return _objective_values(_table_quantities(n), n, objective, param)
 
 
 def _graph6_order(masks: np.ndarray, n: int) -> np.ndarray:
@@ -129,8 +126,8 @@ def _notes_for(objective: str, n: int, param) -> str:
     return f"reference upper line sqrt(n(n-1)) = {math.sqrt(n * (n - 1.0)):.12g}"
 
 
-def extremal(objective: str, n: int, param=None, *, canonical: bool = False,
-             threads: int = 1) -> SearchRecord:
+def extremal(objective: str, n: int, param=None, *,
+             canonical: bool = False) -> SearchRecord:
     """Exact maximum of an objective over all labeled graphs of order n."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -145,12 +142,9 @@ def extremal(objective: str, n: int, param=None, *, canonical: bool = False,
     else:
         param = None
 
-    jobs = [(n, lo, hi, objective, param) for lo, hi in class_ranges(n)]
-    parts = map_chunks(_search_chunk, jobs, threads)
-
-    best = max(part["max"] for part in parts)
-    tied = [c for part in parts for c, value in zip(part["classes"], part["values"])
-            if value >= best - _TIE_TOL]
+    values = _search_chunk(n, objective, param)
+    best = float(values.max())
+    tied = np.flatnonzero(values >= best - _TIE_TOL)
     table = class_table(n)
     weights = np.ones(table.reps.size, dtype=np.int64) if canonical else table.weights
     return SearchRecord(
@@ -189,28 +183,19 @@ class SpreadComparison:
         }
 
 
-def _identity_chunk(args) -> float:
-    n, lo, hi = args
-    q = chunk_quantities(n, lo, hi, canonical=True)
-    sig = q["sig"]
-    eigs = q["eigs"]
-    f2 = sig[:, : min(2, n)].sum(axis=1)
-    alt = np.maximum(
-        np.abs(eigs[:, 0]) + (np.abs(eigs[:, 1]) if n > 1 else 0.0),
-        np.abs(eigs[:, 0]) + np.abs(eigs[:, -1]),
-    )
-    return float(np.abs(f2 - alt).max())
-
-
-def compare_spread_vs_f2(n: int, *, threads: int = 1) -> SpreadComparison:
+def compare_spread_vs_f2(n: int) -> SpreadComparison:
     """Max spread vs max Ky Fan 2-norm, plus the per-graph identity check.
 
     Reports whether the two maxima coincide at this order; nothing is
     asserted (coincidence is only expected for large orders).
     """
-    spread = extremal("SPREAD", n, threads=threads)
-    xi2 = extremal("XI_K", n, 2 if n >= 2 else 1, threads=threads)
-    gaps = map_chunks(_identity_chunk, [(n, lo, hi) for lo, hi in class_ranges(n)], threads)
+    spread = extremal("SPREAD", n)
+    xi2 = extremal("XI_K", n, 2 if n >= 2 else 1)
+    # the per-graph identity: F2 = max(|mu_1| + |mu_2|, |mu_1| + |mu_n|)
+    q = _table_quantities(n)
+    eigs = np.abs(q["eigs"])
+    f2 = q["sig"][:, : min(2, n)].sum(axis=1)
+    alt = np.maximum(eigs[:, 0] + (eigs[:, 1] if n > 1 else 0.0), eigs[:, 0] + eigs[:, -1])
     return SpreadComparison(
         n=n,
         max_spread=spread.value,
@@ -218,6 +203,6 @@ def compare_spread_vs_f2(n: int, *, threads: int = 1) -> SpreadComparison:
         spread_witnesses=spread.witnesses[:5],
         kyfan2_witnesses=xi2.witnesses[:5],
         maxima_coincide=abs(spread.value - xi2.value) <= _TIE_TOL,
-        identity_max_gap=max(gaps),
+        identity_max_gap=float(np.abs(f2 - alt).max()),
         graphs_scanned=spread.graphs_scanned,
     )

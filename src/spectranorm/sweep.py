@@ -2,8 +2,8 @@
 
 Runs every registry row on every graph of a given order. The rows only read
 graph invariants, so they run on the class representatives of the order's
-class table (`enumeration.class_table`), 8192 classes at a time: each
-chunk's spectra, edge counts and chromatic numbers fill one
+class table (`enumeration.class_table`), all at once and in the calling
+process: the table's spectra, edge counts and chromatic numbers fill one
 `bounds.Quantities` record, and the rows' own array-valued preconditions and
 formulas run on it (`check` runs the same definitions on a single subject).
 Labelled counts are sums of orbit sizes, and a row's examples are the first
@@ -22,64 +22,10 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .enumeration import chunk_quantities, class_ranges, class_table, map_chunks
-from .graphs import Graph, write_graph6
+from .enumeration import chunk_quantities, class_table
+from .graphs import Graph, pair_count, write_graph6
 
 _MAX_EXAMPLES = 8
-
-
-def _param_key(params: dict) -> tuple:
-    return tuple(sorted(params.items()))
-
-
-def _sweep_chunk(args) -> list[dict]:
-    n, lo, hi, p_values, q_values, k_values, tol_scale, canonical = args
-    q = chunk_quantities(n, lo, hi, need_chi=True, canonical=True)
-    classes, m = q["classes"], q["m"]
-    # a representative counts for its whole orbit, or only for itself in a
-    # canonical sweep
-    weight = np.ones(classes.size, dtype=np.int64) if canonical \
-        else class_table(n).weights[classes]
-    scanned = int(weight.sum())
-    every = np.ones(classes.size, dtype=bool)
-    # a graph's adjacency matrix is square, 0/1 and nonnegative, with
-    # |A|_1 = |A|_2^2 = 2m and |A|_inf = 1 unless it has no edge
-    record = bounds.Quantities(
-        size=classes.size, n_rows=n, n_cols=n, sig=q["sig"], eigs=q["eigs"],
-        m=m, chi=q["chi"], ent1=2.0 * m, ent2_sq=2.0 * m,
-        entinf=(m > 0).astype(float), is_graph=every, nonneg=every, zero_one=every,
-    )
-    partials = []
-    for row in bounds._ROWS.values():
-        for params in bounds._param_grid(row, p_values, q_values, k_values):
-            app, reason = row.gate(record, params)
-            entry = {
-                "bound_id": row.bound_id,
-                "params": params,
-                "scanned": scanned,
-                "evaluated": 0,
-                "skipped": scanned,
-                "violations": 0,
-                "min_slack": None,
-                "equality_count": 0,
-                "eq_classes": [],
-                "viol_classes": [],
-                "skip_reason": reason,
-            }
-            partials.append(entry)
-            if reason is not None:
-                continue
-            _, _, _, slack, holds, equal = row.evaluate(record, params, tol_scale)
-            viol = app & ~holds
-            eq = app & equal
-            entry["evaluated"] = int(weight[app].sum())
-            entry["skipped"] = scanned - entry["evaluated"]
-            entry["violations"] = int(weight[viol].sum())
-            entry["min_slack"] = float(slack[app].min())
-            entry["equality_count"] = int(weight[eq].sum())
-            entry["eq_classes"] = classes[eq].tolist()
-            entry["viol_classes"] = classes[viol].tolist()
-    return partials
 
 
 @dataclass
@@ -117,6 +63,47 @@ class SweepRowSummary:
         }
 
 
+def _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical) -> list[SweepRowSummary]:
+    """Every row on every class of order n, as one stack; examples are still masks."""
+    table = class_table(n)
+    q = chunk_quantities(n, 0, 1 << pair_count(n), need_chi=True, canonical=True)
+    classes, m = q["classes"], q["m"]
+    # a representative counts for its whole orbit, or only for itself in a
+    # canonical sweep
+    weight = np.ones(classes.size, dtype=np.int64) if canonical else table.weights
+    scanned = int(weight.sum())
+    every = np.ones(classes.size, dtype=bool)
+    # a graph's adjacency matrix is square, 0/1 and nonnegative, with
+    # |A|_1 = |A|_2^2 = 2m and |A|_inf = 1 unless it has no edge
+    record = bounds.Quantities(
+        size=classes.size, n_rows=n, n_cols=n, sig=q["sig"], eigs=q["eigs"],
+        m=m, chi=q["chi"], ent1=2.0 * m, ent2_sq=2.0 * m,
+        entinf=(m > 0).astype(float), is_graph=every, nonneg=every, zero_one=every,
+    )
+    rows = []
+    for row in bounds._ROWS.values():
+        for params in bounds._param_grid(row, p_values, q_values, k_values):
+            app, reason = row.gate(record, params)
+            s = SweepRowSummary(row.bound_id, params, skipped=scanned, skip_reason=reason)
+            rows.append(s)
+            if reason is not None:
+                continue
+            _, _, _, slack, holds, equal = row.evaluate(record, params, tol_scale)
+            viol = app & ~holds
+            eq = app & equal
+            s.evaluated = int(weight[app].sum())
+            s.skipped = scanned - s.evaluated
+            s.violations = int(weight[viol].sum())
+            s.min_slack = float(slack[app].min())
+            s.equality_count = int(weight[eq].sum())
+            # the examples are the first flagged graphs in mask order
+            s.equality_examples = table.first_members(classes[eq], _MAX_EXAMPLES,
+                                                      canonical=canonical)
+            s.violation_examples = table.first_members(classes[viol], _MAX_EXAMPLES,
+                                                       canonical=canonical)
+    return rows
+
+
 @dataclass
 class SweepReport:
     n: int
@@ -142,55 +129,18 @@ class SweepReport:
 
 
 def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
-              tol_scale: float = 1.0, canonical: bool = False,
-              threads: int = 1) -> SweepReport:
-    """Check every registry row on every order-n graph; fully deterministic.
-
-    Results are merged chunk by chunk in class order, so the report is
-    byte-identical for any thread count.
-    """
+              tol_scale: float = 1.0, canonical: bool = False) -> SweepReport:
+    """Check every registry row on every order-n graph; fully deterministic."""
     p_values = tuple(float(p) for p in p_values)
     k_values = tuple(int(k) for k in k_values)
-    jobs = [
-        (n, lo, hi, p_values, q_values, k_values, tol_scale, canonical)
-        for lo, hi in class_ranges(n)
-    ]
-    partial_lists = map_chunks(_sweep_chunk, jobs, threads)
-
-    # the example lists gather the flagged classes until every chunk is in
-    merged: dict[tuple, SweepRowSummary] = {}
-    scanned = 0
-    for partials in partial_lists:
-        scanned += partials[0]["scanned"]
-        for e in partials:
-            key = (e["bound_id"], _param_key(e["params"]))
-            if key not in merged:
-                merged[key] = SweepRowSummary(e["bound_id"], e["params"],
-                                              skip_reason=e["skip_reason"])
-            s = merged[key]
-            s.evaluated += e["evaluated"]
-            s.skipped += e["skipped"]
-            s.violations += e["violations"]
-            s.equality_count += e["equality_count"]
-            if e["min_slack"] is not None:
-                s.min_slack = e["min_slack"] if s.min_slack is None else min(
-                    s.min_slack, e["min_slack"])
-            s.equality_examples.extend(e["eq_classes"])
-            s.violation_examples.extend(e["viol_classes"])
-
-    # the examples are the first flagged graphs in mask order
-    table = class_table(n)
-    for s in merged.values():
-        s.equality_examples = table.first_members(s.equality_examples, _MAX_EXAMPLES,
-                                                  canonical=canonical)
-        s.violation_examples = table.first_members(s.violation_examples, _MAX_EXAMPLES,
-                                                   canonical=canonical)
+    rows = _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical)
 
     # re-check the retained equality examples one graph at a time, with
     # detectors; a graph's spectrum and chromatic number are its class's,
     # read from the table, and a graph kept by several rows gets one context
+    table = class_table(n)
     contexts: dict[int, bounds.SubjectContext] = {}
-    for s in merged.values():
+    for s in rows:
         confirmed = []
         for mask in s.equality_examples:
             if mask not in contexts:
@@ -208,14 +158,13 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
         s.equality_examples = confirmed
         s.violation_examples = [write_graph6(Graph(n, mk)) for mk in s.violation_examples]
 
-    rows = list(merged.values())
     return SweepReport(
         n=n,
         p_values=p_values,
         k_values=k_values,
         tol_scale=tol_scale,
         canonical=canonical,
-        graphs_scanned=scanned,
+        graphs_scanned=table.reps.size if canonical else int(table.weights.sum()),
         total_violations=sum(r.violations for r in rows),
         rows=rows,
     )

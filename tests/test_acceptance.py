@@ -260,9 +260,9 @@ def test_criterion_9_determinism():
         a = run_experiment(80, 1.0, 3, 11)
         b = run_experiment(80, 1.0, 3, 11)
         assert a == b
-        r1 = extremal("SPREAD", 5, threads=1)
-        r2 = extremal("SPREAD", 5, threads=2)
-        r3 = extremal("SPREAD", 5, threads=1)
+        r1 = extremal("SPREAD", 5)
+        r2 = extremal("SPREAD", 5)
+        r3 = extremal("SPREAD", 5)
         assert r1 == r2 == r3
         import contextlib
         import io

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectranorm.cmatrix import CMatrix
-from spectranorm.constructions import dft_matrix, sylvester_hadamard
+from spectranorm.constructions import all_ones, dft_matrix, sylvester_hadamard
 from spectranorm.bounds import (
     check_bound,
     detect_complete_multipartite,
@@ -370,3 +370,34 @@ def test_registry_ids_stable():
         "SCHATTEN_ABS_MAT", "KM_MATRIX", "NONNEG_ENERGY", "KYFAN_01",
         "KYFAN_L2", "KYFAN_INF", "KYFAN_NONNEG",
     ]
+
+
+def test_kyfan_01_solves_the_flip_once(monkeypatch):
+    # one singular value solve for A and one for J - 2A, which the plainness
+    # test reuses
+    from spectranorm import bounds, constructions
+
+    calls = []
+    for module in (bounds, constructions):
+        solve = module.singular_values
+        monkeypatch.setattr(module, "singular_values",
+                            lambda a, solve=solve: calls.append(a) or solve(a))
+    chk = check_bound("KYFAN_01", all_ones(3, 5), k=1)
+    assert chk.equality
+    assert chk.equality_witness["plain"] is True
+    assert chk.equality_witness["nonzero_sigma"] == 1
+    assert abs(chk.equality_witness["sigma_value"] - math.sqrt(15.0)) < 1e-12
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-13, 1e-200])
+def test_nonneg_preconditions_are_scale_free(s):
+    # imaginary parts count against |A|_inf, and so does the mass deficit
+    non_real = CMatrix.from_array(s * np.array([[1.0, 1j], [1j, 1.0]]))
+    rows = [c for c in run_registry(non_real)
+            if c.bound_id in ("NONNEG_ENERGY", "KYFAN_NONNEG")]
+    assert len(rows) == 2
+    assert all(c.skipped and c.skip_reason == "matrix must be nonnegative" for c in rows)
+    thin = CMatrix.from_array(s * np.diag([1.0, 0.999]))
+    with pytest.raises(PreconditionFailed, match=r"\|A\|_1 >= n \|A\|_inf"):
+        check_bound("NONNEG_ENERGY", thin)

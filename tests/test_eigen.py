@@ -561,3 +561,21 @@ def test_extremes_of_integer_spectra(n):
     ends = eigen._eigenvalues_of_hermitian_array(a, extremes=True)
     assert ends.size == min(n, 2) + 1
     assert np.allclose(ends, np.append(full[:2], full[-1]), rtol=0.0, atol=8 * eigen._EPS * n)
+
+
+# --- one solve path for one matrix and for a stack ----------------------------------
+
+@pytest.mark.parametrize("kind", ["real", "complex", "nearly_hermitian"])
+@pytest.mark.parametrize("n", [6, 40])
+def test_single_matrix_equals_the_one_lane_stack(kind, n):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, n))
+    if kind != "real":
+        z = z + 1j * rng.standard_normal((n, n))
+    a = z + z.conj().T
+    if kind == "nearly_hermitian":
+        # a relative perturbation inside the symmetry tolerance, entry by entry
+        a = a * (1.0 + 1e-13 * rng.standard_normal((n, n)))
+        assert not np.array_equal(a, a.conj().T)
+    single = hermitian_eigenvalues(CMatrix.from_array(a)).values
+    assert np.array_equal(single, eigen.symmetric_eigenvalues_batch(a[None])[0])

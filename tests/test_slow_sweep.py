@@ -3,7 +3,8 @@
 Opt in with SPECTRANORM_SLOW=1. The order-7 sweep runs on the 1044 class
 representatives and takes seconds; the order-8 table (12,346 classes, a
 512 MB labelled index) takes a minute or two to build, and its chromatic
-numbers are checked against a scan with no bounds.
+numbers are checked against a scan with no bounds. The order-8 sweep and
+searches then run on the whole table in this process.
 """
 
 import os
@@ -70,3 +71,20 @@ def test_order7_sweep_labelled_and_canonical_counts():
     canonical = run_sweep(7, p_values, k_values, canonical=True)
     assert canonical.graphs_scanned == 1044
     assert canonical.total_violations == 0
+
+
+def test_order8_sweep_and_searches_on_the_whole_table():
+    import numpy as np
+
+    from spectranorm.enumeration import class_table
+    from spectranorm.search import compare_spread_vs_f2, extremal
+
+    report = run_sweep(8, p_values=(1.0, 1.5, 2.0, 3.0), k_values=(1, 2, 3))
+    assert report.graphs_scanned == 1 << 28
+    assert report.total_violations == 0
+    record = extremal("MAX_ENERGY", 8)
+    assert abs(record.value - 14.3252778628) < 1e-9
+    assert record.witness_count == 5040
+    assert compare_spread_vs_f2(8).identity_max_gap < 1e-8
+    # the sweep solved chi for every class in this process, and kept it
+    assert np.all(class_table(8)._chi > 0)
