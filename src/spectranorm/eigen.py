@@ -386,8 +386,7 @@ def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Raises NotHermitian when some lane has max|A_b - A_b^H| > _HERM_TOL * s_b.
     Each scaled lane W is reduced as (W + W^H) / 2, which drops its roundoff
-    asymmetry; that is W bit for bit when W is exactly Hermitian, so it is
-    only formed when some lane is not.
+    asymmetry and is W bit for bit when W is exactly Hermitian.
     """
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a (B, n, n) stack")
@@ -397,8 +396,7 @@ def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if bad.size:
         raise NotHermitian(f"lane {bad[0]} of {len(a)} is not Hermitian within tolerance")
     w = _real_if_possible(a) / np.where(s > 0.0, s, 1.0)[:, None, None]
-    if skew.any():
-        w = (w + w.conj().transpose(0, 2, 1)) / 2.0
+    w = (w + w.conj().transpose(0, 2, 1)) / 2.0
     return (*_tridiagonal(w), s)
 
 
@@ -442,7 +440,10 @@ def hermitian_eigenvalues(m: CMatrix) -> EigenSpectrum:
     """
     if not m.is_square():
         raise NotHermitian(f"matrix is {m.rows}x{m.cols}, not square")
-    d, e, s = _scaled_tridiagonal(m.data[None])
+    try:
+        d, e, s = _scaled_tridiagonal(m.data[None])
+    except NotHermitian:
+        raise NotHermitian("matrix is not Hermitian within tolerance") from None
     if s[0] == 0.0:
         return EigenSpectrum(np.zeros(m.rows))
     vals = _bisect(d, e)[0, ::-1]

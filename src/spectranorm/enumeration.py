@@ -121,6 +121,10 @@ class ClassTable:
         """Every labelled mask of class c, ascending."""
         return np.unique(self._images(int(self.reps[c])))
 
+    def counts(self, canonical: bool = False) -> np.ndarray:
+        """How many scanned graphs each class stands for: its orbit size, or 1 when canonical."""
+        return np.ones(self.reps.size, dtype=np.int64) if canonical else self.weights
+
     def chi(self, classes: np.ndarray) -> np.ndarray:
         """Chromatic numbers of the given classes, each solved on first use."""
         pairs = pair_list(self.n)

@@ -146,7 +146,7 @@ def extremal(objective: str, n: int, param=None, *,
     best = float(values.max())
     tied = np.flatnonzero(values >= best - _TIE_TOL)
     table = class_table(n)
-    weights = np.ones(table.reps.size, dtype=np.int64) if canonical else table.weights
+    weights = table.counts(canonical)
     return SearchRecord(
         objective=objective,
         n=n,

@@ -68,9 +68,7 @@ def _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical) -> list[
     table = class_table(n)
     q = chunk_quantities(n, 0, 1 << pair_count(n), need_chi=True, canonical=True)
     classes, m = q["classes"], q["m"]
-    # a representative counts for its whole orbit, or only for itself in a
-    # canonical sweep
-    weight = np.ones(classes.size, dtype=np.int64) if canonical else table.weights
+    weight = table.counts(canonical)
     scanned = int(weight.sum())
     every = np.ones(classes.size, dtype=bool)
     # a graph's adjacency matrix is square, 0/1 and nonnegative, with
@@ -164,7 +162,7 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
         k_values=k_values,
         tol_scale=tol_scale,
         canonical=canonical,
-        graphs_scanned=table.reps.size if canonical else int(table.weights.sum()),
+        graphs_scanned=int(table.counts(canonical).sum()),
         total_violations=sum(r.violations for r in rows),
         rows=rows,
     )

@@ -15,6 +15,7 @@ from spectranorm.eigen import (
     hermitian_eigenvalues,
     rayleigh_allones,
     singular_values,
+    symmetric_eigenvalues_batch,
 )
 from spectranorm.errors import NoConvergence, NonRealRayleigh, NotHermitian
 from spectranorm.graphs import blow_up, complete
@@ -42,6 +43,14 @@ def test_not_hermitian_raises():
         hermitian_eigenvalues(CMatrix.from_rows([[0, 1], [0, 0]]))
     with pytest.raises(NotHermitian):
         hermitian_eigenvalues(all_ones(2, 3))
+
+
+def test_not_hermitian_messages():
+    # the single-matrix entry point names no lane; the stack names the first bad one
+    with pytest.raises(NotHermitian, match="^matrix is not Hermitian within tolerance$"):
+        hermitian_eigenvalues(CMatrix.from_rows([[0, 1], [0, 0]]))
+    with pytest.raises(NotHermitian, match="^lane 0 of 1 is not Hermitian"):
+        symmetric_eigenvalues_batch(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
 
 
 @pytest.mark.parametrize("s", [1e-13, 1e-200])
