@@ -3,7 +3,10 @@
 Subcommands: norms | check | sweep | random | construct | search.
 Global flags (per subcommand): --format {text,json,csv}, --tol-scale, and
 --threads, which is accepted for compatibility and has no effect: every
-subcommand runs in the calling process. Exit codes: 0 success, 1 failed
+subcommand runs in the calling process. --tol-scale multiplies the slack
+tolerance with which `check` and `sweep` decide whether a bound row holds
+and whether it is tight; the equality detectors ignore it, and so do
+`norms`, `random`, `construct` and `search`. Exit codes: 0 success, 1 failed
 check/violation, 2 usage or input error. Stdout carries no timing or host
 details, so identical inputs give byte-identical output.
 """
@@ -55,7 +58,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                           "subcommand runs in one process")
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--tol-scale", type=float, default=1.0,
-                     help="multiplier on all relative tolerances")
+                     help="multiplier on the slack tolerance of check and sweep "
+                          "(holds / equality); detectors and the other "
+                          "subcommands ignore it")
 
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every call

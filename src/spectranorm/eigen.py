@@ -66,55 +66,43 @@ _MULTISECT_WIDTH = 512
 
 
 @dataclass(frozen=True)
-class EigenSpectrum:
+class _Spectrum:
+    """A read-only 1-D array of values, sorted nonincreasing."""
+
+    values: np.ndarray
+    _noun = "eigenvalues"
+    _nonnegative = False
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 1 or v.size < 1:
+            raise ValueError("spectrum must be a non-empty 1-D array")
+        if self._nonnegative and np.any(v < 0):
+            raise ValueError(f"{self._noun} must be nonnegative")
+        if np.any(v[:-1] < v[1:]):
+            raise ValueError(f"{self._noun} must be sorted nonincreasing")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __getitem__(self, i):
+        return self.values[i]
+
+
+class EigenSpectrum(_Spectrum):
     """Real eigenvalues of a Hermitian matrix, sorted nonincreasing."""
 
-    values: np.ndarray
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("spectrum must be a non-empty 1-D array")
-        if np.any(v[:-1] < v[1:]):
-            raise ValueError("eigenvalues must be sorted nonincreasing")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
+class SingularSpectrum(_Spectrum):
     """Nonnegative singular values, sorted nonincreasing, min(m, n) of them."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("spectrum must be a non-empty 1-D array")
-        if np.any(v < 0):
-            raise ValueError("singular values must be nonnegative")
-        if np.any(v[:-1] < v[1:]):
-            raise ValueError("singular values must be sorted nonincreasing")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
+    _noun = "singular values"
+    _nonnegative = True
 
 
 # --- the kernel -----------------------------------------------------------------

@@ -78,9 +78,11 @@ class ClassTable:
 
     `reps` are the representatives, ascending; `weights` the orbit sizes;
     `index` the class of every labelled mask (int16, enough for the 12,346
-    classes of order 8, and 512 MB there); `eigs` and `sig` the
-    descending eigenvalues and singular values of each class, `m` its edge
-    count.
+    classes of order 8, and 512 MB there), read only by the labelled path of
+    `chunk_quantities`; `eigs` and `sig` the descending eigenvalues and
+    singular values of each class, `m` its edge count. `first_members` gives
+    each example its class, so the sweep confirms a flagged class once, on
+    its representative, without reading `index`.
     """
 
     def __init__(self, n: int):
@@ -133,19 +135,21 @@ class ClassTable:
             self._chi[c] = chromatic_number_masks(adj)
         return self._chi[classes]
 
-    def first_members(self, classes, limit: int, *, canonical: bool = False) -> list[int]:
-        """The `limit` smallest masks whose class is among `classes`.
+    def first_members(self, classes, limit: int, *,
+                      canonical: bool = False) -> list[tuple[int, int]]:
+        """(class, mask) of the `limit` smallest masks whose class is among `classes`.
 
         Labelled, that is every member of each class; canonical, only the
         representatives. A representative is the smallest mask of its
         class, so only the `limit` classes with the smallest representatives
         can hold the answer.
         """
-        first = np.unique(np.asarray(classes, dtype=np.int64))[:limit]
+        first = np.unique(np.asarray(classes, dtype=np.int64))[:limit].tolist()
         if canonical:
-            return self.reps[first].tolist()
-        members = [self.orbit(c) for c in first.tolist()]
-        return np.sort(np.concatenate(members))[:limit].tolist() if members else []
+            return [(c, int(self.reps[c])) for c in first]
+        # nor can a class give more than its `limit` smallest members
+        members = sorted((mk, c) for c in first for mk in self.orbit(c)[:limit].tolist())
+        return [(c, mk) for mk, c in members[:limit]]
 
 
 @functools.cache

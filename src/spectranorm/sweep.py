@@ -9,9 +9,11 @@ formulas run on it (`check` runs the same definitions on a single subject).
 Labelled counts are sums of orbit sizes, and a row's examples are the first
 labelled graphs in mask order whose class it flags; a canonical sweep counts
 and lists the representatives alone. The equality examples kept are
-re-checked one graph at a time through `bounds.check_bound`, which adds the
-structural detector verdict; its spectrum and chromatic number come from the
-class table, so the re-check solves nothing.
+confirmed through `bounds.check_bound`, which adds the structural detector
+verdict, once per (row cell, class): the slack and the detectors read only
+class invariants, so the check runs on the class representative, with its
+spectrum and chromatic number taken from the table, and every example of
+that class gets its verdict.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class SweepRowSummary:
 
 
 def _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical) -> list[SweepRowSummary]:
-    """Every row on every class of order n, as one stack; examples are still masks."""
+    """Every row on every class of order n, as one stack; examples are (class, mask) pairs."""
     table = class_table(n)
     q = chunk_quantities(n, 0, 1 << pair_count(n), need_chi=True, canonical=True)
     classes, m = q["classes"], q["m"]
@@ -133,28 +135,23 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
     k_values = tuple(int(k) for k in k_values)
     rows = _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical)
 
-    # re-check the retained equality examples one graph at a time, with
-    # detectors; a graph's spectrum and chromatic number are its class's,
-    # read from the table, and a graph kept by several rows gets one context
+    # one context per class, on its representative, with the table's spectrum
+    # and chromatic number; the examples of a class share its verdict
     table = class_table(n)
     contexts: dict[int, bounds.SubjectContext] = {}
     for s in rows:
-        confirmed = []
-        for mask in s.equality_examples:
-            if mask not in contexts:
-                ctx = contexts[mask] = bounds.SubjectContext(Graph(n, mask))
-                c = np.array([table.index[mask]], dtype=np.int64)
-                ctx.eigs, ctx.chi = table.eigs[c], table.chi(c)
-            ctx = contexts[mask]
-            chk = bounds.check_bound(s.bound_id, ctx, tol_scale=tol_scale, **s.params)
-            confirmed.append({
-                "graph6": write_graph6(ctx.graph),
-                "slack": chk.slack,
-                "equality": chk.equality,
-                "witness": chk.equality_witness,
-            })
-        s.equality_examples = confirmed
-        s.violation_examples = [write_graph6(Graph(n, mk)) for mk in s.violation_examples]
+        verdicts = {}
+        for c in dict.fromkeys(c for c, _ in s.equality_examples):
+            if c not in contexts:
+                ctx = contexts[c] = bounds.SubjectContext(Graph(n, int(table.reps[c])))
+                one = np.array([c])
+                ctx.eigs, ctx.chi = table.eigs[one], table.chi(one)
+            chk = bounds.check_bound(s.bound_id, contexts[c], tol_scale=tol_scale, **s.params)
+            verdicts[c] = {"slack": chk.slack, "equality": chk.equality,
+                           "witness": chk.equality_witness}
+        s.equality_examples = [{"graph6": write_graph6(Graph(n, mask)), **verdicts[c]}
+                               for c, mask in s.equality_examples]
+        s.violation_examples = [write_graph6(Graph(n, mask)) for _, mask in s.violation_examples]
 
     return SweepReport(
         n=n,

@@ -28,6 +28,7 @@ from spectranorm.graphs import (
     pair_count,
     pair_index,
     pair_list,
+    parse_graph6,
     write_graph6,
 )
 from spectranorm.search import _graph6_order, extremal
@@ -185,6 +186,40 @@ def test_sweep_matches_labelled_reference(canonical):
                     assert row.min_slack is None, where
                 else:
                     assert abs(row.min_slack - cell["min_slack"]) <= 1e-12, where
+
+
+class _NoIndex:
+    def __getitem__(self, key):
+        raise AssertionError("the sweep read the labelled index")
+
+
+def test_sweep_never_reads_the_labelled_index(monkeypatch):
+    for n, p_values, k_values, canonical in ((6, P_GRID, K_GRID, False),
+                                             (5, (1.0,), (1,), True)):
+        monkeypatch.setattr(class_table(n), "index", _NoIndex())
+        report = run_sweep(n, p_values, k_values, canonical=canonical)
+        assert any(row.equality_examples for row in report.rows), n
+
+
+def test_sweep_confirms_once_per_cell_and_class(monkeypatch):
+    calls = []
+    check_bound = bounds.check_bound
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return check_bound(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "check_bound", counted)
+    report = run_sweep(6, P_GRID, K_GRID)
+    examples = [(cell, ex) for cell, row in enumerate(report.rows)
+                for ex in row.equality_examples]
+    masks = np.array([parse_graph6(ex["graph6"]).mask for _, ex in examples], dtype=np.int64)
+    classes = _relabelled(masks, 6).min(axis=0).tolist()
+    verdicts = {}
+    for (cell, ex), c in zip(examples, classes):
+        verdict = (ex["slack"], ex["equality"], ex["witness"])
+        assert verdicts.setdefault((cell, c), verdict) == verdict, (report.rows[cell].bound_id, c)
+    assert len(calls) == len(verdicts) < len(examples)
 
 
 def _reference_objectives(n: int, record) -> dict:
