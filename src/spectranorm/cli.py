@@ -42,8 +42,11 @@ def _emit_json(obj) -> None:
 
 
 def _emit_kv_csv(pairs) -> None:
+    """key,value rows; a list or tuple value is written as its items joined by `;`."""
     sys.stdout.write("key,value\n")
     for k, v in pairs:
+        if isinstance(v, (list, tuple)):
+            v = ";".join(map(_fmt, v))
         sys.stdout.write(f"{k},{v}\n")
 
 
@@ -235,9 +238,7 @@ def _cmd_random(args) -> int:
     if args.format == "json":
         _emit_json(stats.to_dict())
     elif args.format == "csv":
-        pairs = list(stats.to_dict().items())
-        _emit_kv_csv((k, v if not isinstance(v, list) else ";".join(map(_fmt, v)))
-                     for k, v in pairs)
+        _emit_kv_csv(stats.to_dict().items())
     else:
         print(f"G(n=1/2) experiment: n={stats.n} p={_fmt(stats.p)} "
               f"samples={stats.samples} seed={stats.seed}")
@@ -282,8 +283,7 @@ def _cmd_search(args) -> int:
         if args.format == "json":
             _emit_json(rep.to_dict())
         elif args.format == "csv":
-            _emit_kv_csv((k, v if not isinstance(v, (list, tuple)) else ";".join(map(str, v)))
-                         for k, v in rep.to_dict().items())
+            _emit_kv_csv(rep.to_dict().items())
         else:
             print(f"n={rep.n}: max spread={_fmt(rep.max_spread)} "
                   f"max kyfan2={_fmt(rep.max_kyfan2)} coincide={rep.maxima_coincide}")
@@ -304,8 +304,7 @@ def _cmd_search(args) -> int:
     if args.format == "json":
         _emit_json(record.to_dict())
     elif args.format == "csv":
-        _emit_kv_csv((k, v if not isinstance(v, (list, tuple)) else ";".join(map(str, v)))
-                     for k, v in record.to_dict().items())
+        _emit_kv_csv(record.to_dict().items())
     else:
         param_str = "" if record.param is None else f" param={_fmt(record.param)}"
         print(f"{record.objective} n={record.n}{param_str}: value={_fmt(record.value)}")

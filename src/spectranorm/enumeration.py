@@ -3,13 +3,15 @@
 Graphs of order n are identified with edge bitmasks 0 .. 2^C(n,2)-1 in the
 package's pair order. Everything the sweep and the searches read (spectra,
 edge counts, chromatic numbers) is a graph invariant, so each order gets one
-class table, built on first use and kept for the life of the process. It is
-made by orbit marking (Read, "Every one a winner", 1978): walk the masks in
-increasing order, take the smallest unmarked mask as the representative of a
-new class, and mark its orbit under all n! vertex relabellings. The table
-holds each class's representative (the smallest mask of its orbit, which is
-what `canonical` means), its weight (the orbit size n!/|Aut G|), and the
-class of every labelled mask. Spectra are solved once per class, as one stack
+class table, built on first use and kept for the life of the process. The
+classes are generated by vertex extension: every order-n graph is an order
+n-1 graph plus vertex n-1, whose n-1 pairs are the top pair bits, so adding
+each of the 2^(n-1) neighbourhoods to each order n-1 representative reaches
+every class. Each candidate's images under all n! vertex relabellings are
+one float64 matrix product (the masks stay below 2^28, so it is exact); the
+smallest image is its representative (what `canonical` means), and the
+number of relabellings that reach it is |Aut G|, so the class weight is the
+orbit size n!/|Aut G|. Spectra are solved once per class, as one stack
 through the eigensolver kernel (`eigen.symmetric_eigenvalues_batch`), and
 chromatic numbers once per class on first use.
 
@@ -21,6 +23,7 @@ that is 12,346 classes, few enough to evaluate as one stack.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import permutations
 from typing import Iterator
 
@@ -37,20 +40,12 @@ from .graphs import (
 )
 
 MAX_ENUM_ORDER = 8
-CHUNK_SIZE = 1 << 13  # labelled masks per range of `mask_ranges`
-_WINDOW = 1 << 12     # masks looked at per step when looking for an unmarked mask
+_BLOCK = 64  # candidates per image product (at order 8, 64 ran faster than 256)
 
 
 def _check_order(n: int) -> None:
     if n < 1 or n > MAX_ENUM_ORDER:
         raise TooLarge(f"exhaustive enumeration supports 1 <= n <= {MAX_ENUM_ORDER}")
-
-
-def mask_ranges(n: int) -> list[tuple[int, int]]:
-    """Fixed [lo, hi) mask ranges of CHUNK_SIZE labelled graphs covering order n."""
-    _check_order(n)
-    total = 1 << pair_count(n)
-    return [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
 
 
 def _perm_pair_maps(n: int) -> np.ndarray:
@@ -60,6 +55,41 @@ def _perm_pair_maps(n: int) -> np.ndarray:
     a, b = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     return hi * (hi - 1) // 2 + lo
+
+
+@functools.cache
+def _bit_images(n: int) -> np.ndarray:
+    """(C(n,2), n!) float64: the image of each pair bit under each relabelling."""
+    return np.left_shift(1, _perm_pair_maps(n)).T.astype(np.float64)
+
+
+def _images(masks: np.ndarray, n: int) -> np.ndarray:
+    """(B, n!) images of the masks under every relabelling, exact in float64."""
+    bits = (masks[:, None] >> np.arange(pair_count(n))) & 1
+    return bits.astype(np.float64) @ _bit_images(n)
+
+
+@functools.cache
+def _classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives (ascending) and orbit sizes of the order-n classes.
+
+    The candidates are every order n-1 representative with vertex n-1 added,
+    under each of its 2^(n-1) neighbourhoods (the top n-1 pair bits).
+    """
+    if n == 1:
+        return np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    top = np.arange(1 << (n - 1), dtype=np.int64) << pair_count(n - 1)
+    candidates = (_classes(n - 1)[0][:, None] | top).ravel()
+    least = np.empty(candidates.size)
+    aut = np.empty(candidates.size, dtype=np.int64)
+    for lo in range(0, candidates.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        images = _images(candidates[block], n)
+        least[block] = images.min(axis=1)
+        # the relabellings that reach the smallest image are a coset of Aut
+        aut[block] = np.count_nonzero(images == least[block, None], axis=1)
+    reps, first = np.unique(least.astype(np.int64), return_index=True)
+    return reps, math.factorial(n) // aut[first]
 
 
 def adjacency_batch(masks: np.ndarray, n: int) -> np.ndarray:
@@ -77,51 +107,29 @@ class ClassTable:
     """The isomorphism classes of the order-n graphs, numbered in representative order.
 
     `reps` are the representatives, ascending; `weights` the orbit sizes;
-    `index` the class of every labelled mask (int16, enough for the 12,346
-    classes of order 8, and 512 MB there), read only by the labelled path of
-    `chunk_quantities`; `eigs` and `sig` the descending eigenvalues and
-    singular values of each class, `m` its edge count. `first_members` gives
-    each example its class, so the sweep confirms a flagged class once, on
-    its representative, without reading `index`.
+    `eigs` and `sig` the descending eigenvalues and singular values of each
+    class, `m` its edge count. `first_members` gives each example its class,
+    so the sweep confirms a flagged class once, on its representative.
     """
 
     def __init__(self, n: int):
         self.n = n
-        total = 1 << pair_count(n)
-        # a pair bit's image under each relabelling; an orbit is the row sums
-        # over the representative's set bits
-        self._bit_images = np.left_shift(1, _perm_pair_maps(n))
-        self.index = np.full(total, -1, dtype=np.int16)
-        reps, weights = [], []
-        pos = 0
-        while pos < total:
-            free = np.flatnonzero(self.index[pos:pos + _WINDOW] < 0)
-            if free.size == 0:
-                pos += _WINDOW
-                continue
-            rep = pos + int(free[0])
-            images = self._images(rep)
-            self.index[images] = len(reps)
-            reps.append(rep)
-            # orbit-stabiliser: n! / |Aut|, Aut being the relabellings that fix rep
-            weights.append(images.size // np.count_nonzero(images == rep))
-            pos = rep + 1
-        self.reps = np.array(reps, dtype=np.int64)
-        self.weights = np.array(weights, dtype=np.int64)
-        self.eigs = symmetric_eigenvalues_batch(adjacency_batch(self.reps, n))
-        self.sig = np.sort(np.abs(self.eigs), axis=1)[:, ::-1]
+        self.reps, self.weights = _classes(n)
+        # row-major, so that a row sum adds in the same order on every reader
+        eigs = symmetric_eigenvalues_batch(adjacency_batch(self.reps, n))
+        self.eigs = np.ascontiguousarray(eigs)
+        self.sig = np.ascontiguousarray(np.sort(np.abs(eigs), axis=1)[:, ::-1])
         self.m = np.zeros(self.reps.size, dtype=np.int64)
         for t in range(pair_count(n)):
             self.m += (self.reps >> t) & 1
+        # every reader gets these arrays themselves, not copies
+        for shared in (self.reps, self.weights, self.eigs, self.sig, self.m):
+            shared.flags.writeable = False
         self._chi = np.zeros(self.reps.size, dtype=np.int64)  # 0: not solved yet
-
-    def _images(self, mask: int) -> np.ndarray:
-        bits = [t for t in range(self._bit_images.shape[1]) if mask >> t & 1]
-        return self._bit_images[:, bits].sum(axis=1)
 
     def orbit(self, c: int) -> np.ndarray:
         """Every labelled mask of class c, ascending."""
-        return np.unique(self._images(int(self.reps[c])))
+        return np.unique(_images(self.reps[c:c + 1], self.n)).astype(np.int64)
 
     def counts(self, canonical: bool = False) -> np.ndarray:
         """How many scanned graphs each class stands for: its orbit size, or 1 when canonical."""
@@ -166,35 +174,19 @@ def enumerate_graphs(n: int, canonical: bool = False) -> Iterator[Graph]:
     the smallest mask of its orbit, is yielded.
     """
     _check_order(n)
-    masks = class_table(n).reps.tolist() if canonical else range(1 << pair_count(n))
+    masks = _classes(n)[0].tolist() if canonical else range(1 << pair_count(n))
     for mask in masks:
         yield Graph(n, mask)
 
 
-def chunk_quantities(n: int, lo: int, hi: int, *, need_chi: bool = False,
-                     canonical: bool = False) -> dict:
-    """Spectra and invariants for every graph in one mask range, read from the class table.
+def chunk_quantities(n: int, *, need_chi: bool = False) -> dict:
+    """Spectra and invariants of every order-n class, in class order, from the class table.
 
-    Returns the masks (with canonical=True only the class representatives
-    among them), their `classes`, descending eigenvalues `eigs`, descending
-    singular values `sig`, edge counts `m`, and (optionally) chromatic
-    numbers `chi`.
+    Returns descending eigenvalues `eigs`, descending singular values `sig`,
+    edge counts `m`, and (optionally) chromatic numbers `chi`.
     """
     table = class_table(n)
-    if canonical:
-        first, last = np.searchsorted(table.reps, [lo, hi])
-        classes = np.arange(first, last, dtype=np.int64)
-        masks = table.reps[first:last]
-    else:
-        masks = np.arange(lo, hi, dtype=np.int64)
-        classes = table.index[lo:hi].astype(np.int64)
-    out = {
-        "masks": masks,
-        "classes": classes,
-        "eigs": table.eigs[classes],
-        "sig": table.sig[classes],
-        "m": table.m[classes],
-    }
+    out = {"eigs": table.eigs, "sig": table.sig, "m": table.m}
     if need_chi:
-        out["chi"] = table.chi(classes)
+        out["chi"] = table.chi(np.arange(table.reps.size))
     return out

@@ -75,14 +75,9 @@ def _objective_values(q: dict, n: int, objective: str, param) -> np.ndarray:
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def _table_quantities(n: int) -> dict:
-    """Spectra of every class of order n, in class order."""
-    return chunk_quantities(n, 0, 1 << pair_count(n), canonical=True)
-
-
 def _search_chunk(n: int, objective: str, param) -> np.ndarray:
     """The objective on every class of order n, in class order."""
-    return _objective_values(_table_quantities(n), n, objective, param)
+    return _objective_values(chunk_quantities(n), n, objective, param)
 
 
 def _graph6_order(masks: np.ndarray, n: int) -> np.ndarray:
@@ -192,7 +187,7 @@ def compare_spread_vs_f2(n: int) -> SpreadComparison:
     spread = extremal("SPREAD", n)
     xi2 = extremal("XI_K", n, 2 if n >= 2 else 1)
     # the per-graph identity: F2 = max(|mu_1| + |mu_2|, |mu_1| + |mu_n|)
-    q = _table_quantities(n)
+    q = chunk_quantities(n)
     eigs = np.abs(q["eigs"])
     f2 = q["sig"][:, : min(2, n)].sum(axis=1)
     alt = np.maximum(eigs[:, 0] + (eigs[:, 1] if n > 1 else 0.0), eigs[:, 0] + eigs[:, -1])

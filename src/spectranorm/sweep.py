@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds
 from .enumeration import chunk_quantities, class_table
-from .graphs import Graph, pair_count, write_graph6
+from .graphs import Graph, write_graph6
 
 _MAX_EXAMPLES = 8
 
@@ -68,15 +68,15 @@ class SweepRowSummary:
 def _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical) -> list[SweepRowSummary]:
     """Every row on every class of order n, as one stack; examples are (class, mask) pairs."""
     table = class_table(n)
-    q = chunk_quantities(n, 0, 1 << pair_count(n), need_chi=True, canonical=True)
-    classes, m = q["classes"], q["m"]
+    q = chunk_quantities(n, need_chi=True)
+    m = q["m"]
     weight = table.counts(canonical)
     scanned = int(weight.sum())
-    every = np.ones(classes.size, dtype=bool)
+    every = np.ones(m.size, dtype=bool)
     # a graph's adjacency matrix is square, 0/1 and nonnegative, with
     # |A|_1 = |A|_2^2 = 2m and |A|_inf = 1 unless it has no edge
     record = bounds.Quantities(
-        size=classes.size, n_rows=n, n_cols=n, sig=q["sig"], eigs=q["eigs"],
+        size=m.size, n_rows=n, n_cols=n, sig=q["sig"], eigs=q["eigs"],
         m=m, chi=q["chi"], ent1=2.0 * m, ent2_sq=2.0 * m,
         entinf=(m > 0).astype(float), is_graph=every, nonneg=every, zero_one=every,
     )
@@ -97,9 +97,9 @@ def _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical) -> list[
             s.min_slack = float(slack[app].min())
             s.equality_count = int(weight[eq].sum())
             # the examples are the first flagged graphs in mask order
-            s.equality_examples = table.first_members(classes[eq], _MAX_EXAMPLES,
+            s.equality_examples = table.first_members(np.flatnonzero(eq), _MAX_EXAMPLES,
                                                       canonical=canonical)
-            s.violation_examples = table.first_members(classes[viol], _MAX_EXAMPLES,
+            s.violation_examples = table.first_members(np.flatnonzero(viol), _MAX_EXAMPLES,
                                                        canonical=canonical)
     return rows
 

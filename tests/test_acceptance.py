@@ -17,7 +17,6 @@ from spectranorm.bounds import check_bound, detect_complete_multipartite
 from spectranorm.cli import main as cli_main
 from spectranorm.constructions import dft_matrix
 from spectranorm.eigen import hermitian_eigenvalues
-from spectranorm.enumeration import chunk_quantities, mask_ranges
 from spectranorm.graphs import (
     Graph,
     blow_up,
@@ -32,6 +31,8 @@ from spectranorm.graphs import (
 from spectranorm.norms import kyfan_norm, schatten_norm
 from spectranorm.search import extremal
 from spectranorm.sweep import run_sweep
+
+from test_marking import chunk_quantities, mask_ranges
 
 
 @contextmanager

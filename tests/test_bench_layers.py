@@ -30,3 +30,33 @@ def test_every_traced_boundary_resolves():
         if not hasattr(importlib.import_module(f"spectranorm.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_benchmark_layers_lie_on_the_call_path(monkeypatch):
+    # a wrapped name the program no longer calls would make its layer read 0
+    from spectranorm import enumeration, search, sweep
+
+    calls = []
+
+    def wrap(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((sweep, "chunk_quantities"), (search, "chunk_quantities"),
+                         (enumeration, "symmetric_eigenvalues_batch"),
+                         (enumeration, "chromatic_number_masks")):
+        wrap(module, name)
+    enumeration.class_table.cache_clear()  # a cold build solves the stack and chi
+    sweep.run_sweep(5)
+    search.extremal("MAX_ENERGY", 5)
+    assert set(calls) == {
+        "spectranorm.sweep.chunk_quantities",
+        "spectranorm.search.chunk_quantities",
+        "spectranorm.enumeration.symmetric_eigenvalues_batch",
+        "spectranorm.enumeration.chromatic_number_masks",
+    }

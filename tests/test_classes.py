@@ -15,10 +15,8 @@ import pytest
 from spectranorm import bounds
 from spectranorm.enumeration import (
     adjacency_batch,
-    chunk_quantities,
     class_table,
     enumerate_graphs,
-    mask_ranges,
     symmetric_eigenvalues_batch,
 )
 from spectranorm.graphs import (
@@ -33,6 +31,8 @@ from spectranorm.graphs import (
 )
 from spectranorm.search import _graph6_order, extremal
 from spectranorm.sweep import run_sweep
+
+from test_marking import chunk_quantities, mask_ranges, marking_classes
 
 A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]  # graphs on n unlabelled vertices, n = 0..7
 P_GRID = (1.0, 1.5, 2.0, 3.0)
@@ -58,7 +58,22 @@ def test_weights_sum_to_labelled_count_and_divide_n_factorial():
         table = class_table(n)
         assert int(table.weights.sum()) == 1 << pair_count(n)
         assert all(math.factorial(n) % int(w) == 0 for w in table.weights)
-        assert (table.index >= 0).all()
+
+
+def test_table_matches_orbit_marking():
+    for n in range(1, 8):
+        table = class_table(n)
+        reps, weights, _ = marking_classes(n)
+        assert np.array_equal(table.reps, reps), n
+        assert np.array_equal(table.weights, weights), n
+
+
+def test_weights_of_each_edge_count_sum_to_a_binomial():
+    # the labelled graphs with m edges are the C(C(n,2), m) choices of m pairs
+    for n in range(1, 8):
+        table = class_table(n)
+        for m in range(pair_count(n) + 1):
+            assert int(table.weights[table.m == m].sum()) == math.comb(pair_count(n), m), (n, m)
 
 
 def test_representative_is_its_orbit_minimum():
@@ -67,7 +82,8 @@ def test_representative_is_its_orbit_minimum():
         images = _relabelled(table.reps, n)
         assert (images.min(axis=0) == table.reps).all(), n
         # every image lies in the representative's class
-        assert (table.index[images] == np.arange(table.reps.size)).all(), n
+        for c in range(table.reps.size):
+            assert np.array_equal(table.orbit(c), np.unique(images[:, c])), (n, c)
         assert np.all(np.diff(table.reps) > 0)
 
 
@@ -186,19 +202,6 @@ def test_sweep_matches_labelled_reference(canonical):
                     assert row.min_slack is None, where
                 else:
                     assert abs(row.min_slack - cell["min_slack"]) <= 1e-12, where
-
-
-class _NoIndex:
-    def __getitem__(self, key):
-        raise AssertionError("the sweep read the labelled index")
-
-
-def test_sweep_never_reads_the_labelled_index(monkeypatch):
-    for n, p_values, k_values, canonical in ((6, P_GRID, K_GRID, False),
-                                             (5, (1.0,), (1,), True)):
-        monkeypatch.setattr(class_table(n), "index", _NoIndex())
-        report = run_sweep(n, p_values, k_values, canonical=canonical)
-        assert any(row.equality_examples for row in report.rows), n
 
 
 def test_sweep_confirms_once_per_cell_and_class(monkeypatch):

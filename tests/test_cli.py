@@ -158,6 +158,21 @@ def test_sweep_csv(capsys):
     assert header == "bound_id,params,evaluated,skipped,violations,min_slack,equality_count"
 
 
+def test_key_value_csv_joins_lists(capsys):
+    code, out = _run(capsys, "search", "--objective", "TAU_K", "--n", "2", "--k", "2",
+                     "--format", "csv")
+    assert code == 0
+    rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    assert rows["witnesses"] == "A?;A_" and rows["witness_count"] == "2"
+    code, out = _run(capsys, "random", "--n", "20", "--p", "1", "--samples", "2",
+                     "--seed", "3", "--format", "csv")
+    rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    payload = json.loads(_run(capsys, "random", "--n", "20", "--p", "1", "--samples", "2",
+                              "--seed", "3", "--format", "json")[1])
+    assert rows["values"] == ";".join(f"{v:.12g}" for v in payload["values"])
+    assert rows["mean"] == repr(payload["mean"])
+
+
 def test_random_determinism(capsys):
     code, out1 = _run(capsys, "random", "--n", "40", "--p", "1",
                       "--samples", "2", "--seed", "3", "--format", "json")

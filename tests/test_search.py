@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from spectranorm.bounds import run_registry
-from spectranorm.enumeration import chunk_quantities, enumerate_graphs, mask_ranges
+from spectranorm.enumeration import enumerate_graphs
 from spectranorm.errors import TooLarge
-from spectranorm.graphs import Graph, complete, pair_count, write_graph6
+from spectranorm.graphs import Graph, complete, write_graph6
 from spectranorm.search import compare_spread_vs_f2, extremal
 from spectranorm.sweep import run_sweep
+
+from test_marking import chunk_quantities
 
 
 def test_enumeration_counts():
@@ -171,9 +173,3 @@ def test_sweep_canonical_mode():
     assert rep.graphs_scanned == 11
     assert rep.total_violations == 0
 
-
-def test_mask_ranges_cover():
-    ranges = mask_ranges(5)
-    assert ranges[0][0] == 0 and ranges[-1][1] == 1 << pair_count(5)
-    for (a1, b1), (a2, _) in zip(ranges, ranges[1:]):
-        assert b1 == a2
