@@ -1,11 +1,12 @@
 """Registry of extremal norm bounds as checkable predicates.
 
-Each row is defined once, over a batch of B subjects of one shape and kind
-(a `Quantities` record): `applies` lists its preconditions in order, and
-`formula` gives both sides of the inequality as arrays over the batch.
-`check_bound` and `run_registry` run a row on one subject, as the lazy B = 1
-record `SubjectContext`; the exhaustive sweep runs the same rows on every
-class of an order at once. When a single subject's slack is inside
+Each row is defined once, over a record of B subjects of one shape and kind
+(its fields are documented on `SubjectContext`): `applies` lists its
+preconditions in order, and `formula` gives both sides of the inequality as
+arrays over the batch. `check_bound` and `run_registry` run rows on one
+subject, as the lazy B = 1 record `SubjectContext`; the exhaustive sweep
+runs the same rows on a class table (`enumeration.ClassTable`), the record
+of every class of an order at once. When a single subject's slack is inside
 tolerance, a structural equality detector runs on the subject itself.
 Registry ids are stable strings used by the CLI and the JSON report schema.
 
@@ -72,44 +73,27 @@ class BoundCheck:
         }
 
 
-@dataclass
-class Quantities:
-    """The invariants the rows read, for a batch of `size` subjects.
-
-    All subjects share the oriented shape `n_rows <= n_cols` and their kind.
-    Per-subject fields have a leading batch axis: descending singular values
-    `sig` (B, n_rows) and, for graphs, descending eigenvalues `eigs` (B, n),
-    edge counts `m` and chromatic numbers `chi`; the entrywise norms `ent1`
-    = |A|_1, `ent2_sq` = |A|_2^2 and `entinf` = |A|_inf; and the flags
-    `is_graph`, `nonneg` and `zero_one`.
-    """
-
-    size: int
-    n_rows: int
-    n_cols: int
-    sig: np.ndarray
-    eigs: np.ndarray
-    m: np.ndarray
-    chi: np.ndarray
-    ent1: np.ndarray
-    ent2_sq: np.ndarray
-    entinf: np.ndarray
-    is_graph: np.ndarray
-    nonneg: np.ndarray
-    zero_one: np.ndarray
-
-
 class SubjectContext:
-    """One graph or matrix as a B = 1 `Quantities` record, filled lazily.
+    """One graph or matrix as a record of the inputs the bound rows read.
 
-    Each field is computed on first use, so spectra and chi are only paid for
-    by rows that apply. The detectors read the subject itself through
+    A record holds `size` = B subjects of one kind and one oriented shape
+    `n_rows <= n_cols`. Its per-subject fields have a leading batch axis:
+    descending singular values `sig` (B, n_rows); for graphs, descending
+    eigenvalues `eigs` (B, n), edge counts `m` and chromatic numbers `chi`;
+    the entrywise norms `ent1` = |A|_1, `ent2_sq` = |A|_2^2 and `entinf` =
+    |A|_inf; and the flags `is_graph`, `nonneg` and `zero_one`. A class
+    table (`enumeration.ClassTable`) is the same record for every class of
+    an order.
+
+    Here B = 1, and each field is computed on first use, so spectra and chi
+    are only paid for by rows that apply; fields already computed elsewhere
+    are passed in `known`. The detectors read the subject itself through
     `graph`, `matrix` and `oriented`.
     """
 
     size = 1
 
-    def __init__(self, subject: Union[Graph, CMatrix]):
+    def __init__(self, subject: Union[Graph, CMatrix], **known: np.ndarray):
         if isinstance(subject, Graph):
             self.graph: Optional[Graph] = subject
         elif isinstance(subject, CMatrix):
@@ -117,6 +101,10 @@ class SubjectContext:
         else:
             raise TypeError(f"expected Graph or CMatrix, got {type(subject).__name__}")
         self._subject = subject
+        for name, value in known.items():
+            if not isinstance(getattr(SubjectContext, name, None), cached_property):
+                raise TypeError(f"{name!r} is not a field computed on first use")
+            setattr(self, name, value)  # where the cached property would store it
 
     @cached_property
     def matrix(self) -> CMatrix:
@@ -138,8 +126,10 @@ class SubjectContext:
     @cached_property
     def sig(self) -> np.ndarray:
         if self.graph is not None:
-            # a graph's adjacency matrix is symmetric: sigma_i = |mu_i|
-            return np.sort(np.abs(self.eigs), axis=1)[:, ::-1]
+            # a graph's adjacency matrix is symmetric: sigma_i = |mu_i|;
+            # contiguous, as in a class table, so that numpy takes the same
+            # loops for sigma^p and a row gets the table's numbers bit for bit
+            return np.ascontiguousarray(np.sort(np.abs(self.eigs), axis=1)[:, ::-1])
         return singular_values(self.matrix).values[None, :]
 
     @cached_property
@@ -864,6 +854,13 @@ def _check_one(row: BoundRow, ctx: SubjectContext, params: dict,
     )
 
 
+def _lookup(bound_id: str) -> BoundRow:
+    try:
+        return _ROWS[bound_id]
+    except KeyError:
+        raise UnknownBoundId(f"no bound with id {bound_id!r}") from None
+
+
 def check_bound(bound_id: str, subject, *, p: float = None, q: float = None,
                 k: int = None, tol_scale: float = 1.0) -> BoundCheck:
     """Evaluate one registry row; raises PreconditionFailed when not applicable.
@@ -871,10 +868,7 @@ def check_bound(bound_id: str, subject, *, p: float = None, q: float = None,
     `subject` is a Graph, a CMatrix or a `SubjectContext`; passing the same
     context to several calls computes its spectra and chi once.
     """
-    try:
-        row = _ROWS[bound_id]
-    except KeyError:
-        raise UnknownBoundId(f"no bound with id {bound_id!r}") from None
+    row = _lookup(bound_id)
     params = {}
     supplied = {"p": p, "q": q, "k": k}
     for name in row.takes:
@@ -901,16 +895,19 @@ def _param_grid(row: BoundRow, p_values, q_values, k_values) -> list[dict]:
     raise AssertionError(row.takes)
 
 
-def run_registry(subject, *, p_values=(1.0,), q_values=None, k_values=(1,),
-                 tol_scale: float = 1.0) -> list[BoundCheck]:
-    """Evaluate every registry row over the given parameter grid.
+def run_registry(subject, *, bound_ids=None, p_values=(1.0,), q_values=None,
+                 k_values=(1,), tol_scale: float = 1.0) -> list[BoundCheck]:
+    """Evaluate registry rows over the given parameter grid, all on one context.
 
-    Rows whose preconditions the subject (or a parameter combination) does
-    not meet are reported as skipped with the reason, never dropped.
+    `bound_ids` names the rows to run, in order (default: the whole
+    registry); an unknown id raises UnknownBoundId. Rows whose
+    preconditions the subject (or a parameter combination) does not meet
+    are reported as skipped with the reason, never dropped.
     """
+    rows = _ROWS.values() if bound_ids is None else [_lookup(b) for b in bound_ids]
     ctx = SubjectContext(subject)
     out = []
-    for row in _ROWS.values():
+    for row in rows:
         for params in _param_grid(row, p_values, q_values, k_values):
             _, reason = row.gate(ctx, params)
             if reason:

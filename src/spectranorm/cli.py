@@ -1,14 +1,13 @@
 """Command-line interface.
 
 Subcommands: norms | check | sweep | random | construct | search.
-Global flags (per subcommand): --format {text,json,csv}, --tol-scale, and
---threads, which is accepted for compatibility and has no effect: every
-subcommand runs in the calling process. --tol-scale multiplies the slack
-tolerance with which `check` and `sweep` decide whether a bound row holds
-and whether it is tight; the equality detectors ignore it, and so do
-`norms`, `random`, `construct` and `search`. Exit codes: 0 success, 1 failed
-check/violation, 2 usage or input error. Stdout carries no timing or host
-details, so identical inputs give byte-identical output.
+Every subcommand takes --format {text,json,csv}. `check` and `sweep` take
+--tol-scale, which multiplies the slack tolerance with which they decide
+whether a bound row holds and whether it is tight; the equality detectors
+ignore it. `sweep` and `search` accept --threads for compatibility; it has
+no effect, since every subcommand runs in the calling process. Exit codes:
+0 success, 1 failed check/violation, 2 usage or input error. Stdout carries
+no timing or host details, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import os
 import sys
 
 from .asymptotics import run_experiment
-from .bounds import BoundCheck, check_bound, registry_ids, run_registry
+from .bounds import registry_ids, run_registry
 from .constructions import all_ones, dft_matrix, sylvester_hadamard
 from .errors import PreconditionFailed, SpectranormError
 from .fileio import format_matrix_csv, load_subject
@@ -55,15 +54,17 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility; has no effect, every "
-                          "subcommand runs in one process")
+def _add_common(sub: argparse.ArgumentParser, *, tol_scale: bool = False,
+                threads: bool = False) -> None:
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--tol-scale", type=float, default=1.0,
-                     help="multiplier on the slack tolerance of check and sweep "
-                          "(holds / equality); detectors and the other "
-                          "subcommands ignore it")
+    if tol_scale:
+        sub.add_argument("--tol-scale", type=float, default=1.0,
+                         help="multiplier on the slack tolerance (holds / equality); "
+                              "the equality detectors ignore it")
+    if threads:
+        sub.add_argument("--threads", type=int, default=None,
+                         help="accepted for compatibility; has no effect, the scan "
+                              "runs in one process")
 
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--k", type=int, default=1)
-    _add_common(p)
+    _add_common(p, tol_scale=True)
 
     p = subs.add_parser("sweep", help="verify all bounds over all order-N graphs")
     p.add_argument("--n", type=int, required=True)
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, action="append")
     p.add_argument("--canonical", action="store_true",
                    help="scan only canonical isomorphism-class representatives")
-    _add_common(p)
+    _add_common(p, tol_scale=True, threads=True)
 
     p = subs.add_parser("random", help="Monte Carlo Schatten norms of G(n,1/2)")
     p.add_argument("--n", type=int, required=True)
@@ -122,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--canonical", action="store_true")
-    _add_common(p)
+    _add_common(p, threads=True)
 
     return parser
 
@@ -176,17 +177,8 @@ def _print_check_text(checks) -> None:
 
 def _cmd_check(args) -> int:
     subject = load_subject(_read_input(args.infile))
-    checks: list[BoundCheck] = []
-    if args.bound:
-        for bid in args.bound:
-            try:
-                checks.append(check_bound(bid, subject, p=args.p, q=args.q,
-                                          k=args.k, tol_scale=args.tol_scale))
-            except PreconditionFailed as exc:
-                checks.append(BoundCheck(bid, {}, skipped=True, skip_reason=str(exc)))
-    else:
-        checks = run_registry(subject, p_values=(args.p,), q_values=(args.q,),
-                              k_values=(args.k,), tol_scale=args.tol_scale)
+    checks = run_registry(subject, bound_ids=args.bound, p_values=(args.p,),
+                          q_values=(args.q,), k_values=(args.k,), tol_scale=args.tol_scale)
     if args.format == "json":
         _emit_json({"input": args.infile, "checks": [c.to_dict() for c in checks]})
     elif args.format == "csv":

@@ -393,10 +393,18 @@ def symmetric_eigenvalues_batch(mats: np.ndarray) -> np.ndarray:
 
     Each matrix is divided by its own max|a_ij| before the reduction and its
     eigenvalues are multiplied back, so every lane is right at its own scale.
-    Raises NotHermitian when a lane fails the relative symmetry check.
+    Raises NotHermitian when a lane fails the relative symmetry check, and
+    NoConvergence on a solver bug: the bisection step cap, or a lane whose
+    eigenvalue sum drifted from its trace.
     """
-    d, e, s = _scaled_tridiagonal(np.asarray(mats))
-    return _bisect(d, e)[:, ::-1] * s[:, None]
+    mats = np.asarray(mats)
+    d, e, s = _scaled_tridiagonal(mats)
+    vals = _bisect(d, e)[:, ::-1]
+    scale = np.where(s > 0.0, s, 1.0)[:, None]
+    trace = (np.diagonal(mats, axis1=1, axis2=2).real / scale).sum(axis=1)
+    if np.any(np.abs(vals.sum(axis=1) - trace) > _SPECTRUM_SUM_TOL * (1.0 + np.abs(trace))):
+        raise NoConvergence("eigenvalue sum drifted from the trace")
+    return vals * s[:, None]
 
 
 def _eigenvalues_of_hermitian_array(w: np.ndarray, extremes: bool = False) -> np.ndarray:
@@ -421,24 +429,16 @@ def _eigenvalues_of_hermitian_array(w: np.ndarray, extremes: bool = False) -> np
 def hermitian_eigenvalues(m: CMatrix) -> EigenSpectrum:
     """All eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
-    The stack kernel with B = 1, so equal to `symmetric_eigenvalues_batch`
-    on the one-matrix stack. Raises NotHermitian when the input is not
-    square or fails the symmetry check, and NoConvergence on a solver bug:
-    the bisection step cap, or an eigenvalue sum that drifted from the trace.
+    `symmetric_eigenvalues_batch` on the one-matrix stack. Raises
+    NotHermitian when the input is not square or fails the symmetry check,
+    and NoConvergence on a solver bug.
     """
     if not m.is_square():
         raise NotHermitian(f"matrix is {m.rows}x{m.cols}, not square")
     try:
-        d, e, s = _scaled_tridiagonal(m.data[None])
+        return EigenSpectrum(symmetric_eigenvalues_batch(m.data[None])[0])
     except NotHermitian:
         raise NotHermitian("matrix is not Hermitian within tolerance") from None
-    if s[0] == 0.0:
-        return EigenSpectrum(np.zeros(m.rows))
-    vals = _bisect(d, e)[0, ::-1]
-    trace = float((np.diagonal(m.data).real / s[0]).sum())
-    if abs(float(vals.sum()) - trace) > _SPECTRUM_SUM_TOL * (1.0 + abs(trace)):
-        raise NoConvergence("eigenvalue sum drifted from the trace")
-    return EigenSpectrum(vals * s[0])
 
 
 def singular_values(a: CMatrix) -> SingularSpectrum:

@@ -13,11 +13,14 @@ smallest image is its representative (what `canonical` means), and the
 number of relabellings that reach it is |Aut G|, so the class weight is the
 orbit size n!/|Aut G|. Spectra are solved once per class, as one stack
 through the eigensolver kernel (`eigen.symmetric_eigenvalues_batch`), and
-chromatic numbers once per class on first use.
+chromatic numbers for every class on first use.
 
-Labelled results are weighted sums over the classes. The sweep and the
-searches read the whole table at once, in the calling process; at order 8
-that is 12,346 classes, few enough to evaluate as one stack.
+A class table is also the bound rows' record for its classes (the fields
+are documented on `bounds.SubjectContext`), so the sweep runs the rows on
+the table itself and the searches read its spectra. Labelled results are
+weighted sums over the classes. The sweep and the searches read the whole
+table at once, in the calling process; at order 8 that is 12,346 classes,
+few enough to evaluate as one stack.
 """
 
 from __future__ import annotations
@@ -106,26 +109,43 @@ def adjacency_batch(masks: np.ndarray, n: int) -> np.ndarray:
 class ClassTable:
     """The isomorphism classes of the order-n graphs, numbered in representative order.
 
-    `reps` are the representatives, ascending; `weights` the orbit sizes;
-    `eigs` and `sig` the descending eigenvalues and singular values of each
-    class, `m` its edge count. `first_members` gives each example its class,
-    so the sweep confirms a flagged class once, on its representative.
+    `reps` are the representatives, ascending; `weights` the orbit sizes.
+    The rest is the bound rows' record of the classes, one per class in
+    this order (`bounds.SubjectContext` documents the fields): `eigs` and
+    `sig` are the descending eigenvalues and singular values, `m` the edge
+    count, `chi` the chromatic number, solved for every class on first use.
+    `first_members` gives each example its class, so the sweep confirms a
+    flagged class once, on its representative.
     """
 
     def __init__(self, n: int):
-        self.n = n
+        self.n = self.n_rows = self.n_cols = n
         self.reps, self.weights = _classes(n)
+        self.size = self.reps.size
         # row-major, so that a row sum adds in the same order on every reader
         eigs = symmetric_eigenvalues_batch(adjacency_batch(self.reps, n))
         self.eigs = np.ascontiguousarray(eigs)
         self.sig = np.ascontiguousarray(np.sort(np.abs(eigs), axis=1)[:, ::-1])
-        self.m = np.zeros(self.reps.size, dtype=np.int64)
+        self.m = np.zeros(self.size, dtype=np.int64)
         for t in range(pair_count(n)):
             self.m += (self.reps >> t) & 1
+        # an adjacency matrix is 0/1, so nonnegative, with |A|_1 = |A|_2^2 = 2m
+        # and |A|_inf = 1 unless it has no edge
+        self.ent1 = self.ent2_sq = 2.0 * self.m
+        self.entinf = (self.m > 0).astype(float)
+        self.is_graph = self.nonneg = self.zero_one = np.ones(self.size, dtype=bool)
         # every reader gets these arrays themselves, not copies
-        for shared in (self.reps, self.weights, self.eigs, self.sig, self.m):
+        for shared in (self.reps, self.weights, self.eigs, self.sig, self.m,
+                       self.ent1, self.entinf, self.is_graph):
             shared.flags.writeable = False
-        self._chi = np.zeros(self.reps.size, dtype=np.int64)  # 0: not solved yet
+
+    @functools.cached_property
+    def chi(self) -> np.ndarray:
+        pairs = pair_list(self.n)
+        chi = np.array([chromatic_number_masks(neighbor_masks_of(self.n, rep, pairs))
+                        for rep in self.reps.tolist()], dtype=np.int64)
+        chi.flags.writeable = False
+        return chi
 
     def orbit(self, c: int) -> np.ndarray:
         """Every labelled mask of class c, ascending."""
@@ -133,15 +153,7 @@ class ClassTable:
 
     def counts(self, canonical: bool = False) -> np.ndarray:
         """How many scanned graphs each class stands for: its orbit size, or 1 when canonical."""
-        return np.ones(self.reps.size, dtype=np.int64) if canonical else self.weights
-
-    def chi(self, classes: np.ndarray) -> np.ndarray:
-        """Chromatic numbers of the given classes, each solved on first use."""
-        pairs = pair_list(self.n)
-        for c in np.unique(classes[self._chi[classes] == 0]).tolist():
-            adj = neighbor_masks_of(self.n, int(self.reps[c]), pairs)
-            self._chi[c] = chromatic_number_masks(adj)
-        return self._chi[classes]
+        return np.ones(self.size, dtype=np.int64) if canonical else self.weights
 
     def first_members(self, classes, limit: int, *,
                       canonical: bool = False) -> list[tuple[int, int]]:
@@ -179,14 +191,6 @@ def enumerate_graphs(n: int, canonical: bool = False) -> Iterator[Graph]:
         yield Graph(n, mask)
 
 
-def chunk_quantities(n: int, *, need_chi: bool = False) -> dict:
-    """Spectra and invariants of every order-n class, in class order, from the class table.
-
-    Returns descending eigenvalues `eigs`, descending singular values `sig`,
-    edge counts `m`, and (optionally) chromatic numbers `chi`.
-    """
-    table = class_table(n)
-    out = {"eigs": table.eigs, "sig": table.sig, "m": table.m}
-    if need_chi:
-        out["chi"] = table.chi(np.arange(table.reps.size))
-    return out
+def chunk_quantities(n: int) -> ClassTable:
+    """The order-n class table: the bound rows' record of its classes and their spectra."""
+    return class_table(n)

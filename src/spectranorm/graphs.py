@@ -262,6 +262,8 @@ def paley(q: int) -> Graph:
 
 def with_isolated(g: Graph, t: int) -> Graph:
     """The same graph plus t extra isolated vertices."""
+    if not isinstance(g, Graph):
+        raise TypeError(f"the base must be a Graph, not {type(g).__name__}")
     if t < 0:
         raise BadFamilyParams("isolated vertex count must be >= 0")
     n = g.n + t

@@ -7,8 +7,8 @@ Objectives:
   MAX_ENERGY      max Schatten 1-norm
   MAX_SCHATTEN_P  max Schatten p-norm                  (needs p)
 
-Objectives are graph invariants, so the search evaluates the class
-representatives of the order's class table (`enumeration.class_table`), all
+Objectives are graph invariants, so the search evaluates them on the
+spectra of the order's class table (`enumeration.class_table`), every class
 at once and in the calling process, and keeps the classes within `_TIE_TOL`
 of the maximum. A labelled search counts every member of those classes and
 lists them in graph6 order, capped at 100; a canonical search counts and
@@ -56,9 +56,8 @@ class SearchRecord:
         }
 
 
-def _objective_values(q: dict, n: int, objective: str, param) -> np.ndarray:
-    sig = q["sig"]
-    eigs = q["eigs"]
+def _objective_values(table, objective: str, param) -> np.ndarray:
+    n, sig, eigs = table.n, table.sig, table.eigs
     if objective == "XI_K":
         k = min(int(param), n)
         return sig[:, :k].sum(axis=1)
@@ -77,7 +76,7 @@ def _objective_values(q: dict, n: int, objective: str, param) -> np.ndarray:
 
 def _search_chunk(n: int, objective: str, param) -> np.ndarray:
     """The objective on every class of order n, in class order."""
-    return _objective_values(chunk_quantities(n), n, objective, param)
+    return _objective_values(chunk_quantities(n), objective, param)
 
 
 def _graph6_order(masks: np.ndarray, n: int) -> np.ndarray:
@@ -187,9 +186,9 @@ def compare_spread_vs_f2(n: int) -> SpreadComparison:
     spread = extremal("SPREAD", n)
     xi2 = extremal("XI_K", n, 2 if n >= 2 else 1)
     # the per-graph identity: F2 = max(|mu_1| + |mu_2|, |mu_1| + |mu_n|)
-    q = chunk_quantities(n)
-    eigs = np.abs(q["eigs"])
-    f2 = q["sig"][:, : min(2, n)].sum(axis=1)
+    table = chunk_quantities(n)
+    eigs = np.abs(table.eigs)
+    f2 = table.sig[:, : min(2, n)].sum(axis=1)
     alt = np.maximum(eigs[:, 0] + (eigs[:, 1] if n > 1 else 0.0), eigs[:, 0] + eigs[:, -1])
     return SpreadComparison(
         n=n,

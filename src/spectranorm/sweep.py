@@ -1,11 +1,11 @@
 """Exhaustive bound verification over all order-n graphs.
 
 Runs every registry row on every graph of a given order. The rows only read
-graph invariants, so they run on the class representatives of the order's
-class table (`enumeration.class_table`), all at once and in the calling
-process: the table's spectra, edge counts and chromatic numbers fill one
-`bounds.Quantities` record, and the rows' own array-valued preconditions and
-formulas run on it (`check` runs the same definitions on a single subject).
+graph invariants, so they run on the isomorphism classes, all at once and in
+the calling process: the order's class table (`enumeration.class_table`) is
+itself the rows' record of its classes, and the rows' own array-valued
+preconditions and formulas run on it (`check` runs the same definitions on a
+single subject).
 Labelled counts are sums of orbit sizes, and a row's examples are the first
 labelled graphs in mask order whose class it flags; a canonical sweep counts
 and lists the representatives alone. The equality examples kept are
@@ -67,28 +67,18 @@ class SweepRowSummary:
 
 def _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical) -> list[SweepRowSummary]:
     """Every row on every class of order n, as one stack; examples are (class, mask) pairs."""
-    table = class_table(n)
-    q = chunk_quantities(n, need_chi=True)
-    m = q["m"]
+    table = chunk_quantities(n)
     weight = table.counts(canonical)
     scanned = int(weight.sum())
-    every = np.ones(m.size, dtype=bool)
-    # a graph's adjacency matrix is square, 0/1 and nonnegative, with
-    # |A|_1 = |A|_2^2 = 2m and |A|_inf = 1 unless it has no edge
-    record = bounds.Quantities(
-        size=m.size, n_rows=n, n_cols=n, sig=q["sig"], eigs=q["eigs"],
-        m=m, chi=q["chi"], ent1=2.0 * m, ent2_sq=2.0 * m,
-        entinf=(m > 0).astype(float), is_graph=every, nonneg=every, zero_one=every,
-    )
     rows = []
     for row in bounds._ROWS.values():
         for params in bounds._param_grid(row, p_values, q_values, k_values):
-            app, reason = row.gate(record, params)
+            app, reason = row.gate(table, params)
             s = SweepRowSummary(row.bound_id, params, skipped=scanned, skip_reason=reason)
             rows.append(s)
             if reason is not None:
                 continue
-            _, _, _, slack, holds, equal = row.evaluate(record, params, tol_scale)
+            _, _, _, slack, holds, equal = row.evaluate(table, params, tol_scale)
             viol = app & ~holds
             eq = app & equal
             s.evaluated = int(weight[app].sum())
@@ -143,9 +133,9 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
         verdicts = {}
         for c in dict.fromkeys(c for c, _ in s.equality_examples):
             if c not in contexts:
-                ctx = contexts[c] = bounds.SubjectContext(Graph(n, int(table.reps[c])))
-                one = np.array([c])
-                ctx.eigs, ctx.chi = table.eigs[one], table.chi(one)
+                one = slice(c, c + 1)
+                contexts[c] = bounds.SubjectContext(Graph(n, int(table.reps[c])),
+                                                    eigs=table.eigs[one], chi=table.chi[one])
             chk = bounds.check_bound(s.bound_id, contexts[c], tol_scale=tol_scale, **s.params)
             verdicts[c] = {"slack": chk.slack, "equality": chk.equality,
                            "witness": chk.equality_witness}

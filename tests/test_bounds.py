@@ -209,6 +209,26 @@ def test_matrix_rows_orient_wide():
         assert abs(a.lhs - b.lhs) < 1e-9 and abs(a.rhs - b.rhs) < 1e-9
 
 
+def test_run_registry_named_rows():
+    g = complete(4)
+    named = run_registry(g, bound_ids=["HOFFMAN", "MCCLELLAND", "HOFFMAN"])
+    assert [c.bound_id for c in named] == ["HOFFMAN", "MCCLELLAND", "HOFFMAN"]
+    whole = {c.bound_id: c for c in run_registry(g)}
+    assert named[0] == whole["HOFFMAN"] and named[1] == whole["MCCLELLAND"]
+    with pytest.raises(UnknownBoundId):
+        run_registry(g, bound_ids=["MCCLELLAND", "NO_SUCH_BOUND"])
+
+
+def test_subject_context_takes_known_fields():
+    from spectranorm.bounds import SubjectContext
+
+    chi = np.array([4])
+    ctx = SubjectContext(complete(4), chi=chi)
+    assert ctx.chi is chi
+    with pytest.raises(TypeError):
+        SubjectContext(complete(4), n_rows=4)  # derived, not computed on first use
+
+
 def test_preconditions_and_errors():
     with pytest.raises(UnknownBoundId):
         check_bound("NO_SUCH_BOUND", complete(3))

@@ -7,6 +7,7 @@ solver, and run the bound rows on them directly; the class-table
 """
 
 import math
+import types
 from itertools import permutations
 
 import numpy as np
@@ -148,7 +149,7 @@ def _reference_record(n: int, masks: np.ndarray):
     chi = np.array([chromatic_number_masks(neighbor_masks_of(n, int(mk), pairs))
                     for mk in masks], dtype=np.int64)
     every = np.ones(masks.size, dtype=bool)
-    return bounds.Quantities(
+    return types.SimpleNamespace(
         size=masks.size, n_rows=n, n_cols=n, eigs=eigs,
         sig=np.sort(np.abs(eigs), axis=1)[:, ::-1], m=m, chi=chi,
         ent1=2.0 * m, ent2_sq=2.0 * m, entinf=(m > 0).astype(float),
@@ -223,6 +224,41 @@ def test_sweep_confirms_once_per_cell_and_class(monkeypatch):
         verdict = (ex["slack"], ex["equality"], ex["witness"])
         assert verdicts.setdefault((cell, c), verdict) == verdict, (report.rows[cell].bound_id, c)
     assert len(calls) == len(verdicts) < len(examples)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("p_values, k_values", [((1.0,), (1,)), (P_GRID, K_GRID)])
+def test_rows_on_the_table_match_run_registry_per_class(p_values, k_values):
+    # the class table is the rows' record: each class gets, bit for bit, what
+    # the single-subject path gives its representative
+    for n in range(1, 6):
+        table = class_table(n)
+        per_class = [bounds.run_registry(Graph(n, rep), p_values=p_values, k_values=k_values)
+                     for rep in table.reps.tolist()]
+        cells = [(row, params) for row in bounds._ROWS.values()
+                 for params in bounds._param_grid(row, p_values, None, k_values)]
+        assert all(len(checks) == len(cells) for checks in per_class)
+        for i, (row, params) in enumerate(cells):
+            # a class's skip reason is its first failed precondition
+            reasons = [None] * table.size
+            for check in row.applies:
+                ok, reason = check(table, params)
+                for c in np.flatnonzero(~np.broadcast_to(ok, (table.size,))).tolist():
+                    reasons[c] = reasons[c] or reason
+            app, reason = row.gate(table, params)
+            if reason is None:
+                lhs, rhs, _, slack, holds, _ = row.evaluate(table, params, 1.0)
+            for c, checks in enumerate(per_class):
+                chk, where = checks[i], (n, c, row.bound_id, params)
+                assert (chk.bound_id, chk.params) == (row.bound_id, params), where
+                assert chk.skip_reason == reasons[c] and chk.skipped == (not app[c]), where
+                if app[c]:
+                    assert [_bits(chk.lhs), _bits(chk.rhs), _bits(chk.slack)] \
+                        == [_bits(lhs[c]), _bits(rhs[c]), _bits(slack[c])], where
+                    assert chk.holds == bool(holds[c]), where
 
 
 def _reference_objectives(n: int, record) -> dict:

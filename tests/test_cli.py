@@ -141,6 +141,63 @@ def test_check_paley29_chromatic_number(capsys, tmp_path):
     assert row["holds"] and not row["skipped"]
 
 
+def test_check_bound_solves_spectra_and_chi_once(capsys, tmp_path, monkeypatch):
+    from spectranorm import bounds
+    from spectranorm.graphs import paley, write_graph6
+
+    f = tmp_path / "p29.g6"
+    f.write_text(write_graph6(paley(29)) + "\n")
+    calls = []
+    for name in ("hermitian_eigenvalues", "chromatic_number"):
+        def counted(*args, _solve=getattr(bounds, name), _name=name):
+            calls.append(_name)
+            return _solve(*args)
+        monkeypatch.setattr(bounds, name, counted)
+    ids = ["SCHR_LOWER", "HOFFMAN", "KYFAN_CHROMATIC", "MCCLELLAND"]
+    argv = [arg for bid in ids for arg in ("--bound", bid)]
+    code, out = _run(capsys, "check", "--in", str(f), *argv, "--format", "json")
+    assert code == 0
+    assert [c["bound_id"] for c in json.loads(out)["checks"]] == ids
+    assert sorted(calls) == ["chromatic_number", "hermitian_eigenvalues"]
+
+
+def test_check_bound_skips_as_the_whole_registry_does(capsys, tmp_path):
+    f = tmp_path / "m.csv"
+    f.write_text("1,2\n0.5,3\n")
+    code, out = _run(capsys, "check", "--in", str(f), "--bound", "KYFAN_01",
+                     "--bound", "MCCLELLAND", "--format", "json")
+    assert code == 0
+    named = json.loads(out)["checks"]
+    code, out = _run(capsys, "check", "--in", str(f), "--format", "json")
+    whole = {c["bound_id"]: c for c in json.loads(out)["checks"]}
+    assert named == [whole["KYFAN_01"], whole["MCCLELLAND"]]
+    assert named[0]["params"] == {"k": 1}
+    assert named[0]["skip_reason"] == "matrix entries must all be 0 or 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("norms", "--in", "x.g6", "--threads", "1"),
+    ("check", "--in", "x.g6", "--threads", "1"),
+    ("random", "--n", "5", "--seed", "1", "--threads", "1"),
+    ("construct", "--family", "complete", "--params", "3", "--threads", "1"),
+    ("norms", "--in", "x.g6", "--tol-scale", "2"),
+    ("random", "--n", "5", "--seed", "1", "--tol-scale", "2"),
+    ("construct", "--family", "complete", "--params", "3", "--tol-scale", "2"),
+    ("search", "--objective", "SPREAD", "--n", "3", "--tol-scale", "2"),
+])
+def test_flags_that_do_nothing_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_check_keeps_tol_scale(capsys, tmp_path):
+    f = tmp_path / "k4.g6"
+    f.write_text("C~\n")
+    code, _ = _run(capsys, "check", "--in", str(f), "--tol-scale", "2")
+    assert code == 0
+
+
 def test_sweep_exit_codes(capsys):
     code, _ = _run(capsys, "sweep", "--n", "4", "--threads", "1")
     assert code == 0

@@ -53,6 +53,24 @@ def test_not_hermitian_messages():
         symmetric_eigenvalues_batch(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
 
 
+def test_trace_drift_raises_per_lane(monkeypatch):
+    # a solver bug that moves one lane's eigenvalues off its trace
+    bisect = eigen._bisect
+
+    def drifting(d, e, first=0):
+        out = bisect(d, e, first)
+        out[-1] += 1e-3  # the last lane only
+        return out
+
+    stack = np.stack([complete(3).adjacency_matrix().data.real] * 3)
+    symmetric_eigenvalues_batch(stack)
+    monkeypatch.setattr(eigen, "_bisect", drifting)
+    with pytest.raises(NoConvergence, match="drifted from the trace"):
+        symmetric_eigenvalues_batch(stack)
+    with pytest.raises(NoConvergence, match="drifted from the trace"):
+        hermitian_eigenvalues(complete(3).adjacency_matrix())
+
+
 @pytest.mark.parametrize("s", [1e-13, 1e-200])
 def test_not_hermitian_raises_at_small_scale(s):
     # the symmetry tolerance is relative to max|a_ij|, not absolute

@@ -145,6 +145,8 @@ def test_with_isolated():
     assert g.n == 5 and g.num_edges() == 3
     assert with_isolated(complete(3), 0) == complete(3)
     assert family("with_isolated", [complete(3), 2]) == g
+    with pytest.raises(BadFamilyParams):
+        family("with_isolated", [3, 2])  # the base is a graph, not an order
 
 
 def test_blow_up():

@@ -70,7 +70,7 @@ def chunk_quantities(n: int, lo: int, hi: int, *, need_chi: bool = False) -> dic
         "m": table.m[classes],
     }
     if need_chi:
-        out["chi"] = table.chi(classes)
+        out["chi"] = table.chi[classes]
     return out
 
 

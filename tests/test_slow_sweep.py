@@ -70,7 +70,7 @@ def test_order8_chi_against_the_plain_decision_scan():
     from spectranorm.graphs import _k_colorable, neighbor_masks_of, pair_list
 
     table = class_table(8)
-    chi = table.chi(np.arange(table.reps.size))
+    chi = table.chi[np.arange(table.reps.size)]
     pairs = pair_list(8)
     for c, rep in enumerate(table.reps.tolist()):
         adj = neighbor_masks_of(8, rep, pairs)
@@ -105,4 +105,4 @@ def test_order8_sweep_and_searches_on_the_whole_table():
     assert record.witness_count == 5040
     assert compare_spread_vs_f2(8).identity_max_gap < 1e-8
     # the sweep solved chi for every class in this process, and kept it
-    assert np.all(class_table(8)._chi > 0)
+    assert np.all(vars(class_table(8))["chi"] > 0)
