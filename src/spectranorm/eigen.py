@@ -10,13 +10,16 @@ top half of the spectrum of the zero-diagonal tridiagonal built from the
 bidiagonal. Both tridiagonals are solved on
 Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) by
 multisection, vectorized over all wanted eigenvalues at once: one pass over
-the rows counts at every node of a dyadic tree inside each bracket, and the
-nodes are bisection's own midpoints, so the result is bisection's bit for
-bit. The kernel takes a leading stack axis: `symmetric_eigenvalues_batch`
-reduces and bisects a (B, n, n) stack in one pass, each lane with its own
-scale, bracket and tolerance, and a single matrix is the case B = 1. No
-external eigensolver is used anywhere in the package: every norm ultimately
-reduces to this module.
+the rows counts at every node of a dyadic tree inside each distinct bracket,
+and the nodes are bisection's own midpoints, so the result is bisection's
+bit for bit. Brackets that are equal bit for bit (all of a lane's at the
+start, and a cluster of equal or not yet separated eigenvalues after) share
+one tree and its counts, so the tree depth follows from the number of
+distinct brackets, not of wanted eigenvalues. The kernel takes a leading
+stack axis: `symmetric_eigenvalues_batch` reduces and bisects a (B, n, n)
+stack in one pass, each lane with its own scale, bracket and tolerance, and
+a single matrix is the case B = 1. No external eigensolver is used anywhere
+in the package: every norm ultimately reduces to this module.
 
 Conventions:
   * eigenvalues are returned sorted nonincreasing,
@@ -46,9 +49,6 @@ _HERM_TOL = 1e-12
 _SPECTRUM_SUM_TOL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
-# Larger than any bracket width: the bracket update adds it to push a
-# bracket end out of a min or max.
-_HUGE = float(np.finfo(float).max)
 # Bisection halves every bracket each step (one replayed multisection level
 # is one step), so the Gershgorin width reaches 2 * eps * |T| in about 53
 # steps; the cap only catches a solver bug.
@@ -60,8 +60,9 @@ _ROW_BLOCK = 64
 # matrix takes one rank-2 * _PANEL update per panel.
 _PANEL = 32
 # W, the points per Sturm-count pass: multisection counts at up to W points
-# at once for m wanted eigenvalues, so a pass's temporaries hold at most
-# _ROW_BLOCK x max(W, m) doubles.
+# at once for the U distinct brackets of each of B lanes (U <= m, the wanted
+# eigenvalues), so a pass's temporaries hold at most _ROW_BLOCK x max(W, B m)
+# doubles.
 _MULTISECT_WIDTH = 512
 
 
@@ -289,10 +290,16 @@ def _bisect(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
     below every node of an L-level dyadic tree inside each bracket, and L
     bisection steps are then replayed from the stored counts. Each node is
     0.5 * (a + b) of the bracket bisection holds there, so the result is
-    bisection's, bit for bit. A zero pivot divides to an infinity of the
-    right sign and the count reads the sign bit, so -0 counts as negative
-    and no pivot needs a guard; only e_i^2 is kept off exact zero, where
-    0/0 would give NaN.
+    bisection's, bit for bit. Brackets that are equal bit for bit share one
+    tree: every bracket of a lane at the start, and every cluster of equal
+    or not yet separated eigenvalues after. A pass counts only the U
+    distinct brackets of each lane, at L = floor(log2(W / (B U) + 1))
+    levels, so a cluster of m equal eigenvalues costs the passes of one. A
+    lane is done at the first replayed depth where all its brackets are
+    within tolerance, and gives their midpoints there. A zero pivot divides
+    to an infinity of the right sign and the count reads the sign bit, so -0
+    counts as negative and no pivot needs a guard; only e_i^2 is kept off
+    exact zero, where 0/0 would give NaN.
     """
     dd, ee = np.atleast_2d(d, e)
     b, n = dd.shape
@@ -309,56 +316,85 @@ def _bisect(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
     # compress and take keep the lanes contiguous, where indexing would not
     d_live = np.take(dd.T, live, axis=-1)
     e2_live = np.take(np.maximum(ee * ee, np.finfo(float).tiny).T, live, axis=-1)
-    cols = np.arange(m)[:, None]
     rank = np.arange(first, n, dtype=np.min_scalar_type(n))[:, None]  # the counts' type
     # a pass never has more than max(W, B m) points (see L below)
     scratch = np.empty((min(n, _ROW_BLOCK) + 1) * max(_MULTISECT_WIDTH, m * live.size))
-    replay = 0  # bisection steps left to replay from the last count pass
+    steps = 0  # bisection steps taken by the live lanes
+    shared = m > 1  # whether some lane may still hold equal brackets
     with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(_BISECT_STEPS):
-            done = (hi - lo).max(axis=0) <= tol
-            if done.any():
-                out[:, live[done]] = np.sort(0.5 * (lo[:, done] + hi[:, done]), axis=0)
-                keep = ~done
-                live, tol, lo, hi, d_live, e2_live = (
-                    np.compress(keep, a, axis=-1) for a in (live, tol, lo, hi, d_live, e2_live))
-                if replay:
-                    count, node = (np.compress(keep, a, axis=-1) for a in (count, node))
-            if live.size == 0:
-                return out.T if d.ndim == 2 else out[:, 0]
-            mid = 0.5 * (lo + hi)
-            if replay == 0:
-                # L = floor(log2(W / (B m) + 1)) levels of 2^L - 1 nodes, so
-                # at most W points a pass while B m <= W, and plain bisection
-                # (L = 1) past that; the tree's nodes go in heap order (node j
-                # has children 2j+1 and 2j+2), built level by level from the
-                # grid of bracket ends, and its root is the midpoint
-                replay = max(1, (_MULTISECT_WIDTH // (live.size * m) + 1).bit_length() - 1)
-                nodes, grid = [mid[None]], (lo, hi)
-                for _ in range(1, replay):
-                    finer = np.empty((2 * len(grid) - 1,) + lo.shape)
-                    finer[0::2] = grid
-                    finer[1::2] = nodes[-1]
-                    grid = finer
-                    nodes.append(0.5 * (grid[:-1] + grid[1:]))
-                points = np.concatenate(nodes)
-                count = _sturm_counts(d_live, e2_live, points.reshape(-1, live.size), scratch)
-                count = count.reshape(points.shape)
-                node = np.zeros(lo.shape, dtype=np.intp)
-            # the node a bracket stands at is its midpoint, bit for bit; a
-            # one-level tree is its root alone
-            at_node = count[0] if len(count) == 1 else count[node, cols, np.arange(live.size)]
-            below = at_node > rank
-            # lo <= mid <= hi and mid + 0 = mid - 0 = mid (mid is never -0),
-            # so min and max select exactly; np.where's branches mispredict
-            # on these coin-flip masks and cost more
-            shift = below * _HUGE
-            hi = np.minimum(hi, mid + (_HUGE - shift))
-            lo = np.maximum(lo, mid - shift)
-            replay -= 1
-            if replay:
-                node = 2 * node + 2 - below
-    raise NoConvergence(f"bisection did not converge in {_BISECT_STEPS} steps (n={n})")
+        while live.size:
+            lanes = np.arange(live.size)
+            # every bracket of a lane is a node of one bisection tree, so its
+            # brackets are equal or disjoint, and equal ones are adjacent in
+            # rank: tree[r, b] numbers the U distinct brackets of lane b (a
+            # lane with fewer repeats its last), and they share one tree;
+            # brackets that have parted never meet again, so once every
+            # bracket is distinct each is its own tree
+            if shared:
+                tree = np.zeros(lo.shape, dtype=np.intp)
+                np.cumsum((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]), axis=0, out=tree[1:])
+                u = int(tree[-1].max()) + 1
+                shared = u < m
+            else:
+                u = m
+            # L = floor(log2(W / (B U) + 1)) levels of 2^L - 1 nodes, so at
+            # most W points a pass while B U <= W, and plain bisection (L = 1)
+            # past that
+            levels = min(max(1, (_MULTISECT_WIDTH // (live.size * u) + 1).bit_length() - 1),
+                         _BISECT_STEPS - 1 - steps)
+            if levels < 1:
+                raise NoConvergence(f"bisection did not converge in {_BISECT_STEPS} steps (n={n})")
+            # the tree is a grid of 2^L + 1 points: every 2^(L-t)-th is an
+            # end of a depth-t bracket, and the point halfway between two
+            # ends is that bracket's midpoint, 0.5 * (a + b) as bisection
+            # takes it; the 2^L - 1 inner points are the nodes
+            span = 1 << levels
+            grid = np.empty((span + 1, u, live.size))
+            if u < m:
+                for end, a in ((grid[0], lo), (grid[span], hi)):
+                    end[...] = a[-1]
+                    end[tree, lanes] = a
+                pos = tree * live.size + lanes
+            else:
+                grid[0], grid[span] = lo, hi
+                pos = np.arange(lo.size).reshape(lo.shape)
+            for t in range(levels):
+                step = span >> t
+                mid = grid[step // 2::step]
+                np.add(grid[:-step:step], grid[step::step], out=mid)
+                mid *= 0.5
+            count = _sturm_counts(d_live, e2_live, grid[1:-1].reshape(-1, live.size), scratch)
+            # replay the L steps on flat indices into the grid: pos is the
+            # lower end of each bracket, which stays put below the midpoint
+            # and moves to it above (count row i is grid row i + 1); at[t]
+            # holds it at depth t + 1
+            stride = u * live.size
+            count = count.reshape(-1)
+            at = np.empty((levels,) + lo.shape, dtype=np.intp)
+            for t in range(levels):
+                half = (span >> t + 1) * stride
+                above = count[pos + (half - stride)] <= rank
+                pos = np.add(pos, above * half, out=at[t])
+            grid = grid.reshape(-1)
+            widths = (span >> np.arange(1, levels + 1)) * stride
+            lo, hi = grid[at], grid[at + widths[:, None, None]]
+            # a lane is done at the first depth where all its brackets are
+            # within tol, and its eigenvalues are their midpoints there; depth
+            # 0 was the last pass's depth L, or the first bracket, wider than
+            # 2 tol
+            wide = (hi - lo).max(axis=1) > tol
+            keep = wide.all(axis=0)
+            if keep.all():
+                lo, hi = lo[-1], hi[-1]
+            else:
+                done = ~keep
+                t, k = wide[:, done].argmin(axis=0), lanes[done]
+                out[:, live[done]] = np.sort(0.5 * (lo[t, :, k] + hi[t, :, k]), axis=1).T
+                live, tol, d_live, e2_live, lo, hi = (
+                    np.compress(keep, a, axis=-1)
+                    for a in (live, tol, d_live, e2_live, lo[-1], hi[-1]))
+            steps += levels
+    return out.T if d.ndim == 2 else out[:, 0]
 
 
 def _max_modulus(a: np.ndarray) -> float:

@@ -179,6 +179,17 @@ def class_table(n: int) -> ClassTable:
     return ClassTable(n)
 
 
+def clear_class_tables() -> None:
+    """Forget every class table and the classes and relabellings behind them.
+
+    The next `class_table(n)` is then a cold build: it generates the classes
+    again, as well as solving their spectra and chi.
+    """
+    class_table.cache_clear()
+    _classes.cache_clear()
+    _bit_images.cache_clear()
+
+
 def enumerate_graphs(n: int, canonical: bool = False) -> Iterator[Graph]:
     """All labeled graphs of order n in increasing bitmask order.
 

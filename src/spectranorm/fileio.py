@@ -1,13 +1,19 @@
 """Input parsing and serialization: matrix CSV, edge lists, graph6 autodetect.
 
 Matrix files are CSV with cells that are real (`a`) or complex
-(`a+bi` / `a-bi`) literals. Graph files are either a graph6 string or an
-edge list (first line the order, then one `u v` pair per line); the two are
-told apart by content, never by a flag.
+(`a+bi` / `a-bi`) literals. A file of plain literals (digits, a point and an
+exponent, rows of equal length, `\n` line ends), which is what
+`format_matrix_csv` writes, is converted in bulk by `complex()`; every other
+file is parsed cell by cell, which accepts more (spaces, `nan`, `inf`, an
+`I` suffix, blank lines) and gives the errors. Both give the same values, bit
+for bit. Graph files are either a graph6 string or an edge list (first line
+the order, then one `u v` pair per line); the two are told apart by content,
+never by a flag.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 import numpy as np
@@ -44,8 +50,47 @@ def parse_complex_literal(cell: str) -> complex:
         raise BadComplexLiteral(f"cannot parse literal {cell!r}") from None
 
 
+# One plain literal: optional sign, digits with at most one point, an optional
+# exponent; a complex cell adds a signed one of those and `i`. `complex()`
+# reads exactly these the way `parse_complex_literal` does, once `i` is `j`.
+# A cell never holds `,` or a line end, so a match never needs to give a cell
+# or a row back: the atomic groups and possessive repeats keep no backtracking
+# state, which would otherwise grow with the file.
+_UNSIGNED = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_CELL = rf"(?>[+-]?{_UNSIGNED}(?:[+-]{_UNSIGNED}i)?)"
+_ROW = rf"{_CELL}(?:,{_CELL})*+"
+_PLAIN_FILE = re.compile(rf"{_ROW}(?:\n{_ROW})*+\n?")
+
+
+def _parse_plain(text: str) -> CMatrix | None:
+    """The matrix of a file of plain literals in equal rows, or None for any other file."""
+    if not _PLAIN_FILE.fullmatch(text):
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    values = np.empty((len(lines), lines[0].count(",") + 1), dtype=np.complex128)
+    for row, line in zip(values, lines):
+        cells = line.replace("i", "j").split(",")
+        if len(cells) != row.size:
+            return None
+        row[:] = list(map(complex, cells))
+    return CMatrix.from_array(values)
+
+
 def parse_matrix_file(text: str) -> CMatrix:
-    """CSV of real/complex literals with uniform row lengths."""
+    """CSV of real/complex literals with uniform row lengths.
+
+    A file of plain literals is converted in bulk; any other goes cell by
+    cell through `parse_complex_literal`, which gives the same values and
+    raises the errors.
+    """
+    plain = _parse_plain(text)
+    return plain if plain is not None else _parse_cells(text)
+
+
+def _parse_cells(text: str) -> CMatrix:
+    """Any matrix file, one `parse_complex_literal` call a cell."""
     rows = []
     for line in text.splitlines():
         if not line.strip():

@@ -51,7 +51,7 @@ def test_benchmark_layers_lie_on_the_call_path(monkeypatch):
                          (enumeration, "symmetric_eigenvalues_batch"),
                          (enumeration, "chromatic_number_masks")):
         wrap(module, name)
-    enumeration.class_table.cache_clear()  # a cold build solves the stack and chi
+    enumeration.clear_class_tables()  # a cold build solves the stack and chi
     sweep.run_sweep(5)
     search.extremal("MAX_ENERGY", 5)
     assert set(calls) == {

@@ -54,6 +54,28 @@ def test_class_counts_match_oeis():
         assert class_table(n).reps.size == A000088[n], n
 
 
+def test_clear_class_tables_makes_the_next_build_cold(monkeypatch):
+    from spectranorm import enumeration
+
+    before = class_table(5)
+    products = []
+    images = enumeration._images
+
+    def counted(masks, n):
+        products.append(n)
+        return images(masks, n)
+
+    monkeypatch.setattr(enumeration, "_images", counted)
+    class_table.cache_clear()
+    assert class_table(5) is not before
+    assert products == []  # the table alone was rebuilt, on cached classes
+    enumeration.clear_class_tables()
+    again = class_table(5)
+    assert sorted(set(products)) == [2, 3, 4, 5]  # every order below was generated again
+    assert np.array_equal(again.reps, before.reps)
+    assert np.array_equal(again.weights, before.weights)
+
+
 def test_weights_sum_to_labelled_count_and_divide_n_factorial():
     for n in range(1, 8):
         table = class_table(n)

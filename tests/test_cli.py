@@ -396,6 +396,73 @@ def test_matrix_csv_roundtrip():
     assert np.array_equal(again.data, m.data)
 
 
+def _parse_outcome(parse, text):
+    """The matrix's bits, or the exception's type and message."""
+    import numpy as np
+
+    try:
+        data = parse(text).data
+    except (ValueError, BadComplexLiteral, RaggedRows) as exc:
+        return type(exc), str(exc)
+    return data.shape, np.ascontiguousarray(data).view(np.uint64).tobytes()
+
+
+def _seeded_matrix(seed, shape, complex_entries):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 1e16])
+
+    def part():
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        a.flat[rng.permutation(a.size)[:special.size]] = special
+        return a
+
+    a = np.zeros(shape, dtype=complex)
+    a.real = part()  # set apart, so that signed zeros survive
+    if complex_entries:
+        a.imag = part()
+    return CMatrix.from_array(a)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_plain_parse_equals_cell_parse_bit_for_bit(seed):
+    # format_matrix_csv writes what the bulk path reads: repr floats, `a+bi`
+    from spectranorm.fileio import _parse_cells, _parse_plain
+
+    m = _seeded_matrix(seed, (2 + seed, 12 - seed), complex_entries=seed % 2 == 0)
+    text = format_matrix_csv(m)
+    assert "-0.0" in text and "e-324" in text and "e+308" in text
+    assert _parse_plain(text) is not None  # the bulk path read it
+    assert _parse_outcome(parse_matrix_file, text) == _parse_outcome(_parse_cells, text)
+
+
+@pytest.mark.parametrize("text", [
+    "0,1,-1\n1,0,2\n-0,3,-7\n", "1,2\n3,4", "+1.,.5,-.5e-3+2.e+1i\n1E5,1e05-0i,-0-0i\n",
+    "1e400,1\n", "1,-1e400\n", "1,2+1e400i\n", "1e-400,-1e-400-1e-400i\n",
+])
+def test_plain_files_take_the_bulk_path_and_agree(text):
+    from spectranorm.fileio import _parse_cells, _parse_plain
+
+    if "e400" not in text:  # 1e400 reads as inf, which both paths then reject
+        assert _parse_plain(text) is not None
+    assert _parse_outcome(parse_matrix_file, text) == _parse_outcome(_parse_cells, text)
+
+
+@pytest.mark.parametrize("text", [
+    "1, 2\n3,4\n", " 1,2\n3,4\n", "1,2 \n", "nan,1\n", "1,nan\n", "inf,1\n", "-inf,1\n",
+    "1+nani\n", "1_0,2\n", "2i\n", "1,2i\n", "1+i\n", "+i\n", "i\n", "1,2,\n", ",1\n", "1,,2\n",
+    "1,2\n3\n", "1\n2,3\n", "1,2\n3,4,5\n", "1,2\n3,x\n", "1,2I\n", "1,2\n\n3,4\n",
+    "1,2\r\n3,4\r\n", "\n1,2\n", "1,2\n\n", "", "\n", "1,2\n3,nan\n", "1e,2\n", "1e+,2\n",
+    "1..2,3\n", "--1,2\n", "1+2j\n", "(1+2i)\n", "1,2\n3,1_0\n", "1,2\n3, 4\n",
+])
+def test_non_plain_files_agree_with_the_cell_parser(text):
+    from spectranorm.fileio import _parse_cells, _parse_plain
+
+    assert _parse_plain(text) is None
+    assert _parse_outcome(parse_matrix_file, text) == _parse_outcome(_parse_cells, text)
+
+
 def test_load_subject_detection(tmp_path):
     assert isinstance(load_subject("C~"), Graph)
     g = load_subject("3\n0 1\n1 2\n")

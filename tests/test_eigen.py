@@ -427,6 +427,32 @@ def test_stacked_bisect_equals_each_lane_alone(monkeypatch, n, width):
     assert not eigen._bisect(d, e)[-1].any()
 
 
+def test_equal_brackets_share_one_tree(monkeypatch):
+    from spectranorm.constructions import sylvester_hadamard
+    from spectranorm.enumeration import adjacency_batch, class_table
+
+    points = []  # points counted, one entry a Sturm-count pass
+    sturm_counts = eigen._sturm_counts
+
+    def counted(d, e2, x, scratch):
+        points.append(x.size)
+        return sturm_counts(d, e2, x, scratch)
+
+    monkeypatch.setattr(eigen, "_sturm_counts", counted)
+    # all 16 singular values of H_16 are 4, so their brackets stay equal and
+    # one 9-level tree (511 points) serves them all: about 53 steps in 6
+    # passes, where 16 trees of 5 levels would take 11
+    d, e = _golub_kahan(sylvester_hadamard(16).data.real)
+    eigen._bisect(d, e, 16)
+    assert len(points) <= 6
+    points.clear()
+    reps = class_table(7).reps
+    eigen.symmetric_eigenvalues_batch(adjacency_batch(reps, 7))
+    # each lane's 7 brackets start equal, so the first pass counts one point
+    # a lane with an edge, not 7
+    assert points[0] == reps.size - 1 < reps.size * 7
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_class_table_spectra_against_eigvalsh(n):
     from spectranorm.enumeration import adjacency_batch, class_table
