@@ -329,7 +329,9 @@ def _bisect(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
             # rank: tree[r, b] numbers the U distinct brackets of lane b (a
             # lane with fewer repeats its last), and they share one tree;
             # brackets that have parted never meet again, so once every
-            # bracket is distinct each is its own tree
+            # bracket is distinct each is its own tree, with no grouping or
+            # scatter (on a class-table stack some lane's m brackets part
+            # within a few passes: at order 7, 49 of the 53 passes skip both)
             if shared:
                 tree = np.zeros(lo.shape, dtype=np.intp)
                 np.cumsum((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]), axis=0, out=tree[1:])

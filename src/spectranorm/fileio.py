@@ -53,24 +53,27 @@ def parse_complex_literal(cell: str) -> complex:
 # One plain literal: optional sign, digits with at most one point, an optional
 # exponent; a complex cell adds a signed one of those and `i`. `complex()`
 # reads exactly these the way `parse_complex_literal` does, once `i` is `j`.
-# A cell never holds `,` or a line end, so a match never needs to give a cell
-# or a row back: the atomic groups and possessive repeats keep no backtracking
-# state, which would otherwise grow with the file.
-_UNSIGNED = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_CELL = rf"(?>[+-]?{_UNSIGNED}(?:[+-]{_UNSIGNED}i)?)"
-_ROW = rf"{_CELL}(?:,{_CELL})*+"
-_PLAIN_FILE = re.compile(rf"{_ROW}(?:\n{_ROW})*+\n?")
+# The pattern is matched one line at a time and reads a line in one way only
+# (a point and an exponent each come at most once, and a cell ends only at `,`
+# or the line end), so a failed match backtracks within a cell, not across the
+# line. Optional parts are written `(?:x|)`, which `re` runs as a branch,
+# cheaper than a repeat `(?:x)?`.
+_UNSIGNED = r"(?:[0-9]+(?:\.[0-9]*|)|\.[0-9]+)(?:[eE][+-]?[0-9]+|)"
+_CELL = rf"[+-]?{_UNSIGNED}(?:[+-]{_UNSIGNED}i|)"
+_PLAIN_ROW = re.compile(rf"{_CELL}(?:,{_CELL})*")
 
 
 def _parse_plain(text: str) -> CMatrix | None:
     """The matrix of a file of plain literals in equal rows, or None for any other file."""
-    if not _PLAIN_FILE.fullmatch(text):
-        return None
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
+    if not lines:
+        return None
     values = np.empty((len(lines), lines[0].count(",") + 1), dtype=np.complex128)
     for row, line in zip(values, lines):
+        if not _PLAIN_ROW.fullmatch(line):
+            return None
         cells = line.replace("i", "j").split(",")
         if len(cells) != row.size:
             return None

@@ -455,12 +455,23 @@ def test_plain_files_take_the_bulk_path_and_agree(text):
     "1,2\n3\n", "1\n2,3\n", "1,2\n3,4,5\n", "1,2\n3,x\n", "1,2I\n", "1,2\n\n3,4\n",
     "1,2\r\n3,4\r\n", "\n1,2\n", "1,2\n\n", "", "\n", "1,2\n3,nan\n", "1e,2\n", "1e+,2\n",
     "1..2,3\n", "--1,2\n", "1+2j\n", "(1+2i)\n", "1,2\n3,1_0\n", "1,2\n3, 4\n",
+    "1234567890," * 40 + "x\n", "1.5e3-2.5e-4i," * 40 + "1e5e5\n",
 ])
 def test_non_plain_files_agree_with_the_cell_parser(text):
     from spectranorm.fileio import _parse_cells, _parse_plain
 
     assert _parse_plain(text) is None
     assert _parse_outcome(parse_matrix_file, text) == _parse_outcome(_parse_cells, text)
+
+
+def test_plain_row_pattern_compiles_on_python_3_10():
+    # atomic groups `(?>...)` and possessive repeats (`*+`, `++`, `?+`, `{m,n}+`)
+    # need Python 3.11, and the package supports 3.10
+    import re
+
+    from spectranorm.fileio import _PLAIN_ROW
+
+    assert not re.search(r"\(\?>|[*+?}]\+", _PLAIN_ROW.pattern)
 
 
 def test_load_subject_detection(tmp_path):
