@@ -254,25 +254,42 @@ def test_search_cli_and_threads(capsys):
 
 
 def test_json_schemas_pinned(capsys, tmp_path):
+    # keys and their order, for every JSON payload built from a result record
     code, out = _run(capsys, "search", "--objective", "MAX_ENERGY", "--n", "4",
                      "--format", "json")
-    assert set(json.loads(out)) == {"objective", "n", "param", "value",
-                                    "witnesses", "witness_count",
-                                    "graphs_scanned", "notes"}
+    assert list(json.loads(out)) == ["objective", "n", "param", "value",
+                                     "witnesses", "witness_count",
+                                     "graphs_scanned", "notes"]
+    code, out = _run(capsys, "search", "--objective", "SPREAD_VS_F2", "--n", "4",
+                     "--format", "json")
+    assert list(json.loads(out)) == ["n", "max_spread", "max_kyfan2",
+                                     "spread_witnesses", "kyfan2_witnesses",
+                                     "maxima_coincide", "identity_max_gap",
+                                     "graphs_scanned"]
     code, out = _run(capsys, "random", "--n", "30", "--p", "2", "--samples",
                      "1", "--seed", "1", "--format", "json")
-    assert set(json.loads(out)) == {"n", "p", "samples", "seed", "values",
-                                    "mean", "stdev", "normalized",
-                                    "sigma1_over_n", "sigma2_over_sqrt_n"}
+    assert list(json.loads(out)) == ["n", "p", "samples", "seed", "values",
+                                     "mean", "stdev", "normalized",
+                                     "sigma1_over_n", "sigma2_over_sqrt_n"]
     code, out = _run(capsys, "sweep", "--n", "3", "--format", "json")
     payload = json.loads(out)
-    assert set(payload) == {"n", "p_values", "k_values", "tol_scale",
-                            "canonical", "graphs_scanned", "total_violations",
-                            "rows"}
-    assert set(payload["rows"][0]) == {"bound_id", "params", "evaluated",
-                                       "skipped", "violations", "min_slack",
-                                       "equality_count", "equality_examples",
-                                       "violation_examples", "skip_reason"}
+    assert list(payload) == ["n", "p_values", "k_values", "tol_scale",
+                             "canonical", "graphs_scanned", "total_violations",
+                             "rows"]
+    for row in payload["rows"]:
+        assert list(row) == ["bound_id", "params", "evaluated",
+                             "skipped", "violations", "min_slack",
+                             "equality_count", "equality_examples",
+                             "violation_examples", "skip_reason"]
+    f = tmp_path / "k4.g6"
+    f.write_text("C~\n")
+    code, out = _run(capsys, "check", "--in", str(f), "--format", "json")
+    payload = json.loads(out)
+    assert list(payload) == ["input", "checks"]
+    for chk in payload["checks"]:
+        assert list(chk) == ["bound_id", "params", "lhs", "rhs", "slack", "holds",
+                             "equality", "equality_witness", "notes", "skipped",
+                             "skip_reason"]
 
 
 def test_search_spread_vs_f2(capsys):
@@ -472,6 +489,20 @@ def test_plain_row_pattern_compiles_on_python_3_10():
     from spectranorm.fileio import _PLAIN_ROW
 
     assert not re.search(r"\(\?>|[*+?}]\+", _PLAIN_ROW.pattern)
+
+
+def test_package_parses_as_python_3_10():
+    # grammar only (such as `except*`); regex syntax and newer stdlib calls
+    # are not covered here
+    import ast
+    import pathlib
+
+    import spectranorm
+
+    modules = sorted(pathlib.Path(spectranorm.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_load_subject_detection(tmp_path):
