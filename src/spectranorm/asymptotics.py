@@ -154,20 +154,6 @@ class ExperimentStats:
     sigma1_over_n: tuple[float, ...]
     sigma2_over_sqrt_n: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "samples": self.samples,
-            "seed": self.seed,
-            "values": list(self.values),
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "normalized": self.normalized,
-            "sigma1_over_n": list(self.sigma1_over_n),
-            "sigma2_over_sqrt_n": list(self.sigma2_over_sqrt_n),
-        }
-
 
 def run_experiment(n: int, p: float, samples: int, seed: int) -> ExperimentStats:
     """Sample G(n, 1/2) and measure ||.||_Sp against its predicted value.

@@ -57,21 +57,6 @@ class BoundCheck:
     skipped: bool = False
     skip_reason: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-            "equality": self.equality,
-            "equality_witness": self.equality_witness,
-            "notes": self.notes,
-            "skipped": self.skipped,
-            "skip_reason": self.skip_reason,
-        }
-
 
 class SubjectContext:
     """One graph or matrix as a record of the inputs the bound rows read.

@@ -37,6 +37,8 @@ def _fmt(x) -> str:
 
 
 def _emit_json(obj) -> None:
+    """A result record goes in as `vars(record)`: its dataclass fields, in
+    declaration order, are the payload's keys, and tuples come out as lists."""
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
@@ -180,7 +182,7 @@ def _cmd_check(args) -> int:
     checks = run_registry(subject, bound_ids=args.bound, p_values=(args.p,),
                           q_values=(args.q,), k_values=(args.k,), tol_scale=args.tol_scale)
     if args.format == "json":
-        _emit_json({"input": args.infile, "checks": [c.to_dict() for c in checks]})
+        _emit_json({"input": args.infile, "checks": [vars(c) for c in checks]})
     elif args.format == "csv":
         sys.stdout.write("bound_id,params,lhs,rhs,slack,holds,equality,skipped,skip_reason\n")
         for c in checks:
@@ -199,7 +201,7 @@ def _cmd_sweep(args) -> int:
     report = run_sweep(args.n, p_values, k_values, tol_scale=args.tol_scale,
                        canonical=args.canonical)
     if args.format == "json":
-        _emit_json(report.to_dict())
+        _emit_json({**vars(report), "rows": [vars(r) for r in report.rows]})
     elif args.format == "csv":
         sys.stdout.write("bound_id,params,evaluated,skipped,violations,"
                          "min_slack,equality_count\n")
@@ -228,9 +230,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_random(args) -> int:
     stats = run_experiment(args.n, args.p, args.samples, args.seed)
     if args.format == "json":
-        _emit_json(stats.to_dict())
+        _emit_json(vars(stats))
     elif args.format == "csv":
-        _emit_kv_csv(stats.to_dict().items())
+        _emit_kv_csv(vars(stats).items())
     else:
         print(f"G(n=1/2) experiment: n={stats.n} p={_fmt(stats.p)} "
               f"samples={stats.samples} seed={stats.seed}")
@@ -273,9 +275,9 @@ def _cmd_search(args) -> int:
     if args.objective == "SPREAD_VS_F2":
         rep = compare_spread_vs_f2(args.n)
         if args.format == "json":
-            _emit_json(rep.to_dict())
+            _emit_json(vars(rep))
         elif args.format == "csv":
-            _emit_kv_csv(rep.to_dict().items())
+            _emit_kv_csv(vars(rep).items())
         else:
             print(f"n={rep.n}: max spread={_fmt(rep.max_spread)} "
                   f"max kyfan2={_fmt(rep.max_kyfan2)} coincide={rep.maxima_coincide}")
@@ -294,9 +296,9 @@ def _cmd_search(args) -> int:
         param = args.p
     record = extremal(args.objective, args.n, param, canonical=args.canonical)
     if args.format == "json":
-        _emit_json(record.to_dict())
+        _emit_json(vars(record))
     elif args.format == "csv":
-        _emit_kv_csv(record.to_dict().items())
+        _emit_kv_csv(vars(record).items())
     else:
         param_str = "" if record.param is None else f" param={_fmt(record.param)}"
         print(f"{record.objective} n={record.n}{param_str}: value={_fmt(record.value)}")

@@ -43,18 +43,6 @@ class SearchRecord:
     graphs_scanned: int
     notes: str
 
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "n": self.n,
-            "param": self.param,
-            "value": self.value,
-            "witnesses": list(self.witnesses),
-            "witness_count": self.witness_count,
-            "graphs_scanned": self.graphs_scanned,
-            "notes": self.notes,
-        }
-
 
 def _objective_values(table, objective: str, param) -> np.ndarray:
     n, sig, eigs = table.n, table.sig, table.eigs
@@ -163,18 +151,6 @@ class SpreadComparison:
     maxima_coincide: bool
     identity_max_gap: float
     graphs_scanned: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "max_spread": self.max_spread,
-            "max_kyfan2": self.max_kyfan2,
-            "spread_witnesses": list(self.spread_witnesses),
-            "kyfan2_witnesses": list(self.kyfan2_witnesses),
-            "maxima_coincide": self.maxima_coincide,
-            "identity_max_gap": self.identity_max_gap,
-            "graphs_scanned": self.graphs_scanned,
-        }
 
 
 def compare_spread_vs_f2(n: int) -> SpreadComparison:

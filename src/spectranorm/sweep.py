@@ -50,20 +50,6 @@ class SweepRowSummary:
     violation_examples: list = field(default_factory=list)
     skip_reason: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "params": self.params,
-            "evaluated": self.evaluated,
-            "skipped": self.skipped,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-            "equality_count": self.equality_count,
-            "equality_examples": self.equality_examples,
-            "violation_examples": self.violation_examples,
-            "skip_reason": self.skip_reason,
-        }
-
 
 def _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical) -> list[SweepRowSummary]:
     """Every row on every class of order n, as one stack; examples are (class, mask) pairs."""
@@ -104,18 +90,6 @@ class SweepReport:
     graphs_scanned: int
     total_violations: int
     rows: list
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p_values": list(self.p_values),
-            "k_values": list(self.k_values),
-            "tol_scale": self.tol_scale,
-            "canonical": self.canonical,
-            "graphs_scanned": self.graphs_scanned,
-            "total_violations": self.total_violations,
-            "rows": [r.to_dict() for r in self.rows],
-        }
 
 
 def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,

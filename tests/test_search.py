@@ -165,7 +165,7 @@ def test_sweep_matches_reference_registry_n4():
 def test_sweep_thread_determinism():
     a = run_sweep(4, (1.0, 2.0), (1, 2))
     b = run_sweep(4, (1.0, 2.0), (1, 2))
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_sweep_canonical_mode():
