@@ -166,6 +166,8 @@ def run_experiment(n: int, p: float, samples: int, seed: int) -> ExperimentStats
         raise TooLarge(f"order must be within 1..{_MAX_ORDER}")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"p must be finite and >= 1, got {p}")
     values = []
     s1s = []
     s2s = []

@@ -859,7 +859,7 @@ def check_bound(bound_id: str, subject, *, p: float = None, q: float = None,
     for name in row.takes:
         if supplied[name] is None:
             raise PreconditionFailed(f"{bound_id} needs parameter {name}")
-        params[name] = float(supplied[name]) if name in ("p", "q") else int(supplied[name])
+        params[name] = _param(name, supplied[name])
     ctx = subject if isinstance(subject, SubjectContext) else SubjectContext(subject)
     _, reason = row.gate(ctx, params)
     if reason:
@@ -867,14 +867,28 @@ def check_bound(bound_id: str, subject, *, p: float = None, q: float = None,
     return _check_one(row, ctx, params, tol_scale)
 
 
+def _param(name: str, value):
+    """k as an int; p or q as a float, which must be finite (ValueError).
+
+    A finite p or q outside a row's range is that row's precondition and
+    gives a skip with its reason; inf or nan would only give false verdicts.
+    """
+    if name == "k":
+        return int(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _param_grid(row: BoundRow, p_values, q_values, k_values) -> list[dict]:
     if row.takes == ():
         return [{}]
     if row.takes == ("p",):
-        return [{"p": float(p)} for p in p_values]
+        return [{"p": _param("p", p)} for p in p_values]
     if row.takes == ("p", "q"):
         qs = q_values if q_values is not None else p_values
-        return [{"p": float(p), "q": float(q)} for p in p_values for q in qs]
+        return [{"p": _param("p", p), "q": _param("q", q)} for p in p_values for q in qs]
     if row.takes == ("k",):
         return [{"k": int(k)} for k in k_values]
     raise AssertionError(row.takes)

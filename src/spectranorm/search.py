@@ -118,8 +118,8 @@ def extremal(objective: str, n: int, param=None, *,
             raise ValueError(f"{objective} needs a positive integer k")
         param = int(param)
     elif objective == "MAX_SCHATTEN_P":
-        if param is None or float(param) < 1.0:
-            raise ValueError("MAX_SCHATTEN_P needs p >= 1")
+        if param is None or not 1.0 <= float(param) < math.inf:
+            raise ValueError("MAX_SCHATTEN_P needs a finite p >= 1")
         param = float(param)
     else:
         param = None

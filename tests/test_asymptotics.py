@@ -1,5 +1,6 @@
 """Random-graph sampling, gamma function, predicted norms."""
 
+import json
 import math
 
 import numpy as np
@@ -101,6 +102,26 @@ def test_order_guard():
         sample_gn_half(2001, 1)
     with pytest.raises(TooLarge):
         run_experiment(2001, 1.0, 1, 1)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, math.nan, math.inf, -math.inf])
+def test_experiment_rejects_p_before_sampling(p):
+    from spectranorm.asymptotics import _sample_sigma
+
+    _sample_sigma.cache_clear()
+    with pytest.raises(DomainError):
+        run_experiment(10, p, 1, 1)
+    assert _sample_sigma.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("p", ["0", "nan", "inf"])
+def test_random_cli_rejects_p(capsys, p):
+    from spectranorm.cli import main
+
+    code = main(["random", "--n", "10", "--samples", "1", "--seed", "1", "--p", p,
+                 "--format", "json"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and error["type"] == "DomainError"
 
 
 def test_experiment_determinism_past_the_cache():

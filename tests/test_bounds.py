@@ -248,6 +248,26 @@ def test_preconditions_and_errors():
         check_bound("POWER_MEAN", complete(3), p=3.0, q=2.0)  # p > q
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_p_or_q_is_a_value_error(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        check_bound("SCHATTEN_EDGES", complete(4), p=bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        check_bound("POWER_MEAN", dft_matrix(3), p=1.0, q=bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        run_registry(complete(4), p_values=(bad,))
+    with pytest.raises(ValueError, match="must be finite"):
+        run_registry(dft_matrix(3), p_values=(1.0,), q_values=(bad,))
+
+
+def test_finite_p_below_one_stays_a_skip():
+    res = run_registry(complete(4), p_values=(0.5,))
+    skipped = {c.bound_id: c.skip_reason for c in res if c.skipped}
+    assert skipped["SCHATTEN_EDGES"].startswith("requires")
+    with pytest.raises(PreconditionFailed):
+        check_bound("SCHATTEN_EDGES", complete(4), p=0.5)
+
+
 def _brute_complete_multipartite(g: Graph):
     adj = g.neighbor_masks()
     live = [v for v in range(g.n) if adj[v]]

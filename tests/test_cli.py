@@ -191,6 +191,33 @@ def test_flags_that_do_nothing_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--in", "K4", "--p", "inf", "--q", "inf"),
+    ("check", "--in", "K4", "--p", "nan"),
+    ("check", "--in", "K4", "--q=-inf"),
+    ("sweep", "--n", "3", "--p", "inf"),
+    ("sweep", "--n", "3", "--p", "1", "--p", "nan"),
+    ("search", "--objective", "MAX_SCHATTEN_P", "--n", "3", "--p", "nan"),
+    ("search", "--objective", "MAX_SCHATTEN_P", "--n", "3", "--p", "inf"),
+])
+def test_non_finite_p_or_q_exits_2(capsys, tmp_path, argv):
+    f = tmp_path / "k4.g6"
+    f.write_text("C~\n")
+    argv = [str(f) if a == "K4" else a for a in argv]
+    code, out = _run(capsys, *argv, "--format", "json")
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "ValueError" and "finite" in error["message"]
+
+
+def test_check_finite_p_below_one_is_a_skip(capsys, tmp_path):
+    f = tmp_path / "k4.g6"
+    f.write_text("C~\n")
+    code, out = _run(capsys, "check", "--in", str(f), "--p", "0.5", "--format", "json")
+    checks = {c["bound_id"]: c for c in json.loads(out)["checks"]}
+    assert code == 0
+    assert checks["SCHATTEN_EDGES"]["skipped"] is True
+
+
 def test_check_keeps_tol_scale(capsys, tmp_path):
     f = tmp_path / "k4.g6"
     f.write_text("C~\n")
