@@ -16,7 +16,7 @@ import numpy as np
 
 from .eigen import _eigenvalues_of_hermitian_array
 from .errors import DomainError, TooLarge
-from .graphs import Graph
+from .graphs import Graph, adjacency_from_pair_bits
 
 _MAX_ORDER = 2000
 
@@ -59,11 +59,7 @@ def sample_gn_half(n: int, seed: int, index: int = 0) -> Graph:
 
 
 def _sample_adjacency(n: int, seed: int, index: int) -> np.ndarray:
-    a = np.zeros((n, n))
-    # pair t = (u, v), u < v, is ordered by v then u: the row-major order
-    # of the strict lower triangle, read as (v, u)
-    a[np.tril_indices(n, -1)] = _pair_bits(n, seed, index)
-    return a + a.T
+    return adjacency_from_pair_bits(_pair_bits(n, seed, index), n)
 
 
 @lru_cache(maxsize=128)

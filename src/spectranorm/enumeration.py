@@ -36,6 +36,7 @@ from .eigen import symmetric_eigenvalues_batch
 from .errors import TooLarge
 from .graphs import (
     Graph,
+    adjacency_from_pair_bits,
     chromatic_number_masks,
     neighbor_masks_of,
     pair_count,
@@ -66,10 +67,14 @@ def _bit_images(n: int) -> np.ndarray:
     return np.left_shift(1, _perm_pair_maps(n)).T.astype(np.float64)
 
 
+def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """(B, C(n,2)) 0/1 pair bits of the masks."""
+    return (masks[:, None] >> np.arange(pair_count(n))) & 1
+
+
 def _images(masks: np.ndarray, n: int) -> np.ndarray:
     """(B, n!) images of the masks under every relabelling, exact in float64."""
-    bits = (masks[:, None] >> np.arange(pair_count(n))) & 1
-    return bits.astype(np.float64) @ _bit_images(n)
+    return _mask_bits(masks, n).astype(np.float64) @ _bit_images(n)
 
 
 @functools.cache
@@ -97,13 +102,7 @@ def _classes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def adjacency_batch(masks: np.ndarray, n: int) -> np.ndarray:
     """(B, n, n) stack of adjacency matrices for the given mask array."""
-    b = masks.shape[0]
-    a = np.zeros((b, n, n))
-    for t, (u, v) in enumerate(pair_list(n)):
-        bit = ((masks >> t) & 1).astype(float)
-        a[:, u, v] = bit
-        a[:, v, u] = bit
-    return a
+    return adjacency_from_pair_bits(_mask_bits(masks, n), n)
 
 
 class ClassTable:

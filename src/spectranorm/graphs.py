@@ -39,6 +39,18 @@ def pair_list(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
+def adjacency_from_pair_bits(bits: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric 0/1 float adjacency matrices, (..., n, n), of pair bits (..., C(n,2)).
+
+    Pair t = (u, v), u < v, is ordered by v then u: the row-major order of
+    the strict lower triangle, read as (v, u).
+    """
+    a = np.zeros(bits.shape[:-1] + (n, n))
+    r, c = np.tril_indices(n, -1)
+    a[..., r, c] = bits
+    return a + np.swapaxes(a, -1, -2)
+
+
 def neighbor_masks_of(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
     """Per-vertex neighbor bitsets of the order-n edge bitset `mask`.
 
@@ -103,11 +115,10 @@ class Graph:
 
     def adjacency_matrix(self) -> CMatrix:
         """0/1 symmetric adjacency matrix with zero diagonal."""
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges():
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return CMatrix.from_array(a)
+        npairs = pair_count(self.n)
+        raw = np.frombuffer(self.mask.to_bytes((npairs + 7) // 8, "little"), np.uint8)
+        bits = np.unpackbits(raw, bitorder="little")[:npairs]
+        return CMatrix.from_array(adjacency_from_pair_bits(bits, self.n))
 
     def complement(self) -> "Graph":
         return Graph(self.n, self.mask ^ ((1 << pair_count(self.n)) - 1))
