@@ -46,8 +46,7 @@ def adjacency_from_pair_bits(bits: np.ndarray, n: int) -> np.ndarray:
     the strict lower triangle, read as (v, u).
     """
     a = np.zeros(bits.shape[:-1] + (n, n))
-    r, c = np.tril_indices(n, -1)
-    a[..., r, c] = bits
+    a[(..., *np.tril_indices(n, -1))] = bits  # the indices are freed before the sum
     return a + np.swapaxes(a, -1, -2)
 
 
