@@ -93,6 +93,20 @@ def test_check_kyfan01_equality_exit0(capsys, tmp_path):
     assert "EQUALITY" in out
 
 
+def test_check_json_schema(capsys, tmp_path):
+    # keys and their order, for the check payload and each of its BoundChecks
+    f = tmp_path / "k4.g6"
+    f.write_text("C~\n")
+    code, out = _run(capsys, "check", "--in", str(f), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["input", "checks"]
+    for chk in payload["checks"]:
+        assert list(chk) == ["bound_id", "params", "lhs", "rhs", "slack", "holds",
+                             "equality", "equality_witness", "notes", "skipped",
+                             "skip_reason"]
+
+
 def test_check_skip_and_exit(capsys, tmp_path):
     f = tmp_path / "mat.csv"
     f.write_text("0,1\n1,0\n")
@@ -268,7 +282,7 @@ def test_search_cli_and_threads(capsys):
     assert payload["objective"] == "XI_K" and payload["n"] == 5
 
 
-def test_json_schemas_pinned(capsys, tmp_path):
+def test_json_schemas_pinned(capsys):
     # keys and their order, for every JSON payload built from a result record
     code, out = _run(capsys, "search", "--objective", "MAX_ENERGY", "--n", "4",
                      "--format", "json")
@@ -296,16 +310,6 @@ def test_json_schemas_pinned(capsys, tmp_path):
                              "skipped", "violations", "min_slack",
                              "equality_count", "equality_examples",
                              "violation_examples", "skip_reason"]
-    f = tmp_path / "k4.g6"
-    f.write_text("C~\n")
-    code, out = _run(capsys, "check", "--in", str(f), "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert list(payload) == ["input", "checks"]
-    for chk in payload["checks"]:
-        assert list(chk) == ["bound_id", "params", "lhs", "rhs", "slack", "holds",
-                             "equality", "equality_witness", "notes", "skipped",
-                             "skip_reason"]
 
 
 def test_search_spread_vs_f2(capsys):
