@@ -594,6 +594,17 @@ class BoundRow:
             equal = holds & (np.abs(slack) <= tol)
         return lhs, rhs, mid, slack, holds, equal
 
+    def equality_verdict(self, ctx, params, equal: bool) -> tuple[bool, Optional[dict]]:
+        """(equality, witness) of one subject whose numeric equality is `equal`.
+
+        A numeric equality is put to the row's detector, which runs on the
+        subject itself; a detector verdict of None leaves it numeric.
+        """
+        if not equal or self.detector is None:
+            return equal, None
+        verdict, witness = self.detector(ctx, params)
+        return (equal if verdict is None else bool(verdict)), witness
+
 
 def _has_edge(q, params):
     return q.m >= 1, "graph must have at least one edge"
@@ -819,12 +830,7 @@ def registry_ids() -> list[str]:
 def _check_one(row: BoundRow, ctx: SubjectContext, params: dict,
                tol_scale: float) -> BoundCheck:
     lhs, rhs, mid, slack, holds, equal = row.evaluate(ctx, params, tol_scale)
-    equality = bool(equal[0])
-    witness = None
-    if equality and row.detector is not None:
-        verdict, witness = row.detector(ctx, params)
-        if verdict is not None:
-            equality = bool(verdict)
+    equality, witness = row.equality_verdict(ctx, params, bool(equal[0]))
     notes = row.notes(ctx, params, mid) if callable(row.notes) else row.notes
     return BoundCheck(
         bound_id=row.bound_id,
@@ -853,6 +859,7 @@ def check_bound(bound_id: str, subject, *, p: float = None, q: float = None,
     `subject` is a Graph, a CMatrix or a `SubjectContext`; passing the same
     context to several calls computes its spectra and chi once.
     """
+    tol_scale = _tol_scale(tol_scale)
     row = _lookup(bound_id)
     params = {}
     supplied = {"p": p, "q": q, "k": k}
@@ -881,6 +888,18 @@ def _param(name: str, value):
     return value
 
 
+def _tol_scale(value) -> float:
+    """The tolerance multiplier as a float, which must be finite and >= 0 (ValueError).
+
+    nan or inf would only give false verdicts and non-JSON output, and a
+    negative one turns every tolerance band inside out.
+    """
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"tol_scale must be finite and >= 0, got {value}")
+    return value
+
+
 def _param_grid(row: BoundRow, p_values, q_values, k_values) -> list[dict]:
     if row.takes == ():
         return [{}]
@@ -903,6 +922,7 @@ def run_registry(subject, *, bound_ids=None, p_values=(1.0,), q_values=None,
     preconditions the subject (or a parameter combination) does not meet
     are reported as skipped with the reason, never dropped.
     """
+    tol_scale = _tol_scale(tol_scale)
     rows = _ROWS.values() if bound_ids is None else [_lookup(b) for b in bound_ids]
     ctx = SubjectContext(subject)
     out = []

@@ -2,12 +2,13 @@
 
 Subcommands: norms | check | sweep | random | construct | search.
 Every subcommand takes --format {text,json,csv}. `check` and `sweep` take
---tol-scale, which multiplies the slack tolerance with which they decide
-whether a bound row holds and whether it is tight; the equality detectors
-ignore it. `sweep` and `search` accept --threads for compatibility; it has
-no effect, since every subcommand runs in the calling process. Exit codes:
-0 success, 1 failed check/violation, 2 usage or input error. Stdout carries
-no timing or host details, so identical inputs give byte-identical output.
+--tol-scale, a finite factor >= 0 that multiplies the slack tolerance with
+which they decide whether a bound row holds and whether it is tight; the
+equality detectors ignore it. `sweep` and `search` accept --threads for
+compatibility; it has no effect, since every subcommand runs in the calling
+process. Exit codes: 0 success, 1 failed check/violation, 2 usage or input
+error. Stdout carries no timing or host details, so identical inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _add_common(sub: argparse.ArgumentParser, *, tol_scale: bool = False,
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     if tol_scale:
         sub.add_argument("--tol-scale", type=float, default=1.0,
-                         help="multiplier on the slack tolerance (holds / equality); "
+                         help="finite multiplier >= 0 on the slack tolerance (holds / equality); "
                               "the equality detectors ignore it")
     if threads:
         sub.add_argument("--threads", type=int, default=None,

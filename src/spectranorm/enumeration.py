@@ -113,8 +113,10 @@ class ClassTable:
     this order (`bounds.SubjectContext` documents the fields): `eigs` and
     `sig` are the descending eigenvalues and singular values, `m` the edge
     count, `chi` the chromatic number, solved for every class on first use.
-    `first_members` gives each example its class, so the sweep confirms a
-    flagged class once, on its representative.
+    `first_members` gives each example its class, so the sweep puts a
+    flagged class to the row's detector once, on its representative. It
+    reads the ascending head of each class's orbit, at most `limit` masks,
+    computed once per class and kept on the table (`_heads`, read-only).
     """
 
     def __init__(self, n: int):
@@ -137,6 +139,7 @@ class ClassTable:
         for shared in (self.reps, self.weights, self.eigs, self.sig, self.m,
                        self.ent1, self.entinf, self.is_graph):
             shared.flags.writeable = False
+        self._heads: dict[int, np.ndarray] = {}
 
     @functools.cached_property
     def chi(self) -> np.ndarray:
@@ -149,6 +152,15 @@ class ClassTable:
     def orbit(self, c: int) -> np.ndarray:
         """Every labelled mask of class c, ascending."""
         return np.unique(_images(self.reps[c:c + 1], self.n)).astype(np.int64)
+
+    def _head(self, c: int, limit: int) -> np.ndarray:
+        """The `limit` smallest masks of class c, ascending; kept for the next call."""
+        head = self._heads.get(c)
+        if head is None or head.size < min(limit, int(self.weights[c])):
+            head = self.orbit(c)[:limit].copy()  # not a view that keeps the orbit
+            head.flags.writeable = False
+            self._heads[c] = head
+        return head[:limit]
 
     def counts(self, canonical: bool = False) -> np.ndarray:
         """How many scanned graphs each class stands for: its orbit size, or 1 when canonical."""
@@ -167,7 +179,7 @@ class ClassTable:
         if canonical:
             return [(c, int(self.reps[c])) for c in first]
         # nor can a class give more than its `limit` smallest members
-        members = sorted((mk, c) for c in first for mk in self.orbit(c)[:limit].tolist())
+        members = sorted((mk, c) for c in first for mk in self._head(c, limit).tolist())
         return [(c, mk) for mk, c in members[:limit]]
 
 
@@ -179,7 +191,8 @@ def class_table(n: int) -> ClassTable:
 
 
 def clear_class_tables() -> None:
-    """Forget every class table and the classes and relabellings behind them.
+    """Forget every class table (with the orbit heads kept on it) and the
+    classes and relabellings behind them.
 
     The next `class_table(n)` is then a cold build: it generates the classes
     again, as well as solving their spectra and chi.

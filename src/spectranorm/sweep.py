@@ -8,11 +8,12 @@ preconditions and formulas run on it (`check` runs the same definitions on a
 single subject).
 Labelled counts are sums of orbit sizes, and a row's examples are the first
 labelled graphs in mask order whose class it flags; a canonical sweep counts
-and lists the representatives alone. The equality examples kept are
-confirmed through `bounds.check_bound`, which adds the structural detector
-verdict, once per (row cell, class): the slack and the detectors read only
-class invariants, so the check runs on the class representative, with its
-spectrum and chromatic number taken from the table, and every example of
+and lists the representatives alone. An equality example's slack is read
+off the row's own arrays on the table, so no row is evaluated twice, and its
+verdict is the one `check` gives (`BoundRow.equality_verdict`). The slack
+and the detectors read only class invariants, so the row's structural
+detector runs once per (row cell, class), on the class representative, with
+its spectrum and chromatic number taken from the table, and every example of
 that class gets its verdict.
 """
 
@@ -35,8 +36,8 @@ class SweepRowSummary:
     """Aggregate for one (bound, parameter) cell.
 
     equality_count counts numeric equalities (|slack| inside tolerance);
-    the retained examples additionally carry the single-subject checker's
-    detector-gated equality verdict.
+    the retained examples additionally carry the detector-gated equality
+    verdict that the single-subject checker gives.
     """
 
     bound_id: str
@@ -52,7 +53,11 @@ class SweepRowSummary:
 
 
 def _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical) -> list[SweepRowSummary]:
-    """Every row on every class of order n, as one stack; examples are (class, mask) pairs."""
+    """Every row on every class of order n, as one stack.
+
+    Equality examples are (class, mask, slack) and violation examples
+    (class, mask); `run_sweep` gives them their verdicts and graph6 strings.
+    """
     table = chunk_quantities(n)
     weight = table.counts(canonical)
     scanned = int(weight.sum())
@@ -73,8 +78,10 @@ def _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical) -> list[
             s.min_slack = float(slack[app].min())
             s.equality_count = int(weight[eq].sum())
             # the examples are the first flagged graphs in mask order
-            s.equality_examples = table.first_members(np.flatnonzero(eq), _MAX_EXAMPLES,
-                                                      canonical=canonical)
+            s.equality_examples = [
+                (c, mask, float(slack[c]))
+                for c, mask in table.first_members(np.flatnonzero(eq), _MAX_EXAMPLES,
+                                                   canonical=canonical)]
             s.violation_examples = table.first_members(np.flatnonzero(viol), _MAX_EXAMPLES,
                                                        canonical=canonical)
     return rows
@@ -95,6 +102,7 @@ class SweepReport:
 def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
               tol_scale: float = 1.0, canonical: bool = False) -> SweepReport:
     """Check every registry row on every order-n graph; fully deterministic."""
+    tol_scale = bounds._tol_scale(tol_scale)
     p_values = tuple(float(p) for p in p_values)
     k_values = tuple(int(k) for k in k_values)
     rows = _sweep_chunk(n, p_values, q_values, k_values, tol_scale, canonical)
@@ -104,17 +112,20 @@ def run_sweep(n: int, p_values=(1.0,), k_values=(1,), *, q_values=None,
     table = class_table(n)
     contexts: dict[int, bounds.SubjectContext] = {}
     for s in rows:
+        row = bounds._ROWS[s.bound_id]
         verdicts = {}
-        for c in dict.fromkeys(c for c, _ in s.equality_examples):
+        for c, _, slack in s.equality_examples:
+            if c in verdicts:
+                continue
             if c not in contexts:
                 one = slice(c, c + 1)
                 contexts[c] = bounds.SubjectContext(Graph(n, int(table.reps[c])),
                                                     eigs=table.eigs[one], chi=table.chi[one])
-            chk = bounds.check_bound(s.bound_id, contexts[c], tol_scale=tol_scale, **s.params)
-            verdicts[c] = {"slack": chk.slack, "equality": chk.equality,
-                           "witness": chk.equality_witness}
+            # every example is a numeric equality: the row's `equal` flagged it
+            equality, witness = row.equality_verdict(contexts[c], s.params, True)
+            verdicts[c] = {"slack": slack, "equality": equality, "witness": witness}
         s.equality_examples = [{"graph6": write_graph6(Graph(n, mask)), **verdicts[c]}
-                               for c, mask in s.equality_examples]
+                               for c, mask, _ in s.equality_examples]
         s.violation_examples = [write_graph6(Graph(n, mask)) for _, mask in s.violation_examples]
 
     return SweepReport(

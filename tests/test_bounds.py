@@ -25,6 +25,7 @@ from spectranorm.graphs import (
     perfect_matching,
     with_isolated,
 )
+from spectranorm.sweep import run_sweep
 
 
 def test_mcclelland_example_k4():
@@ -258,6 +259,22 @@ def test_non_finite_p_or_q_is_a_value_error(bad):
         run_registry(complete(4), p_values=(bad,))
     with pytest.raises(ValueError, match="must be finite"):
         run_registry(dft_matrix(3), p_values=(1.0,), q_values=(bad,))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0, -1e-300])
+def test_tol_scale_not_finite_or_negative_is_a_value_error(bad):
+    with pytest.raises(ValueError, match="tol_scale must be finite and >= 0"):
+        check_bound("MCCLELLAND", complete(4), tol_scale=bad)
+    with pytest.raises(ValueError, match="tol_scale must be finite and >= 0"):
+        run_registry(complete(4), tol_scale=bad)
+    with pytest.raises(ValueError, match="tol_scale must be finite and >= 0"):
+        run_sweep(3, tol_scale=bad)
+
+
+def test_zero_tol_scale_is_accepted():
+    # a zero band is a valid (strict) tolerance, not an input error
+    assert check_bound("MCCLELLAND", empty_graph(3), tol_scale=0.0).holds is True
+    assert run_sweep(3, tol_scale=0.0).tol_scale == 0.0
 
 
 def test_finite_p_below_one_stays_a_skip():

@@ -6,6 +6,7 @@ solver, and run the bound rows on them directly; the class-table
 `run_sweep` and `extremal` must reproduce them.
 """
 
+import dataclasses
 import math
 import types
 from itertools import permutations
@@ -13,7 +14,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from spectranorm import bounds
+from spectranorm import bounds, enumeration
 from spectranorm.enumeration import (
     adjacency_batch,
     class_table,
@@ -55,8 +56,6 @@ def test_class_counts_match_oeis():
 
 
 def test_clear_class_tables_makes_the_next_build_cold(monkeypatch):
-    from spectranorm import enumeration
-
     before = class_table(5)
     products = []
     images = enumeration._images
@@ -228,24 +227,33 @@ def test_sweep_matches_labelled_reference(canonical):
 
 
 def test_sweep_confirms_once_per_cell_and_class(monkeypatch):
+    # the row's detector runs once per (row cell, class), on the representative
     calls = []
-    check_bound = bounds.check_bound
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return check_bound(*args, **kwargs)
+    def counted(row):
+        def detector(ctx, params):
+            calls.append((row.bound_id, tuple(params.items()), ctx.graph.mask))
+            return row.detector(ctx, params)
+        return detector
 
-    monkeypatch.setattr(bounds, "check_bound", counted)
+    for bound_id, row in list(bounds._ROWS.items()):
+        if row.detector is not None:
+            monkeypatch.setitem(bounds._ROWS, bound_id,
+                                dataclasses.replace(row, detector=counted(row)))
     report = run_sweep(6, P_GRID, K_GRID)
     examples = [(cell, ex) for cell, row in enumerate(report.rows)
-                for ex in row.equality_examples]
+                for ex in row.equality_examples
+                if bounds._ROWS[row.bound_id].detector is not None]
     masks = np.array([parse_graph6(ex["graph6"]).mask for _, ex in examples], dtype=np.int64)
     classes = _relabelled(masks, 6).min(axis=0).tolist()
     verdicts = {}
     for (cell, ex), c in zip(examples, classes):
+        row = report.rows[cell]
         verdict = (ex["slack"], ex["equality"], ex["witness"])
-        assert verdicts.setdefault((cell, c), verdict) == verdict, (report.rows[cell].bound_id, c)
-    assert len(calls) == len(verdicts) < len(examples)
+        key = (row.bound_id, tuple(row.params.items()), c)
+        assert verdicts.setdefault(key, verdict) == verdict, key
+    assert sorted(calls) == sorted(verdicts)
+    assert len(calls) < len(examples)
 
 
 def _bits(x) -> bytes:
@@ -281,6 +289,67 @@ def test_rows_on_the_table_match_run_registry_per_class(p_values, k_values):
                     assert [_bits(chk.lhs), _bits(chk.rhs), _bits(chk.slack)] \
                         == [_bits(lhs[c]), _bits(rhs[c]), _bits(slack[c])], where
                     assert chk.holds == bool(holds[c]), where
+
+
+@pytest.mark.parametrize("tol_scale", [1.0, 1e3])
+@pytest.mark.parametrize("canonical", [False, True])
+def test_sweep_examples_match_check_bound_on_their_class(canonical, tol_scale):
+    # the sweep reads an example's slack off the row's arrays on the table and
+    # runs only the detector; `check_bound` on the class representative's
+    # context, spectrum and chi taken from the table, is the oracle
+    for n in range(4, 7):
+        table = class_table(n)
+        report = run_sweep(n, P_GRID, K_GRID, tol_scale=tol_scale, canonical=canonical)
+        examples = [(row, ex) for row in report.rows for ex in row.equality_examples]
+        masks = np.array([parse_graph6(ex["graph6"]).mask for _, ex in examples], dtype=np.int64)
+        reps = _relabelled(masks, n).min(axis=0)
+        classes = np.searchsorted(table.reps, reps).tolist()
+        assert np.array_equal(table.reps[classes], reps)
+        contexts = {}
+        for (row, ex), c in zip(examples, classes):
+            if c not in contexts:
+                one = slice(c, c + 1)
+                contexts[c] = bounds.SubjectContext(Graph(n, int(table.reps[c])),
+                                                    eigs=table.eigs[one], chi=table.chi[one])
+            chk = bounds.check_bound(row.bound_id, contexts[c], tol_scale=tol_scale, **row.params)
+            where = (n, row.bound_id, row.params, ex["graph6"])
+            assert _bits(ex["slack"]) == _bits(chk.slack), where
+            assert ex["equality"] is chk.equality, where
+            assert ex["witness"] == chk.equality_witness, where
+        assert len(examples) > 100, n
+
+
+def test_first_members_match_an_uncached_orbit():
+    limits = (1, 8, 100, 8, 1)  # the stored heads grow, then serve shorter reads
+    for n in range(1, 7):
+        table = enumeration.ClassTable(n)  # a table of its own, with no stored heads
+        assert table._heads == {}
+        orbits = [np.unique(enumeration._images(table.reps[c:c + 1], n)).astype(np.int64)
+                  for c in range(table.size)]
+        for c, orbit in enumerate(orbits):
+            for limit in limits:
+                assert table.first_members([c], limit) == [(c, mk) for mk in orbit[:limit].tolist()]
+                assert table.first_members([c], limit, canonical=True) == [(c, int(orbit[0]))]
+        everything = sorted((mk, c) for c, orbit in enumerate(orbits) for mk in orbit.tolist())
+        for limit in limits:
+            firsts = table.first_members(range(table.size)[::-1], limit)
+            assert firsts == [(c, mk) for mk, c in everything[:limit]], (n, limit)
+        assert sorted(table._heads) == list(range(table.size))
+        for c, head in table._heads.items():
+            # a copy of at most 100 masks, not a view that holds the whole orbit
+            assert not head.flags.writeable and head.base is None
+            assert np.array_equal(head, orbits[c][:100])
+            with pytest.raises(ValueError):
+                head[0] = -1
+
+
+def test_stored_heads_leave_the_sweep_unchanged_and_go_with_the_table():
+    first = run_sweep(6, P_GRID, K_GRID)
+    assert class_table(6)._heads
+    assert run_sweep(6, P_GRID, K_GRID) == first
+    enumeration.clear_class_tables()
+    assert class_table(6)._heads == {}
+    assert run_sweep(6, P_GRID, K_GRID) == first
 
 
 def _reference_objectives(n: int, record) -> dict:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from spectranorm import bounds, sweep
 from spectranorm.cli import main
 from spectranorm.fileio import format_matrix_csv, load_subject, parse_matrix_file
 from spectranorm.cmatrix import CMatrix
@@ -209,6 +210,26 @@ def test_non_finite_p_or_q_exits_2(capsys, tmp_path, argv):
     code, out = _run(capsys, *argv, "--format", "json")
     error = json.loads(out)["error"]
     assert code == 2 and error["type"] == "ValueError" and "finite" in error["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_tol_scale_not_finite_or_negative_exits_2(capsys, tmp_path, monkeypatch, command, value):
+    f = tmp_path / "k4.g6"
+    f.write_text("C~\n")
+    target = ("--in", str(f)) if command == "check" else ("--n", "4")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bound row ran")
+
+    monkeypatch.setattr(bounds.BoundRow, "evaluate", no_work)
+    monkeypatch.setattr(sweep, "chunk_quantities", no_work)
+    code, out = _run(capsys, command, *target, f"--tol-scale={value}", "--format", "json")
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "ValueError"
+    assert "tol_scale must be finite and >= 0" in error["message"]
+    code, out = _run(capsys, command, *target, f"--tol-scale={value}")
+    assert code == 2 and out == ""
 
 
 def test_check_finite_p_below_one_is_a_skip(capsys, tmp_path):
