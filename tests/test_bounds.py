@@ -285,6 +285,43 @@ def test_finite_p_below_one_stays_a_skip():
         check_bound("SCHATTEN_EDGES", complete(4), p=0.5)
 
 
+def _seeded_complex_3x5():
+    rng = np.random.default_rng(35)
+    return CMatrix.from_array(rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
+
+
+def _seeded_zero_one():
+    return CMatrix.from_array(np.random.default_rng(46).integers(0, 2, size=(4, 6)).astype(float))
+
+
+_ONE_ROW_SUBJECTS = {
+    "K4": lambda: complete(4),
+    "paley13": lambda: paley(13),
+    "C5": lambda: cycle(5),
+    "dft4": lambda: dft_matrix(4),
+    "hadamard4": lambda: sylvester_hadamard(4),
+    "complex3x5": _seeded_complex_3x5,
+    "zero_one4x6": _seeded_zero_one,
+}
+
+
+@pytest.mark.parametrize("params", [{"p": 1.0, "q": 2.0, "k": 1},
+                                    {"p": 3.0, "q": 3.0, "k": 3}])
+@pytest.mark.parametrize("name", list(_ONE_ROW_SUBJECTS))
+def test_check_bound_is_the_one_row_registry(name, params):
+    # check_bound gives run_registry's record for its row, or raises with its skip reason
+    subject = _ONE_ROW_SUBJECTS[name]()
+    for bound_id in registry_ids():
+        (expected,) = run_registry(subject, bound_ids=[bound_id], p_values=(params["p"],),
+                                   q_values=(params["q"],), k_values=(params["k"],))
+        if expected.skipped:
+            with pytest.raises(PreconditionFailed) as exc:
+                check_bound(bound_id, subject, **params)
+            assert str(exc.value) == f"{bound_id}: {expected.skip_reason}"
+        else:
+            assert check_bound(bound_id, subject, **params) == expected, bound_id
+
+
 def _brute_complete_multipartite(g: Graph):
     adj = g.neighbor_masks()
     live = [v for v in range(g.n) if adj[v]]
