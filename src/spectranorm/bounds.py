@@ -3,11 +3,12 @@
 Each row is defined once, over a record of B subjects of one shape and kind
 (its fields are documented on `SubjectContext`): `applies` lists its
 preconditions in order, and `formula` gives both sides of the inequality as
-arrays over the batch. `check_bound` and `run_registry` run rows on one
-subject, as the lazy B = 1 record `SubjectContext`; the exhaustive sweep
-runs the same rows on a class table (`enumeration.ClassTable`), the record
-of every class of an order at once. When a single subject's slack is inside
-tolerance, a structural equality detector runs on the subject itself.
+arrays over the batch; `BoundRow.run` evaluates both on a record.
+`run_registry` runs rows on one subject, as the lazy B = 1 record
+`SubjectContext`, and `check_bound` is its one-row case; the exhaustive
+sweep runs the same rows on a class table (`enumeration.ClassTable`), the
+record of every class of an order at once. When a single subject's slack is
+inside tolerance, a structural equality detector runs on the subject itself.
 Registry ids are stable strings used by the CLI and the JSON report schema.
 
 Conventions:
@@ -15,7 +16,9 @@ Conventions:
   * lower rows assert lhs >= rhs and use slack = lhs - rhs,
   * holds means slack >= -tol with tol = 1e-7 * (1 + |lhs| + |rhs|),
   * the equality flag is the numeric test AND the detector verdict when the
-    row has a gating detector.
+    row has a gating detector,
+  * a subject whose lhs, rhs, mid or slack is not finite (a power sum past
+    the float range) is not evaluated: a skip, never a failure.
 
 Nonsquare matrix subjects are oriented rows <= cols (transposed if needed)
 before matrix rows are evaluated; singular values are unchanged by this.
@@ -23,6 +26,7 @@ before matrix rows are evaluated; singular values are unchanged by this.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +43,7 @@ from .norms import as_matrix
 
 EQ_TOL = 1e-7
 _SIGMA_ZERO_FRACTION = 1e-6  # sigma below this times sigma_1 counts as zero
+_NOT_FINITE = "a side of the bound is not finite in double precision"
 
 
 @dataclass
@@ -565,20 +570,6 @@ class BoundRow:
     detector: Optional[Callable] = None
     notes: object = ""
 
-    def gate(self, q, params) -> tuple[np.ndarray, Optional[str]]:
-        """Mask of the subjects that meet every precondition, in order.
-
-        The reason is that of the check that left no subject, else None.
-        Checks after that one are not evaluated.
-        """
-        app = np.ones(q.size, dtype=bool)
-        for check in self.applies:
-            ok, reason = check(q, params)
-            app &= ok
-            if not app.any():
-                return app, reason
-        return app, None
-
     def evaluate(self, q, params, tol_scale: float):
         """(lhs, rhs, mid, slack, holds, numeric equality) per subject."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -593,6 +584,26 @@ class BoundRow:
                 holds = (lhs <= mid + tol_a) & (mid <= rhs + tol_b)
             equal = holds & (np.abs(slack) <= tol)
         return lhs, rhs, mid, slack, holds, equal
+
+    def run(self, q, params, tol_scale: float):
+        """(app, reason, values): the mask of the subjects the row evaluates, and why none.
+
+        A subject must meet every precondition, in order, and then have a
+        finite lhs, rhs, mid and slack; the reason is that of the check that
+        left no subject (later checks are not run). `values` is `evaluate`'s
+        tuple, or None when the preconditions left no subject.
+        """
+        app = np.ones(q.size, dtype=bool)
+        for check in self.applies:
+            ok, reason = check(q, params)
+            app &= ok
+            if not app.any():
+                return app, reason, None
+        values = self.evaluate(q, params, tol_scale)
+        for side in values[:4]:
+            if side is not None:
+                app &= np.isfinite(side)
+        return app, (None if app.any() else _NOT_FINITE), values
 
     def equality_verdict(self, ctx, params, equal: bool) -> tuple[bool, Optional[dict]]:
         """(equality, witness) of one subject whose numeric equality is `equal`.
@@ -827,24 +838,6 @@ def registry_ids() -> list[str]:
     return list(_ROWS)
 
 
-def _check_one(row: BoundRow, ctx: SubjectContext, params: dict,
-               tol_scale: float) -> BoundCheck:
-    lhs, rhs, mid, slack, holds, equal = row.evaluate(ctx, params, tol_scale)
-    equality, witness = row.equality_verdict(ctx, params, bool(equal[0]))
-    notes = row.notes(ctx, params, mid) if callable(row.notes) else row.notes
-    return BoundCheck(
-        bound_id=row.bound_id,
-        params=dict(params),
-        lhs=float(lhs[0]),
-        rhs=float(rhs[0]),
-        slack=float(slack[0]),
-        holds=bool(holds[0]),
-        equality=equality,
-        equality_witness=witness,
-        notes=notes,
-    )
-
-
 def _lookup(bound_id: str) -> BoundRow:
     try:
         return _ROWS[bound_id]
@@ -856,22 +849,20 @@ def check_bound(bound_id: str, subject, *, p: float = None, q: float = None,
                 k: int = None, tol_scale: float = 1.0) -> BoundCheck:
     """Evaluate one registry row; raises PreconditionFailed when not applicable.
 
+    The one-row `run_registry`, whose skip reason becomes the error message.
     `subject` is a Graph, a CMatrix or a `SubjectContext`; passing the same
     context to several calls computes its spectra and chi once.
     """
     tol_scale = _tol_scale(tol_scale)
-    row = _lookup(bound_id)
-    params = {}
     supplied = {"p": p, "q": q, "k": k}
-    for name in row.takes:
+    for name in _lookup(bound_id).takes:
         if supplied[name] is None:
             raise PreconditionFailed(f"{bound_id} needs parameter {name}")
-        params[name] = _param(name, supplied[name])
-    ctx = subject if isinstance(subject, SubjectContext) else SubjectContext(subject)
-    _, reason = row.gate(ctx, params)
-    if reason:
-        raise PreconditionFailed(f"{bound_id}: {reason}")
-    return _check_one(row, ctx, params, tol_scale)
+    (chk,) = run_registry(subject, bound_ids=[bound_id], p_values=(p,), q_values=(q,),
+                          k_values=(k,), tol_scale=tol_scale)
+    if chk.skipped:
+        raise PreconditionFailed(f"{bound_id}: {chk.skip_reason}")
+    return chk
 
 
 def _param(name: str, value):
@@ -901,37 +892,36 @@ def _tol_scale(value) -> float:
 
 
 def _param_grid(row: BoundRow, p_values, q_values, k_values) -> list[dict]:
-    if row.takes == ():
-        return [{}]
-    if row.takes == ("p",):
-        return [{"p": _param("p", p)} for p in p_values]
-    if row.takes == ("p", "q"):
-        qs = q_values if q_values is not None else p_values
-        return [{"p": _param("p", p), "q": _param("q", q)} for p in p_values for q in qs]
-    if row.takes == ("k",):
-        return [{"k": int(k)} for k in k_values]
-    raise AssertionError(row.takes)
+    """One parameter dict per point of the row's grids; q's grid is p's unless given."""
+    grids = {"p": p_values, "q": p_values if q_values is None else q_values, "k": k_values}
+    return [{name: _param(name, v) for name, v in zip(row.takes, point)}
+            for point in itertools.product(*(grids[name] for name in row.takes))]
 
 
 def run_registry(subject, *, bound_ids=None, p_values=(1.0,), q_values=None,
                  k_values=(1,), tol_scale: float = 1.0) -> list[BoundCheck]:
     """Evaluate registry rows over the given parameter grid, all on one context.
 
-    `bound_ids` names the rows to run, in order (default: the whole
-    registry); an unknown id raises UnknownBoundId. Rows whose
-    preconditions the subject (or a parameter combination) does not meet
-    are reported as skipped with the reason, never dropped.
+    `subject` is a Graph, a CMatrix or a `SubjectContext`. `bound_ids` names
+    the rows to run, in order (default: the whole registry); an unknown id
+    raises UnknownBoundId. A row that `BoundRow.run` does not evaluate is
+    reported as skipped with the reason, never dropped, and gets no notes.
     """
     tol_scale = _tol_scale(tol_scale)
     rows = _ROWS.values() if bound_ids is None else [_lookup(b) for b in bound_ids]
-    ctx = SubjectContext(subject)
+    ctx = subject if isinstance(subject, SubjectContext) else SubjectContext(subject)
     out = []
     for row in rows:
         for params in _param_grid(row, p_values, q_values, k_values):
-            _, reason = row.gate(ctx, params)
+            _, reason, values = row.run(ctx, params, tol_scale)
             if reason:
-                out.append(BoundCheck(row.bound_id, dict(params), skipped=True,
-                                      skip_reason=reason))
-            else:
-                out.append(_check_one(row, ctx, params, tol_scale))
+                out.append(BoundCheck(row.bound_id, params, skipped=True, skip_reason=reason))
+                continue
+            lhs, rhs, mid, slack, holds, equal = values
+            equality, witness = row.equality_verdict(ctx, params, bool(equal[0]))
+            out.append(BoundCheck(
+                row.bound_id, params, lhs=float(lhs[0]), rhs=float(rhs[0]),
+                slack=float(slack[0]), holds=bool(holds[0]), equality=equality,
+                equality_witness=witness,
+                notes=row.notes(ctx, params, mid) if callable(row.notes) else row.notes))
     return out

@@ -185,13 +185,13 @@ def _reference_sweep(n, masks, record, p_values, k_values) -> dict:
     cells = {}
     for row in bounds._ROWS.values():
         for params in bounds._param_grid(row, p_values, None, k_values):
-            app, reason = row.gate(record, params)
+            app, reason, values = row.run(record, params, 1.0)
             cell = {"evaluated": 0, "skipped": masks.size, "violations": 0,
                     "min_slack": None, "equality_count": 0,
                     "equality_examples": [], "violation_examples": [],
                     "skip_reason": reason}
             if reason is None:
-                _, _, _, slack, holds, equal = row.evaluate(record, params, 1.0)
+                _, _, _, slack, holds, equal = values
                 viol, eq = app & ~holds, app & equal
                 cell.update(
                     evaluated=int(app.sum()), skipped=int((~app).sum()),
@@ -278,9 +278,9 @@ def test_rows_on_the_table_match_run_registry_per_class(p_values, k_values):
                 ok, reason = check(table, params)
                 for c in np.flatnonzero(~np.broadcast_to(ok, (table.size,))).tolist():
                     reasons[c] = reasons[c] or reason
-            app, reason = row.gate(table, params)
+            app, reason, values = row.run(table, params, 1.0)
             if reason is None:
-                lhs, rhs, _, slack, holds, _ = row.evaluate(table, params, 1.0)
+                lhs, rhs, _, slack, holds, _ = values
             for c, checks in enumerate(per_class):
                 chk, where = checks[i], (n, c, row.bound_id, params)
                 assert (chk.bound_id, chk.params) == (row.bound_id, params), where

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import math
+import warnings
 
 import pytest
 
@@ -256,6 +258,60 @@ def test_sweep_exit_codes(capsys):
     code, _ = _run(capsys, "sweep", "--n", "4", "--threads", "1",
                    "--tol-scale", "1e-9")
     assert code == 1
+
+
+_NOT_FINITE = "a side of the bound is not finite in double precision"
+# sum sigma_i^p overflows at these p, so each of these rows has a side at inf or nan
+_OVERFLOWING = ["SCHATTEN_EDGES", "SCHATTEN_P_GE2", "SCHR_LOWER", "POWER_MEAN", "KM_MATRIX"]
+
+
+def _check_without_warnings(capsys, path, p):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["check", "--in", str(path), "--p", p, "--q", p, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert caught == [] and err == ""
+    return code, json.loads(out)["checks"]
+
+
+def _assert_non_finite_skips(checks):
+    skipped = [c for c in checks if c["skip_reason"] == _NOT_FINITE]
+    assert [c["bound_id"] for c in skipped] == _OVERFLOWING
+    assert all(c["skipped"] and c["holds"] is None and c["notes"] == "" for c in skipped)
+    assert not any(c["holds"] is False for c in checks)
+
+
+def test_check_k4_at_p_1000_reports_non_finite_rows_as_skips(capsys, tmp_path):
+    f = tmp_path / "k4.g6"
+    f.write_text("C~\n")
+    code, checks = _check_without_warnings(capsys, f, "1000")
+    assert code == 0
+    _assert_non_finite_skips(checks)
+
+
+def test_check_paley29_at_p_300_reports_non_finite_rows_as_skips(capsys, tmp_path):
+    from spectranorm.graphs import paley, write_graph6
+
+    f = tmp_path / "p29.g6"
+    f.write_text(write_graph6(paley(29)) + "\n")
+    code, checks = _check_without_warnings(capsys, f, "300")
+    assert code == 0
+    _assert_non_finite_skips(checks)
+
+
+def test_sweep_n5_at_p_700_counts_non_finite_subjects_as_skipped(capsys):
+    code, out = _run(capsys, "sweep", "--n", "5", "--p", "700", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["total_violations"] == 0
+    for row in report["rows"]:
+        assert row["violations"] == 0
+        assert row["min_slack"] is None or math.isfinite(row["min_slack"]), row["bound_id"]
+        assert row["evaluated"] + row["skipped"] == 1024, row["bound_id"]
+    # sigma_1^700 passes the float range once sigma_1 is above about 2.75, so
+    # the cell evaluates the sparser graphs alone
+    edges = {r["bound_id"]: r for r in report["rows"]}["SCHATTEN_EDGES"]
+    assert 0 < edges["evaluated"] and edges["skipped"] > 0 and edges["skip_reason"] is None
 
 
 def test_sweep_csv(capsys):

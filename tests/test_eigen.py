@@ -1,5 +1,6 @@
 """Eigensolver and singular value unit tests plus randomized cross-checks."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +58,8 @@ def test_trace_drift_raises_per_lane(monkeypatch):
     # a solver bug that moves one lane's eigenvalues off its trace
     bisect = eigen._bisect
 
-    def drifting(d, e, first=0):
-        out = bisect(d, e, first)
+    def drifting(d, e, ranks=None):
+        out = bisect(d, e, ranks)
         out[-1] += 1e-3  # the last lane only
         return out
 
@@ -301,6 +302,44 @@ def test_no_external_eigensolver_in_package():
     assert users == []
 
 
+_EXTERNAL_SOLVERS = ("scipy", "networkx", "numpy.linalg")
+
+
+def _external_solver_uses(tree):
+    """(line, name) of every import of scipy or networkx, and every use of
+    numpy.linalg, in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "linalg"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            names = ["numpy.linalg"]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names
+                    if any(name == m or name.startswith(m + ".") for m in _EXTERNAL_SOLVERS))
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy", "import scipy.linalg as sl", "from scipy.sparse import linalg",
+    "import networkx as nx", "from networkx import Graph", "import numpy.linalg",
+    "from numpy import linalg", "from numpy.linalg import eigvalsh",
+    "import numpy as np\nnp.linalg.eigvalsh(a)", "import numpy\nx = numpy.linalg.svd",
+])
+def test_external_solver_check_flags(source):
+    assert list(_external_solver_uses(ast.parse(source)))
+
+
+def test_no_external_eigensolver_in_the_package_syntax_tree():
+    # the rule of the package: no scipy, no networkx and no numpy.linalg in src
+    src = Path(spectranorm.__file__).parent
+    found = [(str(p.relative_to(src)), line, name) for p in sorted(src.rglob("*.py"))
+             for line, name in _external_solver_uses(ast.parse(p.read_text()))]
+    assert found == []
+
+
 # --- the bisection kernel against plain bisection ---------------------------------
 
 def _plain_bisect(d, e, first=0):
@@ -363,7 +402,8 @@ def test_bisect_equals_plain_bisection(monkeypatch, n, width):
     monkeypatch.setattr(eigen, "_MULTISECT_WIDTH", width)
     d, e = _seeded_tridiagonal(n, 1000 + n)
     for first in sorted({0, n // 2, n - 1}):
-        assert np.array_equal(eigen._bisect(d, e, first), _plain_bisect(d, e, first))
+        assert np.array_equal(eigen._bisect(d, e, range(first, n)),
+                              _plain_bisect(d, e, first))
 
 
 @pytest.mark.parametrize("width", [eigen._MULTISECT_WIDTH, 4])
@@ -372,7 +412,8 @@ def test_bisect_equals_plain_bisection_integer_spectra(monkeypatch, width):
     for d, e in _integer_spectra():
         n = d.size
         for first in sorted({0, n // 2, n - 1}):
-            assert np.array_equal(eigen._bisect(d, e, first), _plain_bisect(d, e, first))
+            assert np.array_equal(eigen._bisect(d, e, range(first, n)),
+                                  _plain_bisect(d, e, first))
 
 
 def test_bisect_equals_plain_bisection_past_the_width():
@@ -421,8 +462,8 @@ def test_stacked_bisect_equals_each_lane_alone(monkeypatch, n, width):
     monkeypatch.setattr(eigen, "_MULTISECT_WIDTH", width)
     d, e = _stacked_tridiagonals(n, 500 + n)
     for first in sorted({0, n // 2, n - 1}):
-        stacked = eigen._bisect(d, e, first)
-        alone = np.stack([eigen._bisect(dk, ek, first) for dk, ek in zip(d, e)])
+        stacked = eigen._bisect(d, e, range(first, n))
+        alone = np.stack([eigen._bisect(dk, ek, range(first, n)) for dk, ek in zip(d, e)])
         assert np.array_equal(stacked, alone)
     assert not eigen._bisect(d, e)[-1].any()
 
@@ -443,7 +484,7 @@ def test_equal_brackets_share_one_tree(monkeypatch):
     # one 9-level tree (511 points) serves them all: about 53 steps in 6
     # passes, where 16 trees of 5 levels would take 11
     d, e = _golub_kahan(sylvester_hadamard(16).data.real)
-    eigen._bisect(d, e, 16)
+    eigen._bisect(d, e, range(16, 32))
     assert len(points) <= 6
     points.clear()
     reps = class_table(7).reps
@@ -607,8 +648,8 @@ def test_extremes_equal_the_full_solve_on_samples(n):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_extremes_of_integer_spectra(n):
-    # a midpoint can meet an exact zero pivot here, which the mirrored count
-    # resolves the other way: the values agree to the bisection tolerance
+    # a rank subset need not stop at the full solve's depth (see _bisect):
+    # the values agree to the bisection tolerance
     a = complete(n).adjacency_matrix().data.real.copy()
     full = eigen._eigenvalues_of_hermitian_array(a)
     ends = eigen._eigenvalues_of_hermitian_array(a, extremes=True)
