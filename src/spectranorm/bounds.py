@@ -17,8 +17,7 @@ Conventions:
   * holds means slack >= -tol with tol = 1e-7 * (1 + |lhs| + |rhs|),
   * the equality flag is the numeric test AND the detector verdict when the
     row has a gating detector,
-  * a subject whose lhs, rhs, mid or slack is not finite (a power sum past
-    the float range) is not evaluated: a skip, never a failure.
+  * a subject with a non-finite lhs, rhs, mid or slack is a skip, never a failure.
 
 Nonsquare matrix subjects are oriented rows <= cols (transposed if needed)
 before matrix rows are evaluated; singular values are unchanged by this.
@@ -589,9 +588,9 @@ class BoundRow:
         """(app, reason, values): the mask of the subjects the row evaluates, and why none.
 
         A subject must meet every precondition, in order, and then have a
-        finite lhs, rhs, mid and slack; the reason is that of the check that
-        left no subject (later checks are not run). `values` is `evaluate`'s
-        tuple, or None when the preconditions left no subject.
+        finite lhs, rhs, mid and slack (a power sum can pass the float range);
+        the reason is that of the check that left no subject. `values` is
+        `evaluate`'s tuple, or None when the preconditions left no subject.
         """
         app = np.ones(q.size, dtype=bool)
         for check in self.applies:
@@ -600,9 +599,10 @@ class BoundRow:
             if not app.any():
                 return app, reason, None
         values = self.evaluate(q, params, tol_scale)
-        for side in values[:4]:
-            if side is not None:
-                app &= np.isfinite(side)
+        mid, slack = values[2:4]
+        app &= np.isfinite(slack)  # slack = +-(lhs - rhs) is finite only when both sides are
+        if mid is not None:
+            app &= np.isfinite(mid)
         return app, (None if app.any() else _NOT_FINITE), values
 
     def equality_verdict(self, ctx, params, equal: bool) -> tuple[bool, Optional[dict]]:
