@@ -25,7 +25,6 @@ before matrix rows are evaluated; singular values are unchanged by this.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -847,9 +846,8 @@ def _lookup(bound_id: str) -> BoundRow:
 
 def check_bound(bound_id: str, subject, *, p: float = None, q: float = None,
                 k: int = None, tol_scale: float = 1.0) -> BoundCheck:
-    """Evaluate one registry row; raises PreconditionFailed when not applicable.
+    """One registry row, as the one-row `run_registry`; a skip raises PreconditionFailed.
 
-    The one-row `run_registry`, whose skip reason becomes the error message.
     `subject` is a Graph, a CMatrix or a `SubjectContext`; passing the same
     context to several calls computes its spectra and chi once.
     """
@@ -894,8 +892,10 @@ def _tol_scale(value) -> float:
 def _param_grid(row: BoundRow, p_values, q_values, k_values) -> list[dict]:
     """One parameter dict per point of the row's grids; q's grid is p's unless given."""
     grids = {"p": p_values, "q": p_values if q_values is None else q_values, "k": k_values}
-    return [{name: _param(name, v) for name, v in zip(row.takes, point)}
-            for point in itertools.product(*(grids[name] for name in row.takes))]
+    points = [{}]
+    for name in row.takes:
+        points = [{**point, name: _param(name, v)} for point in points for v in grids[name]]
+    return points
 
 
 def run_registry(subject, *, bound_ids=None, p_values=(1.0,), q_values=None,
