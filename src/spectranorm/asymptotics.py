@@ -17,6 +17,7 @@ import numpy as np
 from .eigen import _eigenvalues_of_hermitian_array
 from .errors import DomainError, TooLarge
 from .graphs import Graph, adjacency_from_pair_bits
+from .norms import schatten_of
 
 _MAX_ORDER = 2000
 
@@ -63,21 +64,36 @@ def _sample_adjacency(n: int, seed: int, index: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _sample_sigma(n: int, seed: int, index: int, top_two: bool = False) -> tuple[np.ndarray, int]:
-    """Descending singular values of one sample plus its edge count.
+def _sample_sigma(n: int, seed: int, index: int,
+                  part: str = "all") -> tuple[np.ndarray, float | None, int]:
+    """Descending singular values of one sample, its energy and its edge count.
 
-    With `top_two`, only sigma_1 and sigma_2, from lambda_1, lambda_2 and
-    lambda_n alone: a nonnegative matrix has lambda_1 >= |lambda_i| for
-    every i (Perron-Frobenius), so no other eigenvalue is among the two
-    largest moduli. The flag is part of the cache key, so a later full
-    request never reads the short array.
+    `part` selects what is solved, as `_eigenvalues_of_hermitian_array`
+    takes it, and is part of the cache key, so a later request for more
+    never reads a partial entry:
+      * "all": every singular value;
+      * "extremes" (for p = 2): sigma_1 and sigma_2 alone, from lambda_1,
+        lambda_2 and lambda_n. A nonnegative matrix has
+        lambda_1 >= |lambda_i| for every i (Perron-Frobenius), so no other
+        eigenvalue is among the two largest moduli;
+      * "positive" (for p = 1): sigma_1 and sigma_2, and the energy
+        E = 2 sum_{lambda > 0} lambda - tr A, from the eigenvalues of rank
+        k and up, k the Sturm count at 0, plus lambda_n. By the same
+        argument, sigma_1 and sigma_2 are the two largest moduli of
+        lambda_1, lambda_2 (when its rank is k or more) and lambda_n.
+    The energy is None for the other parts.
     """
     a = _sample_adjacency(n, seed, index)
     m = int(round(a.sum() / 2))
-    eigs = _eigenvalues_of_hermitian_array(a, extremes=top_two)
-    sig = np.sort(np.abs(eigs))[::-1][:2 if top_two else None]
+    eigs = _eigenvalues_of_hermitian_array(a, part)
+    energy = None
+    if part == "positive":
+        # eigs is the upper half, then lambda_n
+        energy = 2.0 * float(eigs[:-1].sum()) - float(np.trace(a))
+        eigs = np.append(eigs[:min(2, eigs.size - 1)], eigs[-1])
+    sig = np.sort(np.abs(eigs))[::-1][:None if part == "all" else 2]
     sig.flags.writeable = False
-    return sig, m
+    return sig, energy, m
 
 
 # --- gamma function and the semicircle constant ---------------------------------
@@ -156,7 +172,8 @@ def run_experiment(n: int, p: float, samples: int, seed: int) -> ExperimentStats
 
     The per-sample value list is ordered by sample index, so aggregation is
     deterministic. The p = 2 norm is taken from the exact edge count, so
-    that case solves only for the eigenvalues behind sigma_1 and sigma_2.
+    that case solves only for the eigenvalues behind sigma_1 and sigma_2,
+    and the p = 1 norm from the eigenvalues above 0 (see `_sample_sigma`).
     """
     if n < 1 or n > _MAX_ORDER:
         raise TooLarge(f"order must be within 1..{_MAX_ORDER}")
@@ -167,14 +184,15 @@ def run_experiment(n: int, p: float, samples: int, seed: int) -> ExperimentStats
     values = []
     s1s = []
     s2s = []
+    part = {1.0: "positive", 2.0: "extremes"}.get(p, "all")
     for i in range(samples):
-        sig, m = _sample_sigma(n, seed, i, top_two=p == 2.0)
+        sig, energy, m = _sample_sigma(n, seed, i, part)
         if p == 2.0:
             values.append(math.sqrt(2.0 * m))
         elif p == 1.0:
-            values.append(float(sig.sum()))
+            values.append(energy)
         else:
-            values.append(float(np.sum(sig**p) ** (1.0 / p)))
+            values.append(float(schatten_of(sig, p)))
         s1s.append(float(sig[0]) / n)
         s2s.append(float(sig[1]) / math.sqrt(n) if n > 1 else 0.0)
     mean = sum(values) / samples

@@ -15,7 +15,9 @@ and the nodes are bisection's own midpoints, so the result is bisection's
 bit for bit. Brackets that are equal bit for bit (all of a lane's at the
 start, and a cluster of equal or not yet separated eigenvalues after) share
 one tree and its counts, so the tree depth follows from the number of
-distinct brackets, not of wanted eigenvalues. The kernel takes a leading
+distinct brackets, not of wanted eigenvalues: it is log2(W / (B U) + 1)
+for about W points a pass, rounded to the nearest level, so a pass counts
+at most max(2 W, B U) points. The kernel takes a leading
 stack axis: `symmetric_eigenvalues_batch` reduces and bisects a (B, n, n)
 stack in one pass, each lane with its own scale, bracket and tolerance, and
 a single matrix is the case B = 1. No external eigensolver is used anywhere
@@ -59,10 +61,10 @@ _ROW_BLOCK = 64
 # Columns per panel of the blocked Householder reduction: the trailing
 # matrix takes one rank-2 * _PANEL update per panel.
 _PANEL = 32
-# W, the points per Sturm-count pass: multisection counts at up to W points
+# W, the points per Sturm-count pass: multisection counts at about W points
 # at once for the U distinct brackets of each of B lanes (U <= m, the wanted
-# eigenvalues), so a pass's temporaries hold at most _ROW_BLOCK x max(W, B m)
-# doubles.
+# eigenvalues), never more than max(2 W, B m), so a pass's temporaries hold
+# at most _ROW_BLOCK x max(2 W, B m) doubles.
 _MULTISECT_WIDTH = 512
 
 
@@ -297,8 +299,12 @@ def _bisect(d: np.ndarray, e: np.ndarray, ranks=None) -> np.ndarray:
     bisection's, bit for bit. Brackets that are equal bit for bit share one
     tree: every bracket of a lane at the start, and every cluster of equal
     or not yet separated eigenvalues after. A pass counts only the U
-    distinct brackets of each lane, at L = floor(log2(W / (B U) + 1))
-    levels, so a cluster of m equal eigenvalues costs the passes of one. A
+    distinct brackets of each lane, at L = round(log2(W / (B U) + 1))
+    levels (at least 1), so a cluster of m equal eigenvalues costs the
+    passes of one. Rounding rather than flooring the depth gives a pass
+    with B U in (W / 3, W / (2^1.5 - 1)] two levels, not one bisection
+    step; a pass then counts at B U (2^L - 1) <= max(2 W, B m) points, the
+    scratch the solve allocates. A
     lane is done at the first replayed depth where all its brackets are
     within tolerance, and gives their midpoints there. A zero pivot divides
     to an infinity of the right sign and the count reads the sign bit, so -0
@@ -322,8 +328,8 @@ def _bisect(d: np.ndarray, e: np.ndarray, ranks=None) -> np.ndarray:
     # compress and take keep the lanes contiguous, where indexing would not
     d_live = np.take(dd.T, live, axis=-1)
     e2_live = np.take(np.maximum(ee * ee, np.finfo(float).tiny).T, live, axis=-1)
-    # a pass never has more than max(W, B m) points (see L below)
-    scratch = np.empty((min(n, _ROW_BLOCK) + 1) * max(_MULTISECT_WIDTH, m * live.size))
+    # a pass never has more than max(2 W, B m) points (see L below)
+    scratch = np.empty((min(n, _ROW_BLOCK) + 1) * max(2 * _MULTISECT_WIDTH, m * live.size))
     steps = 0  # bisection steps taken by the live lanes
     shared = m > 1  # whether some lane may still hold equal brackets
     with np.errstate(divide="ignore", over="ignore"):
@@ -344,10 +350,11 @@ def _bisect(d: np.ndarray, e: np.ndarray, ranks=None) -> np.ndarray:
                 shared = u < m
             else:
                 u = m
-            # L = floor(log2(W / (B U) + 1)) levels of 2^L - 1 nodes, so at
-            # most W points a pass while B U <= W, and plain bisection (L = 1)
-            # past that
-            levels = min(max(1, (_MULTISECT_WIDTH // (live.size * u) + 1).bit_length() - 1),
+            # L = round(log2(W / (B U) + 1)) levels of 2^L - 1 nodes: L >= 2
+            # needs W / (B U) > 2^1.5 - 1, and then 2^L <= sqrt(2) (W / (B U)
+            # + 1) puts at most 2 W points in a pass; past that, plain
+            # bisection (L = 1) counts B U points
+            levels = min(max(1, round(math.log2(_MULTISECT_WIDTH / (live.size * u) + 1))),
                          _BISECT_STEPS - 1 - steps)
             if levels < 1:
                 raise NoConvergence(f"bisection did not converge in {_BISECT_STEPS} steps (n={n})")
@@ -450,21 +457,33 @@ def symmetric_eigenvalues_batch(mats: np.ndarray) -> np.ndarray:
     return vals * s[:, None]
 
 
-def _eigenvalues_of_hermitian_array(w: np.ndarray, extremes: bool = False) -> np.ndarray:
-    """Descending eigenvalues of a Hermitian array.
+def _eigenvalues_of_hermitian_array(w: np.ndarray, part: str = "all") -> np.ndarray:
+    """Descending eigenvalues of a Hermitian array: all, or the `part` named.
 
-    With `extremes`, only lambda_1, lambda_2 and lambda_n (lambda_1 and
-    lambda_n when n = 1), bisected together as ranks n - 1, n - 2 and 0, for
-    far fewer Sturm counts. They lie within the bisection tolerance of the
-    full solve's, and matched its bits on all 310 G(n, 1/2) samples measured
+    "extremes" gives lambda_1, lambda_2 and lambda_n (lambda_1 and lambda_n
+    when n = 1), bisected together as ranks n - 1, n - 2 and 0. "positive"
+    gives the eigenvalues from rank k up, k the Sturm count at 0 of the
+    scaled tridiagonal (every eigenvalue > 0, and a zero one may be among
+    them), then lambda_n, bisected together as ranks k..n - 1 and 0; the
+    last entry is lambda_n either way. A part takes far fewer Sturm counts.
+    Its values lie within the bisection tolerance of the full solve's, and
+    the extremes matched its bits on all 310 G(n, 1/2) samples measured
     (n = 3..40 at 8 seeds, n = 100 and 300 at 3), but that is not guaranteed
     (see `_bisect`).
     """
-    if not extremes:
+    if part == "all":
         return symmetric_eigenvalues_batch(w[None])[0]
     d, e, s = _scaled_tridiagonal(w[None])
     n = w.shape[0]
-    return _bisect(d[0], e[0], (0, *range(max(n - 2, 0), n)))[::-1] * s[0]
+    if part == "extremes":
+        first = max(n - 2, 0)
+    else:
+        # "positive": the count at 0, as `_bisect` counts, e_i^2 kept off exact zero
+        e2 = np.maximum(e * e, np.finfo(float).tiny).T
+        scratch = np.empty(min(n, _ROW_BLOCK) + 1)
+        with np.errstate(divide="ignore", over="ignore"):
+            first = int(_sturm_counts(d.T, e2, np.zeros((1, 1)), scratch)[0, 0])
+    return _bisect(d[0], e[0], (0, *range(first, n)))[::-1] * s[0]
 
 
 def hermitian_eigenvalues(m: CMatrix) -> EigenSpectrum:

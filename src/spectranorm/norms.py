@@ -41,6 +41,21 @@ def _check_kyfan_order(k: int) -> int:
     return k
 
 
+def schatten_of(sig: np.ndarray, p: float) -> np.ndarray:
+    """(sum_i sigma_i^p)^(1/p) along the last axis of an array of singular values.
+
+    Where sum sigma_i^p is a normal double, this is that arithmetic as
+    written. Where it overflows or underflows, it is sigma_1 (sum (sigma_i /
+    sigma_1)^p)^(1/p), as `entrywise_norm` scales, whose sum lies in [1, n].
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        total = (sig**p).sum(axis=-1)
+        top = sig.max(axis=-1, initial=0.0, keepdims=True)
+        scaled = top[..., 0] * ((sig / top) ** p).sum(axis=-1) ** (1.0 / p)
+    normal = (total >= np.finfo(float).tiny) & (total < math.inf)
+    return np.where(normal | (top[..., 0] == 0.0), total ** (1.0 / p), scaled)
+
+
 def spectral_norms(subject: Subject, ps, ks) -> tuple[list[float], list[float]]:
     """Schatten p-norms for each p in ps and Ky Fan k-norms for each k in ks.
 
@@ -49,8 +64,7 @@ def spectral_norms(subject: Subject, ps, ks) -> tuple[list[float], list[float]]:
     ps = [_check_schatten_order(p) for p in ps]
     ks = [_check_kyfan_order(k) for k in ks]
     sig = singular_values(as_matrix(subject)).values
-    schatten = [float(sig.sum()) if p == 1.0 else float(np.sum(sig**p) ** (1.0 / p))
-                for p in ps]
+    schatten = [float(sig.sum()) if p == 1.0 else float(schatten_of(sig, p)) for p in ps]
     kyfan = [float(sig[: min(k, len(sig))].sum()) for k in ks]
     return schatten, kyfan
 

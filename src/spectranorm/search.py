@@ -25,6 +25,7 @@ import numpy as np
 
 from .enumeration import chunk_quantities, class_table
 from .graphs import Graph, pair_count, write_graph6
+from .norms import schatten_of
 
 OBJECTIVES = ("XI_K", "TAU_K", "SPREAD", "MAX_ENERGY", "MAX_SCHATTEN_P")
 
@@ -57,8 +58,7 @@ def _objective_values(table, objective: str, param) -> np.ndarray:
     if objective == "MAX_ENERGY":
         return sig.sum(axis=1)
     if objective == "MAX_SCHATTEN_P":
-        p = float(param)
-        return (sig**p).sum(axis=1) ** (1.0 / p)
+        return schatten_of(sig, float(param))
     raise ValueError(f"unknown objective {objective!r}")
 
 

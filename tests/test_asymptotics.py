@@ -159,6 +159,70 @@ def test_p2_diagnostics_match_the_full_solve_at_n20_seed8():
     assert p2.sigma1_over_n == p3.sigma1_over_n
 
 
+def _fixed_adjacency(case):
+    from spectranorm.graphs import complete, empty_graph, paley, with_isolated
+
+    g = {"empty": empty_graph(6), "complete": complete(9)}.get(case)
+    if g is None:
+        # four exact zero eigenvalues; with the isolated vertices first, the
+        # count at 0 meets exact zero pivots in its first rows
+        g = with_isolated(paley(13), 4)
+    a = g.adjacency_matrix().data.real.copy()
+    return a[::-1, ::-1].copy() if case == "isolated_first" else a
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 40, 400, "empty", "complete", "isolated",
+                                  "isolated_first"])
+def test_p1_from_the_positive_half_matches_the_full_spectrum(monkeypatch, case):
+    from spectranorm import asymptotics
+
+    if isinstance(case, str):
+        a = _fixed_adjacency(case)
+        monkeypatch.setattr(asymptotics, "_sample_adjacency", lambda n, seed, index: a.copy())
+        n, samples = a.shape[0], 1
+    else:
+        n, samples = case, 3 if case < 400 else 1
+    tol = 8 * n * np.finfo(float).eps
+    asymptotics._sample_sigma.cache_clear()
+    try:
+        stats = run_experiment(n, 1.0, samples, 17)
+        for i in range(samples):
+            full = asymptotics._sample_sigma(n, 17, i, "all")[0]
+            energy = float(full.sum())
+            assert abs(stats.values[i] - energy) <= tol * energy
+            # sigma_1 and sigma_2 within the bisection tolerance of the full solve's
+            assert stats.sigma1_over_n[i] * n == pytest.approx(full[0], rel=0.0, abs=tol)
+            if n > 1:
+                sigma2 = stats.sigma2_over_sqrt_n[i] * math.sqrt(n)
+                assert sigma2 == pytest.approx(full[1], rel=0.0, abs=tol)
+    finally:
+        asymptotics._sample_sigma.cache_clear()
+
+
+def test_p1_cache_entry_is_not_read_as_a_full_spectrum(monkeypatch):
+    # p = 1 caches the upper half of each spectrum; a later p = 3 call on the
+    # same samples must still solve for every eigenvalue
+    from spectranorm import asymptotics
+
+    asymptotics._sample_sigma.cache_clear()
+    fresh = run_experiment(50, 3.0, 2, 21)
+    asymptotics._sample_sigma.cache_clear()
+    parts, solve = [], asymptotics._eigenvalues_of_hermitian_array
+
+    def recorded(w, part="all"):
+        parts.append(part)
+        return solve(w, part)
+
+    monkeypatch.setattr(asymptotics, "_eigenvalues_of_hermitian_array", recorded)
+    p1 = run_experiment(50, 1.0, 2, 21)
+    assert run_experiment(50, 3.0, 2, 21) == fresh
+    assert parts == ["positive", "positive", "all", "all"]
+    tol = 8 * 50 * np.finfo(float).eps
+    assert p1.sigma1_over_n == pytest.approx(fresh.sigma1_over_n, rel=0.0, abs=tol)
+    assert p1.sigma2_over_sqrt_n == pytest.approx(fresh.sigma2_over_sqrt_n, rel=0.0, abs=tol)
+    asymptotics._sample_sigma.cache_clear()
+
+
 def test_random_json_is_identical_across_blas_threads():
     import os
     import subprocess

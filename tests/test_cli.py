@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from spectranorm import bounds, sweep
@@ -422,6 +423,138 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["check"])  # missing --in
     assert exc.value.code == 2
+
+
+# --- the JSON writer ------------------------------------------------------------
+
+def _subject_files(tmp_path):
+    """K4, paley(13) and a seeded complex 3 x 5 matrix, as the CLI reads them."""
+    from spectranorm.graphs import paley, write_graph6
+
+    rng = np.random.default_rng(35)
+    a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    files = {"k4.g6": "C~\n", "paley13.g6": write_graph6(paley(13)) + "\n",
+             "complex3x5.csv": format_matrix_csv(CMatrix.from_array(a))}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / name) for name in files]
+
+
+def _payload_argvs(tmp_path):
+    """One `--format json` call of every payload kind, over the golden set's shapes."""
+    from spectranorm.search import OBJECTIVES
+
+    argvs = []
+    for path in _subject_files(tmp_path):
+        for params in ((), ("--p", "1", "--k", "1"), ("--p", "3", "--q", "3", "--k", "3")):
+            argvs.append(("check", "--in", path, *params))
+        argvs.append(("norms", "--in", path))
+        argvs.append(("norms", "--in", path, "--p", "1.5", "--p", "3", "--k", "1", "--k", "3"))
+    for n in (3, 4, 5, 6):
+        for grid in ((), ("--p", "1", "--k", "1"), ("--p", "2.5", "--p", "3", "--k", "2")):
+            for mode in ((), ("--canonical",), ("--tol-scale", "1000")):
+                argvs.append(("sweep", "--n", str(n), *grid, *mode))
+        for objective in OBJECTIVES + ("SPREAD_VS_F2",):
+            param = {"XI_K": ("--k", "2"), "TAU_K": ("--k", "2"),
+                     "MAX_SCHATTEN_P": ("--p", "3")}.get(objective, ())
+            for mode in ((), ("--canonical",)):
+                argvs.append(("search", "--objective", objective, "--n", str(n), *param, *mode))
+    for n in (1, 2, 30):
+        for p in ("1", "1.5", "2", "3"):
+            argvs.append(("random", "--n", str(n), "--p", p, "--samples", "2", "--seed", "4"))
+    argvs.append(("norms", "--in", str(tmp_path / "missing.g6")))  # the error payload
+    return [argv + ("--format", "json") for argv in argvs]
+
+
+def test_json_writer_matches_json_dumps_on_every_payload(capsys, tmp_path, monkeypatch):
+    from spectranorm import cli
+
+    payloads, emit = [], cli._emit_json
+
+    def recorded(obj):
+        payloads.append(obj)
+        emit(obj)
+
+    monkeypatch.setattr(cli, "_emit_json", recorded)
+    for argv in _payload_argvs(tmp_path):
+        del payloads[:]
+        main(list(argv))
+        out = capsys.readouterr().out
+        assert len(payloads) == 1, argv
+        assert out == json.dumps(payloads[0], indent=2) + "\n", argv
+
+
+_JSON_STRINGS = ["", "plain", 'quote " backslash \\ slash /', "tab\t newline\n cr\r nul\x00 \x1f",
+                 "\x7f caf\u00e9 \u4e2d\u6587 \U0001f600", "\u2028\u2029", "\ud800 lone surrogate"]
+_JSON_NUMBERS = [0, 1, -1, 2**63, -(2**100), 10**40, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 1e308, 1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789.0, -1.5e-7,
+                 math.nan, math.inf, -math.inf, np.float64(2.5), np.float64(-math.inf)]
+_JSON_KEYS = _JSON_STRINGS + [0, 7, -3, 2**70, 0.5, -0.0, 1e300, math.nan, math.inf,
+                              -math.inf, True, False, None, np.float64(0.25)]
+
+
+def _random_json_value(rng, depth):
+    kind = int(rng.integers(0, 8 if depth < 4 else 5))
+    if kind == 0:
+        return _JSON_STRINGS[rng.integers(len(_JSON_STRINGS))]
+    if kind == 1:
+        return _JSON_NUMBERS[rng.integers(len(_JSON_NUMBERS))]
+    if kind == 2:
+        return [True, False, None, 1, 0, 1.0][rng.integers(6)]  # bool against int
+    if kind == 3:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 4:
+        return int(rng.integers(-2**62, 2**62)) * int(rng.integers(1, 2**62))
+    size = int(rng.integers(0, 5))  # empty containers too
+    items = [_random_json_value(rng, depth + 1) for _ in range(size)]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {_JSON_KEYS[rng.integers(len(_JSON_KEYS))]: v for v in items}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_json_writer_matches_json_dumps_on_random_values(seed):
+    from spectranorm.cli import _json_text
+
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        obj = _random_json_value(rng, 0)
+        assert _json_text(obj, "\n") == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): 0}, {"a": [{frozenset(): 1}]}, [1j], {"a": {1, 2}},
+                                 b"bytes"])
+def test_json_writer_rejects_what_json_rejects(obj):
+    from spectranorm.cli import _json_text
+
+    with pytest.raises(TypeError) as ours:
+        _json_text(obj, "\n")
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(obj, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("p", ["1", "3", "1000"])
+def test_json_output_is_strict_json(capsys, tmp_path, p):
+    # NaN and Infinity are not JSON; `check` is left out, since its schema
+    # pins NaN on skipped rows
+    argvs = [("norms", "--in", path, "--p", p) for path in _subject_files(tmp_path)]
+    argvs += [("random", "--n", "13", "--p", p, "--samples", "2", "--seed", "5"),
+              ("search", "--objective", "MAX_SCHATTEN_P", "--n", "4", "--p", p),
+              ("sweep", "--n", "4", "--p", p)]
+    for argv in argvs:
+        code, out = _run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        _strict_json(out)
 
 
 # --- file format parsing -------------------------------------------------------

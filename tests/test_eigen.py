@@ -423,6 +423,41 @@ def test_bisect_equals_plain_bisection_past_the_width():
     assert np.array_equal(eigen._bisect(d, e), _plain_bisect(d, e))
 
 
+@pytest.mark.parametrize("width", [eigen._MULTISECT_WIDTH, 64, 4])
+def test_bisect_equals_plain_bisection_where_rounding_changes_the_depth(monkeypatch, width):
+    # the upper half of n = 420: U runs up to 210 distinct brackets, and at
+    # W = 512 every pass with B U in (171, 280] is two levels deep where the
+    # floor of log2(W / (B U) + 1) was one
+    monkeypatch.setattr(eigen, "_MULTISECT_WIDTH", width)
+    d, e = _seeded_tridiagonal(420, 4200)
+    assert np.array_equal(eigen._bisect(d, e, range(210, 420)), _plain_bisect(d, e, 210))
+
+
+@pytest.mark.parametrize("bu", [1, 3, 60, 200, 300, 511, 520])
+def test_sturm_count_passes_fit_the_scratch(monkeypatch, bu):
+    passes = []
+    sturm_counts = eigen._sturm_counts
+
+    def bounded(d, e2, x, scratch):
+        assert (min(d.shape[0], eigen._ROW_BLOCK) + 1) * x.size <= scratch.size
+        assert x.size <= max(2 * eigen._MULTISECT_WIDTH, x.shape[1] * m)
+        passes.append(x.size)
+        return sturm_counts(d, e2, x, scratch)
+
+    monkeypatch.setattr(eigen, "_sturm_counts", bounded)
+    # bu lanes whose m brackets start equal: the first pass has B U = bu, at
+    # L = round(log2(W / bu + 1)) levels
+    m = 3  # wanted eigenvalues a lane, read by `bounded`
+    d, e = map(np.stack, zip(*(_seeded_tridiagonal(m, 900 + k) for k in range(bu))))
+    eigen._bisect(d, e)
+    levels = max(1, round(np.log2(eigen._MULTISECT_WIDTH / bu + 1)))
+    assert passes[0] == bu * ((1 << levels) - 1)
+    # one lane whose distinct brackets pass through every U up to 210
+    m = 210
+    d, e = _seeded_tridiagonal(420, 4200)
+    eigen._bisect(d, e, range(210, 420))
+
+
 def test_bisect_step_cap_raises(monkeypatch):
     monkeypatch.setattr(eigen, "_BISECT_STEPS", 5)
     d, e = _seeded_tridiagonal(20, 3)
@@ -642,7 +677,7 @@ def test_extremes_equal_the_full_solve_on_samples(n):
 
     a = _sample_adjacency(n, 3, 0)
     full = eigen._eigenvalues_of_hermitian_array(a)
-    ends = eigen._eigenvalues_of_hermitian_array(a, extremes=True)
+    ends = eigen._eigenvalues_of_hermitian_array(a, "extremes")
     assert np.array_equal(ends, np.append(full[:2], full[-1]))
 
 
@@ -652,7 +687,7 @@ def test_extremes_of_integer_spectra(n):
     # the values agree to the bisection tolerance
     a = complete(n).adjacency_matrix().data.real.copy()
     full = eigen._eigenvalues_of_hermitian_array(a)
-    ends = eigen._eigenvalues_of_hermitian_array(a, extremes=True)
+    ends = eigen._eigenvalues_of_hermitian_array(a, "extremes")
     assert ends.size == min(n, 2) + 1
     assert np.allclose(ends, np.append(full[:2], full[-1]), rtol=0.0, atol=8 * eigen._EPS * n)
 

@@ -143,3 +143,35 @@ def test_fan_dominance_small():
         sig = singular_values(g.adjacency_matrix()).values
         for k in range(1, g.n + 1):
             assert mu[:k].sum() <= sig[:k].sum() + 1e-9
+
+
+# --- Schatten norms past the float range of sum sigma^p --------------------------
+
+def test_k4_schatten_at_p_1000_is_about_3():
+    # sum sigma_i^1000 = 3^1000 + 3 overflows; the norm itself is 3 (1 + 3^-999)^(1/1000)
+    assert schatten_norm(complete(4), 1000) == pytest.approx(3.0, rel=1e-14)
+
+
+def test_schatten_of_keeps_the_plain_arithmetic_where_the_sum_is_normal():
+    from spectranorm.norms import schatten_of
+
+    rng = np.random.default_rng(11)
+    sig = np.sort(rng.random((6, 9)) * 5.0, axis=1)[:, ::-1]
+    for p in (1.5, 2.0, 3.0, 7.25, 100.0):
+        assert np.array_equal(schatten_of(sig, p), (sig**p).sum(axis=1) ** (1.0 / p))
+        for row in sig:
+            assert float(schatten_of(row, p)) == float(np.sum(row**p) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-30, 1.0, 1e30, 1e300])
+def test_schatten_of_is_finite_at_any_scale(scale):
+    from spectranorm.norms import schatten_of
+
+    # rows: an overflow or an underflow at p = 1000 for most scales, a zero row,
+    # and one sigma alone
+    sig = scale * np.array([[3.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+    got = schatten_of(sig, 1000.0)
+    assert np.all(np.isfinite(got))
+    assert got[0] == pytest.approx(3.0 * scale, rel=1e-14)
+    assert got[1] == 0.0
+    assert got[2] == pytest.approx(2.0 * scale, rel=1e-14)

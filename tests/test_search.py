@@ -73,6 +73,13 @@ def test_max_schatten_p_record():
     assert abs(rec.value - 30.0 ** (1.0 / 3.0)) < 1e-9
 
 
+def test_max_schatten_p_1000_at_n4_is_k4_alone():
+    # sum sigma_i^1000 overflows on 19 of the 64 graphs; the maximum is K4's 3
+    rec = extremal("MAX_SCHATTEN_P", 4, 1000.0)
+    assert rec.value == pytest.approx(3.0, rel=1e-14)
+    assert rec.witnesses == (write_graph6(complete(4)),) and rec.witness_count == 1
+
+
 def test_tau_le_xi_and_monotonicity():
     xi = {}
     for n in range(2, 6):
