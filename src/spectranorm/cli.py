@@ -27,7 +27,7 @@ from .errors import PreconditionFailed, SpectranormError
 from .fileio import format_matrix_csv, load_subject
 from .graphs import Graph, blow_up, family, with_isolated, write_graph6
 from .norms import entrywise_norm, spectral_norms
-from .search import OBJECTIVES, compare_spread_vs_f2, extremal
+from .search import OBJECTIVE_PARAMS, OBJECTIVES, compare_spread_vs_f2, extremal
 from .sweep import run_sweep
 
 
@@ -339,15 +339,10 @@ def _cmd_search(args) -> int:
             print(f"spread witnesses: {' '.join(rep.spread_witnesses)}")
             print(f"kyfan2 witnesses: {' '.join(rep.kyfan2_witnesses)}")
         return 0
-    param = None
-    if args.objective in ("XI_K", "TAU_K"):
-        if args.k is None:
-            raise PreconditionFailed(f"{args.objective} needs --k")
-        param = args.k
-    elif args.objective == "MAX_SCHATTEN_P":
-        if args.p is None:
-            raise PreconditionFailed("MAX_SCHATTEN_P needs --p")
-        param = args.p
+    name = OBJECTIVE_PARAMS.get(args.objective)
+    param = None if name is None else getattr(args, name)
+    if name is not None and param is None:
+        raise PreconditionFailed(f"{args.objective} needs --{name}")
     record = extremal(args.objective, args.n, param, canonical=args.canonical)
     if args.format == "json":
         _emit_json(vars(record))

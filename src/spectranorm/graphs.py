@@ -102,8 +102,17 @@ class Graph:
             return False
         return bool((self.mask >> pair_index(u, v)) & 1)
 
+    def _pair_bits(self) -> np.ndarray:
+        """The mask as C(n,2) 0/1 pair indicators, in pair index order."""
+        npairs = pair_count(self.n)
+        raw = np.frombuffer(self.mask.to_bytes((npairs + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, bitorder="little")[:npairs]
+
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for (u, v) in pair_list(self.n) if self.has_edge(u, v)]
+        """The (u, v) pairs, u < v, in pair index order."""
+        v, u = np.tril_indices(self.n, -1)
+        present = self._pair_bits().astype(bool)
+        return list(zip(u[present].tolist(), v[present].tolist()))
 
     def neighbor_masks(self) -> list[int]:
         """Per-vertex neighbor bitsets (bit v set in entry u iff u ~ v)."""
@@ -114,10 +123,7 @@ class Graph:
 
     def adjacency_matrix(self) -> CMatrix:
         """0/1 symmetric adjacency matrix with zero diagonal."""
-        npairs = pair_count(self.n)
-        raw = np.frombuffer(self.mask.to_bytes((npairs + 7) // 8, "little"), np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")[:npairs]
-        return CMatrix.from_array(adjacency_from_pair_bits(bits, self.n))
+        return CMatrix.from_array(adjacency_from_pair_bits(self._pair_bits(), self.n))
 
     def complement(self) -> "Graph":
         return Graph(self.n, self.mask ^ ((1 << pair_count(self.n)) - 1))

@@ -28,6 +28,8 @@ from .graphs import Graph, pair_count, write_graph6
 from .norms import schatten_of
 
 OBJECTIVES = ("XI_K", "TAU_K", "SPREAD", "MAX_ENERGY", "MAX_SCHATTEN_P")
+# the parameter an objective takes, by name; the others take none
+OBJECTIVE_PARAMS = {"XI_K": "k", "TAU_K": "k", "MAX_SCHATTEN_P": "p"}
 
 _TIE_TOL = 1e-9
 _WITNESS_CAP = 100
@@ -113,13 +115,14 @@ def extremal(objective: str, n: int, param=None, *,
     """Exact maximum of an objective over all labeled graphs of order n."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    if objective in ("XI_K", "TAU_K"):
+    name = OBJECTIVE_PARAMS.get(objective)
+    if name == "k":
         if param is None or int(param) < 1:
             raise ValueError(f"{objective} needs a positive integer k")
         param = int(param)
-    elif objective == "MAX_SCHATTEN_P":
+    elif name == "p":
         if param is None or not 1.0 <= float(param) < math.inf:
-            raise ValueError("MAX_SCHATTEN_P needs a finite p >= 1")
+            raise ValueError(f"{objective} needs a finite p >= 1")
         param = float(param)
     else:
         param = None

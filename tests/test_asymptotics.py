@@ -62,6 +62,17 @@ def test_sampling_determinism():
     assert sample_gn_half(50, 7, index=1) != a
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 13, 400])
+def test_sampled_graph_matches_the_sampled_adjacency(n):
+    # C(n, 2) mod 8 is 0, 1, 5, 6 and 0: the packed mask's last byte is partial
+    from spectranorm.asymptotics import _sample_adjacency
+
+    for seed, index in ((0, 0), (5, 3)):
+        got = sample_gn_half(n, seed, index).adjacency_matrix().data
+        want = _sample_adjacency(n, seed, index)
+        assert np.array_equal(got.real, want) and not got.imag.any()
+
+
 def test_sample_order_one():
     g = sample_gn_half(1, 3)
     assert g.n == 1 and g.num_edges() == 0
@@ -105,13 +116,15 @@ def test_order_guard():
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, math.nan, math.inf, -math.inf])
-def test_experiment_rejects_p_before_sampling(p):
-    from spectranorm.asymptotics import _sample_sigma
+def test_experiment_rejects_p_before_sampling(monkeypatch, p):
+    from spectranorm import asymptotics
 
-    _sample_sigma.cache_clear()
+    def drawn(n, seed, index):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(asymptotics, "_sample_adjacency", drawn)
     with pytest.raises(DomainError):
         run_experiment(10, p, 1, 1)
-    assert _sample_sigma.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("p", ["0", "nan", "inf"])
@@ -125,22 +138,16 @@ def test_random_cli_rejects_p(capsys, p):
 
 
 def test_experiment_determinism_past_the_cache():
-    from spectranorm.asymptotics import _sample_sigma
-
+    # nothing is kept between calls; a repeat solves every sample again
     for p in (1.0, 2.0, 3.0):
         a = run_experiment(70, p, 2, 13)
-        _sample_sigma.cache_clear()
         assert run_experiment(70, p, 2, 13) == a
 
 
 def test_p2_cache_entry_is_not_read_as_a_full_spectrum():
-    # p = 2 caches sigma_1 and sigma_2 only; a later p = 1 call on the same
-    # samples must still see every singular value
-    from spectranorm.asymptotics import _sample_sigma
-
-    _sample_sigma.cache_clear()
+    # p = 2 solves for sigma_1 and sigma_2 only; a later p = 1 call on the
+    # same samples must still see the energy
     fresh = run_experiment(50, 1.0, 2, 21)
-    _sample_sigma.cache_clear()
     p2 = run_experiment(50, 2.0, 2, 21)
     assert run_experiment(50, 1.0, 2, 21) == fresh
     assert p2.sigma1_over_n == fresh.sigma1_over_n
@@ -150,9 +157,6 @@ def test_p2_cache_entry_is_not_read_as_a_full_spectrum():
 def test_p2_diagnostics_match_the_full_solve_at_n20_seed8():
     # lambda_n from the extremes solve once read one ulp off the full solve's
     # here, so sigma_2 / sqrt(n) differed between p = 2 and p = 3
-    from spectranorm.asymptotics import _sample_sigma
-
-    _sample_sigma.cache_clear()
     p2 = run_experiment(20, 2.0, 1, 8)
     p3 = run_experiment(20, 3.0, 1, 8)
     assert p2.sigma2_over_sqrt_n == p3.sigma2_over_sqrt_n == (0.9319333136651563,)
@@ -183,30 +187,25 @@ def test_p1_from_the_positive_half_matches_the_full_spectrum(monkeypatch, case):
     else:
         n, samples = case, 3 if case < 400 else 1
     tol = 8 * n * np.finfo(float).eps
-    asymptotics._sample_sigma.cache_clear()
-    try:
-        stats = run_experiment(n, 1.0, samples, 17)
-        for i in range(samples):
-            full = asymptotics._sample_sigma(n, 17, i, "all")[0]
-            energy = float(full.sum())
-            assert abs(stats.values[i] - energy) <= tol * energy
-            # sigma_1 and sigma_2 within the bisection tolerance of the full solve's
-            assert stats.sigma1_over_n[i] * n == pytest.approx(full[0], rel=0.0, abs=tol)
-            if n > 1:
-                sigma2 = stats.sigma2_over_sqrt_n[i] * math.sqrt(n)
-                assert sigma2 == pytest.approx(full[1], rel=0.0, abs=tol)
-    finally:
-        asymptotics._sample_sigma.cache_clear()
+    stats = run_experiment(n, 1.0, samples, 17)
+    for i in range(samples):
+        a = asymptotics._sample_adjacency(n, 17, i)
+        full = np.sort(np.abs(asymptotics._eigenvalues_of_hermitian_array(a, "all")))[::-1]
+        energy = float(full.sum())
+        assert abs(stats.values[i] - energy) <= tol * energy
+        # sigma_1 and sigma_2 within the bisection tolerance of the full solve's
+        assert stats.sigma1_over_n[i] * n == pytest.approx(full[0], rel=0.0, abs=tol)
+        if n > 1:
+            sigma2 = stats.sigma2_over_sqrt_n[i] * math.sqrt(n)
+            assert sigma2 == pytest.approx(full[1], rel=0.0, abs=tol)
 
 
 def test_p1_cache_entry_is_not_read_as_a_full_spectrum(monkeypatch):
-    # p = 1 caches the upper half of each spectrum; a later p = 3 call on the
-    # same samples must still solve for every eigenvalue
+    # p = 1 solves the upper half of each spectrum; a later p = 3 call on
+    # the same samples must still solve for every eigenvalue
     from spectranorm import asymptotics
 
-    asymptotics._sample_sigma.cache_clear()
     fresh = run_experiment(50, 3.0, 2, 21)
-    asymptotics._sample_sigma.cache_clear()
     parts, solve = [], asymptotics._eigenvalues_of_hermitian_array
 
     def recorded(w, part="all"):
@@ -220,7 +219,6 @@ def test_p1_cache_entry_is_not_read_as_a_full_spectrum(monkeypatch):
     tol = 8 * 50 * np.finfo(float).eps
     assert p1.sigma1_over_n == pytest.approx(fresh.sigma1_over_n, rel=0.0, abs=tol)
     assert p1.sigma2_over_sqrt_n == pytest.approx(fresh.sigma2_over_sqrt_n, rel=0.0, abs=tol)
-    asymptotics._sample_sigma.cache_clear()
 
 
 def test_random_json_is_identical_across_blas_threads():

@@ -26,6 +26,8 @@ from spectranorm.graphs import (
     empty_graph,
     family,
     is_strongly_regular,
+    pair_count,
+    pair_list,
     paley,
     parse_graph6,
     path,
@@ -44,6 +46,12 @@ def test_from_edge_list_basic():
         Graph.from_edge_list(3, [(0, 0)])
     with pytest.raises(VertexOutOfRange):
         Graph.from_edge_list(3, [(0, 3)])
+    # edges() against the pair-list filter, and back, on a seeded order-300 graph
+    bits = np.random.default_rng(300).integers(0, 2, size=pair_count(300))
+    g = Graph(300, int("".join(map(str, bits[::-1])), 2))
+    edges = g.edges()
+    assert edges == [(u, v) for u, v in pair_list(300) if g.has_edge(u, v)]
+    assert len(edges) == bits.sum() and Graph.from_edge_list(300, edges) == g
 
 
 def test_graph6_known_strings():
