@@ -1,8 +1,9 @@
 """Schatten and Ky Fan norms of graphs and complex matrices.
 
-A self-contained Householder and Sturm-count multisection eigensolver, which
-reproduces bisection exactly (Golub-Kahan bidiagonalization for singular
-values), feeds norm functionals, a registry of extremal bounds with equality
+A self-contained Householder eigensolver (Golub-Kahan bidiagonalization for
+singular values), which solves a tridiagonal of order up to 64 by implicit
+QL and a larger one by Sturm-count multisection that reproduces bisection
+exactly, feeds norm functionals, a registry of extremal bounds with equality
 detection, named graph and matrix constructions, seeded Monte Carlo
 experiments on G(n, 1/2), and exhaustive extremal search over all
 small-order graphs.

@@ -157,8 +157,11 @@ class SubjectContext:
 
     @cached_property
     def zero_one(self) -> np.ndarray:
+        # each entry within 1e-12 |A|_inf of 0 or of 1, so that a matrix of
+        # tiny entries is not read as 0/1; at |A|_inf = 1 the band is 1e-12
         d = self.matrix.data
-        return np.array([np.all((np.abs(d) <= 1e-12) | (np.abs(d - 1.0) <= 1e-12))])
+        band = 1e-12 * self.entinf[0]
+        return np.array([np.all((np.abs(d) <= band) | (np.abs(d - 1.0) <= band))])
 
     @cached_property
     def unit(self) -> np.ndarray:

@@ -7,21 +7,30 @@ correction and reach the trailing matrix in one matrix product (LAPACK's
 xSYTRD/xLATRD). A matrix whose singular values are wanted is reduced by
 Golub-Kahan bidiagonalization, unblocked, and its singular values are the
 top half of the spectrum of the zero-diagonal tridiagonal built from the
-bidiagonal. Both tridiagonals are solved on
-Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) by
-multisection, vectorized over all wanted eigenvalues at once: one pass over
-the rows counts at every node of a dyadic tree inside each distinct bracket,
-and the nodes are bisection's own midpoints, so the result is bisection's
-bit for bit. Brackets that are equal bit for bit (all of a lane's at the
-start, and a cluster of equal or not yet separated eigenvalues after) share
-one tree and its counts, so the tree depth follows from the number of
-distinct brackets, not of wanted eigenvalues: it is log2(W / (B U) + 1)
-for about W points a pass, rounded to the nearest level, so a pass counts
-at most max(2 W, B U) points. The kernel takes a leading
-stack axis: `symmetric_eigenvalues_batch` reduces and bisects a (B, n, n)
-stack in one pass, each lane with its own scale, bracket and tolerance, and
-a single matrix is the case B = 1. No external eigensolver is used anywhere
-in the package: every norm ultimately reduces to this module.
+bidiagonal (order 2k for k singular values).
+
+Each tridiagonal is solved by one of two kernels, picked in
+`_tridiagonal_eigenvalues` by its order alone, so a matrix and a lane of a
+stack of the same order get the same bits:
+  * order <= _QL_MAX_ORDER: implicit QL with Wilkinson shifts on Python
+    floats (`_ql`, EISPACK imtql1), one lane at a time; it deflates against
+    the Gershgorin norm |T|, so its error is normwise, within c n eps |T|;
+  * larger orders: Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9,
+    1967) by multisection (`_bisect`), vectorized over all wanted
+    eigenvalues at once: one pass over the rows counts at every node of a
+    dyadic tree inside each distinct bracket, and the nodes are bisection's
+    own midpoints, so the result is bisection's bit for bit, within
+    2 eps |T| of each eigenvalue. Brackets that are equal bit for bit (all
+    of a lane's at the start, and a cluster of equal or not yet separated
+    eigenvalues after) share one tree and its counts, so the tree depth
+    follows from the number of distinct brackets, not of wanted eigenvalues:
+    it is log2(W / (B U) + 1) for about W points a pass, rounded to the
+    nearest level, so a pass counts at most max(2 W, B U) points.
+The kernel takes a leading stack axis: `symmetric_eigenvalues_batch`
+reduces a (B, n, n) stack in one pass and solves each lane with its own
+scale, bracket and tolerance, and a single matrix is the case B = 1. No
+external eigensolver is used anywhere in the package: every norm
+ultimately reduces to this module.
 
 Conventions:
   * eigenvalues are returned sorted nonincreasing,
@@ -66,6 +75,15 @@ _PANEL = 32
 # eigenvalues), never more than max(2 W, B m), so a pass's temporaries hold
 # at most _ROW_BLOCK x max(2 W, B m) doubles.
 _MULTISECT_WIDTH = 512
+# Tridiagonals of at most this order are solved by scalar QL, larger ones by
+# multisection, near the measured crossover (2 vCPUs, Python 3.11, numpy
+# 2.4): QL took 1.9 ms against 2.8 ms at 60 rows, and 7.5 ms against 6.2 ms
+# at 120, where multisection's fixed numpy cost a pass is spread over more
+# rows.
+_QL_MAX_ORDER = 64
+# QL sweeps allowed per eigenvalue (EISPACK's 30); two or three are typical,
+# so the cap only catches a solver bug.
+_QL_SWEEPS = 30
 
 
 @dataclass(frozen=True)
@@ -411,6 +429,88 @@ def _bisect(d: np.ndarray, e: np.ndarray, ranks=None) -> np.ndarray:
     return out.T if d.ndim == 2 else out[:, 0]
 
 
+def _ql(d: list[float], e: list[float], norm: float) -> list[float]:
+    """Ascending eigenvalues of the tridiagonal (d, e) by implicit QL with Wilkinson shifts.
+
+    Python floats, overwritten in place; `norm` is the Gershgorin norm
+    max(-lo, hi) that `_bisect` takes, and must be > 0. The implicit QL
+    algorithm of Dubrulle, Martin & Wilkinson (Numer. Math. 12, 1968;
+    EISPACK imtql1), the implicit form of the QL algorithm of Bowdler,
+    Martin, Reinsch & Wilkinson (Numer. Math. 11, 1968): each sweep chases
+    a Wilkinson-shifted rotation up the unreduced block ending at row l,
+    and l moves on once e_l is within eps * |T| of zero. Deflating against
+    |T| rather than the neighbouring diagonal keeps the error normwise,
+    c n eps |T|, as bisection's is. Raises NoConvergence when one
+    eigenvalue takes more than _QL_SWEEPS sweeps.
+    """
+    n = len(d)
+    last = n - 1
+    e.append(0.0)
+    tol = _EPS * norm
+    hypot, copysign = math.hypot, math.copysign
+    for l in range(last):
+        sweeps = 0
+        while True:
+            m = l
+            while m < last and abs(e[m]) > tol:
+                m += 1
+            if m == l:
+                break
+            if sweeps == _QL_SWEEPS:
+                raise NoConvergence(f"QL did not converge in {_QL_SWEEPS} sweeps (n={n})")
+            sweeps += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + copysign(hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                ei = e[i]
+                f = s * ei
+                b = c * ei
+                r = hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # f and g underflowed together: the block splits at i + 1
+                    d[i + 1] -= p
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+            e[m] = 0.0
+    d.sort()
+    return d
+
+
+def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray, ranks=None) -> np.ndarray:
+    """`_bisect`'s result, from the kernel that is faster at this order.
+
+    The same contract as `_bisect`: the eigenvalues of the given ascending
+    ranks (default: all), ascending, one row per lane of a (B, n) stack.
+    Order n <= _QL_MAX_ORDER takes `_ql`, one lane at a time, and the ranks
+    are read off the whole spectrum; a larger order takes `_bisect`. The
+    kernel depends on the order alone, so a matrix and a stack lane of the
+    same order get the same bits.
+    """
+    n = d.shape[-1]
+    if n > _QL_MAX_ORDER:
+        return _bisect(d, e, ranks)
+    dd, ee = np.atleast_2d(d, e)
+    lo, hi = _gershgorin(dd, ee)
+    norm = np.maximum(-lo, hi).tolist()
+    out = np.array([_ql(dk, ek, s) if s > 0.0 else [0.0] * n
+                    for dk, ek, s in zip(dd.tolist(), ee.tolist(), norm)])
+    if ranks is not None:
+        out = out[:, np.asarray(ranks, dtype=np.intp)]
+    return out if d.ndim == 2 else out[0]
+
+
 def _max_modulus(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
@@ -444,12 +544,12 @@ def symmetric_eigenvalues_batch(mats: np.ndarray) -> np.ndarray:
     Each matrix is divided by its own max|a_ij| before the reduction and its
     eigenvalues are multiplied back, so every lane is right at its own scale.
     Raises NotHermitian when a lane fails the relative symmetry check, and
-    NoConvergence on a solver bug: the bisection step cap, or a lane whose
-    eigenvalue sum drifted from its trace.
+    NoConvergence on a solver bug: the QL sweep cap or the bisection step
+    cap, or a lane whose eigenvalue sum drifted from its trace.
     """
     mats = np.asarray(mats)
     d, e, s = _scaled_tridiagonal(mats)
-    vals = _bisect(d, e)[:, ::-1]
+    vals = _tridiagonal_eigenvalues(d, e)[:, ::-1]
     scale = np.where(s > 0.0, s, 1.0)[:, None]
     trace = (np.diagonal(mats, axis1=1, axis2=2).real / scale).sum(axis=1)
     if np.any(np.abs(vals.sum(axis=1) - trace) > _SPECTRUM_SUM_TOL * (1.0 + np.abs(trace))):
@@ -461,15 +561,16 @@ def _eigenvalues_of_hermitian_array(w: np.ndarray, part: str = "all") -> np.ndar
     """Descending eigenvalues of a Hermitian array: all, or the `part` named.
 
     "extremes" gives lambda_1, lambda_2 and lambda_n (lambda_1 and lambda_n
-    when n = 1), bisected together as ranks n - 1, n - 2 and 0. "positive"
+    when n = 1), solved together as ranks n - 1, n - 2 and 0. "positive"
     gives the eigenvalues from rank k up, k the Sturm count at 0 of the
     scaled tridiagonal (every eigenvalue > 0, and a zero one may be among
-    them), then lambda_n, bisected together as ranks k..n - 1 and 0; the
-    last entry is lambda_n either way. A part takes far fewer Sturm counts.
-    Its values lie within the bisection tolerance of the full solve's, and
-    the extremes matched its bits on all 310 G(n, 1/2) samples measured
-    (n = 3..40 at 8 seeds, n = 100 and 300 at 3), but that is not guaranteed
-    (see `_bisect`).
+    them), then lambda_n, solved together as ranks k..n - 1 and 0; the
+    last entry is lambda_n either way. Up to order _QL_MAX_ORDER the ranks
+    are read off QL's whole spectrum, so a part has the full solve's bits.
+    Above it a part takes far fewer Sturm counts; its values lie within the
+    bisection tolerance of the full solve's, and the extremes matched its
+    bits on all 310 G(n, 1/2) samples measured (n = 3..40 at 8 seeds,
+    n = 100 and 300 at 3), but that is not guaranteed (see `_bisect`).
     """
     if part == "all":
         return symmetric_eigenvalues_batch(w[None])[0]
@@ -483,7 +584,7 @@ def _eigenvalues_of_hermitian_array(w: np.ndarray, part: str = "all") -> np.ndar
         scratch = np.empty(min(n, _ROW_BLOCK) + 1)
         with np.errstate(divide="ignore", over="ignore"):
             first = int(_sturm_counts(d.T, e2, np.zeros((1, 1)), scratch)[0, 0])
-    return _bisect(d[0], e[0], (0, *range(first, n)))[::-1] * s[0]
+    return _tridiagonal_eigenvalues(d[0], e[0], (0, *range(first, n)))[::-1] * s[0]
 
 
 def hermitian_eigenvalues(m: CMatrix) -> EigenSpectrum:
@@ -520,7 +621,7 @@ def singular_values(a: CMatrix) -> SingularSpectrum:
     offdiag[0::2] = diag
     offdiag[1::2] = sup
     zero = np.zeros(2 * k)
-    top = _bisect(zero, offdiag, range(k, 2 * k))
+    top = _tridiagonal_eigenvalues(zero, offdiag, range(k, 2 * k))
     if top[0] < -64.0 * k * _EPS * _gershgorin(zero, offdiag)[1]:
         raise NoConvergence("Golub-Kahan eigenvalue significantly negative")
     sig = np.clip(top, 0.0, None)[::-1]

@@ -3,7 +3,7 @@
 Matrix files are CSV with cells that are real (`a`) or complex
 (`a+bi` / `a-bi`) literals. A file of plain literals (digits, a point and an
 exponent, rows of equal length, `\n` line ends), which is what
-`format_matrix_csv` writes, is converted in bulk by `complex()`; every other
+`format_matrix_csv` writes, is converted in bulk by `np.loadtxt`; every other
 file is parsed cell by cell, which accepts more (spaces, `nan`, `inf`, an
 `I` suffix, blank lines) and gives the errors. Both give the same values, bit
 for bit. Graph files are either a graph6 string or an edge list (first line
@@ -64,20 +64,23 @@ _PLAIN_ROW = re.compile(rf"{_CELL}(?:,{_CELL})*")
 
 
 def _parse_plain(text: str) -> CMatrix | None:
-    """The matrix of a file of plain literals in equal rows, or None for any other file."""
+    """The matrix of a file of plain literals in equal rows, or None for any other file.
+
+    Once every line is checked, the whole body is converted in one
+    `np.loadtxt` call, whose complex parser reads each part as `complex()`
+    does, bit for bit.
+    """
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
     if not lines:
         return None
-    values = np.empty((len(lines), lines[0].count(",") + 1), dtype=np.complex128)
-    for row, line in zip(values, lines):
-        if not _PLAIN_ROW.fullmatch(line):
+    commas = lines[0].count(",")
+    for line in lines:
+        if line.count(",") != commas or not _PLAIN_ROW.fullmatch(line):
             return None
-        cells = line.replace("i", "j").split(",")
-        if len(cells) != row.size:
-            return None
-        row[:] = list(map(complex, cells))
+    values = np.loadtxt([line.replace("i", "j") for line in lines], dtype=np.complex128,
+                        delimiter=",", ndmin=2)
     return CMatrix.from_array(values)
 
 

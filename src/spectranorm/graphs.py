@@ -115,8 +115,17 @@ class Graph:
         return list(zip(u[present].tolist(), v[present].tolist()))
 
     def neighbor_masks(self) -> list[int]:
-        """Per-vertex neighbor bitsets (bit v set in entry u iff u ~ v)."""
-        return neighbor_masks_of(self.n, self.mask, pair_list(self.n))
+        """Per-vertex neighbor bitsets (bit v set in entry u iff u ~ v).
+
+        Read off the packed rows of the 0/1 adjacency, in time linear in the
+        pair count; `neighbor_masks_of` takes a big-int step per edge.
+        """
+        n = self.n
+        idx = np.arange(n)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[idx[:, None] > idx] = self._pair_bits()  # row-major: pair index order
+        rows = np.packbits(adj | adj.T, axis=1, bitorder="little")
+        return list(map(int.from_bytes, rows.tolist(), ["little"] * n))
 
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.neighbor_masks()]

@@ -8,6 +8,7 @@ import pytest
 from spectranorm.cmatrix import CMatrix
 from spectranorm.constructions import all_ones, dft_matrix, sylvester_hadamard
 from spectranorm.bounds import (
+    SubjectContext,
     check_bound,
     detect_complete_multipartite,
     registry_ids,
@@ -247,6 +248,22 @@ def test_preconditions_and_errors():
         check_bound("KYFAN_L2", complete(3), k=5)  # k > m
     with pytest.raises(PreconditionFailed):
         check_bound("POWER_MEAN", complete(3), p=3.0, q=2.0)  # p > q
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-200])
+def test_tiny_gaussian_matrix_is_not_zero_one(scale):
+    # every entry of a complex Gaussian matrix times 1e-200 is below 1e-12;
+    # an absolute 0/1 test read it as a 0/1 matrix and evaluated KYFAN_01
+    rng = np.random.default_rng(7)
+    z = scale * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
+    assert not SubjectContext(CMatrix.from_array(z)).zero_one[0]
+    (chk,) = run_registry(CMatrix.from_array(z), bound_ids=["KYFAN_01"], k_values=(2,))
+    assert chk.skipped and chk.skip_reason == "matrix entries must all be 0 or 1"
+    # a true 0/1 matrix stays one, with or without roundoff at |A|_inf = 1
+    ones = (rng.random((4, 6)) < 0.5).astype(float)
+    ones[0, 0] = 1.0
+    assert SubjectContext(CMatrix.from_array(ones)).zero_one[0]
+    assert SubjectContext(CMatrix.from_array(ones * (1.0 + 1e-13))).zero_one[0]
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

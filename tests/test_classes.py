@@ -264,7 +264,7 @@ def _bits(x) -> bytes:
 def test_rows_on_the_table_match_run_registry_per_class(p_values, k_values):
     # the class table is the rows' record: each class gets, bit for bit, what
     # the single-subject path gives its representative
-    for n in range(1, 6):
+    for n in range(1, 7):
         table = class_table(n)
         per_class = [bounds.run_registry(Graph(n, rep), p_values=p_values, k_values=k_values)
                      for rep in table.reps.tolist()]

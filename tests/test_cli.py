@@ -696,6 +696,45 @@ def test_plain_files_take_the_bulk_path_and_agree(text):
     assert _parse_outcome(parse_matrix_file, text) == _parse_outcome(_parse_cells, text)
 
 
+def _random_plain_cell(rng):
+    """One plain literal from the grammar the bulk path accepts, special values weighted in."""
+    special = ["-0.0", "0.0", "5e-324", "4.9e-324", "2.2250738585072014e-308", "1e308",
+               "1.7976931348623157e308", "42", "+1", ".5", "5.", "0", "-0"]
+
+    def digits(k):
+        return "".join(map(str, rng.integers(0, 10, k)))
+
+    def unsigned():
+        if rng.random() < 0.3:
+            return special[rng.integers(len(special))].lstrip("+-")
+        body = [digits(rng.integers(1, 16)), digits(rng.integers(1, 16)) + ".",
+                digits(rng.integers(1, 16)) + "." + digits(rng.integers(0, 16)),
+                "." + digits(rng.integers(1, 16))][rng.integers(4)]
+        if rng.random() < 0.5:
+            sign = ["", "+", "-"][rng.integers(3)]
+            body += "eE"[rng.integers(2)] + sign + str(rng.integers(0, 290 if sign != "-" else 340))
+        return body
+
+    cell = ["", "+", "-"][rng.integers(3)] + unsigned()
+    if rng.random() < 0.5:
+        cell += "+-"[rng.integers(2)] + unsigned() + "i"
+    return cell
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_plain_literals_parse_as_the_cell_parser(seed):
+    # the bulk conversion reads every plain literal as `complex()` does:
+    # signed zeros, subnormals, 1e308, integers, `+1`, `.5` and `5.`
+    from spectranorm.fileio import _parse_cells, _parse_plain
+
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(1, 9, 2)
+    text = "\n".join(",".join(_random_plain_cell(rng) for _ in range(cols))
+                     for _ in range(rows)) + "\n" * int(rng.integers(2))
+    assert _parse_plain(text) is not None
+    assert _parse_outcome(parse_matrix_file, text) == _parse_outcome(_parse_cells, text)
+
+
 @pytest.mark.parametrize("text", [
     "1, 2\n3,4\n", " 1,2\n3,4\n", "1,2 \n", "nan,1\n", "1,nan\n", "inf,1\n", "-inf,1\n",
     "1+nani\n", "1_0,2\n", "2i\n", "1,2i\n", "1+i\n", "+i\n", "i\n", "1,2,\n", ",1\n", "1,,2\n",

@@ -56,16 +56,16 @@ def test_not_hermitian_messages():
 
 def test_trace_drift_raises_per_lane(monkeypatch):
     # a solver bug that moves one lane's eigenvalues off its trace
-    bisect = eigen._bisect
+    solve = eigen._tridiagonal_eigenvalues
 
     def drifting(d, e, ranks=None):
-        out = bisect(d, e, ranks)
+        out = solve(d, e, ranks)
         out[-1] += 1e-3  # the last lane only
         return out
 
     stack = np.stack([complete(3).adjacency_matrix().data.real] * 3)
     symmetric_eigenvalues_batch(stack)
-    monkeypatch.setattr(eigen, "_bisect", drifting)
+    monkeypatch.setattr(eigen, "_tridiagonal_eigenvalues", drifting)
     with pytest.raises(NoConvergence, match="drifted from the trace"):
         symmetric_eigenvalues_batch(stack)
     with pytest.raises(NoConvergence, match="drifted from the trace"):
@@ -465,6 +465,79 @@ def test_bisect_step_cap_raises(monkeypatch):
         eigen._bisect(d, e)
 
 
+# --- the QL kernel and the order that selects it -----------------------------------
+
+_N0 = eigen._QL_MAX_ORDER
+
+
+def _wilkinson_plus(m):
+    """W_{2m+1}^+: diagonal |m|, ..., 1, 0, 1, ..., m and unit off-diagonal."""
+    return np.abs(np.arange(-m, m + 1.0)), np.ones(2 * m)
+
+
+def _ql_cases():
+    rng = np.random.default_rng(64)
+    w, ones = _wilkinson_plus(10)
+    glued = np.ones(3 * w.size - 1)
+    glued[[w.size - 1, 2 * w.size - 1]] = 1e-8
+    rank_deficient = rng.standard_normal((9, 9))
+    rank_deficient[:, 3] = rank_deficient[:, 5]
+    rank_deficient[:, 7] = 0.0
+    return {
+        "W21+": (w, ones),
+        "glued_wilkinson": (np.tile(w, 3), glued),
+        "graded": (10.0 ** -np.arange(20.0), 10.0 ** -np.arange(0.5, 19.5)),
+        "zero": (np.zeros(10), np.zeros(9)),
+        "diagonal": (rng.standard_normal(12), np.zeros(11)),
+        "e_1e-300": (rng.standard_normal(12), np.full(11, 1e-300)),
+        "all_equal": (np.full(15, 2.0), np.ones(14)),
+        "golub_kahan_rank_deficient": _golub_kahan(rank_deficient),
+        "random_n0": (rng.standard_normal(_N0), rng.standard_normal(_N0 - 1)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_ql_cases()))
+def test_ql_against_eigvalsh(case):
+    d, e = _ql_cases()[case]
+    n = d.size
+    assert n <= _N0  # the order QL solves
+    ref = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    lo, hi = eigen._gershgorin(d, e)
+    vals = eigen._tridiagonal_eigenvalues(d, e)
+    assert np.all(vals[:-1] <= vals[1:])
+    assert np.max(np.abs(vals - ref)) <= n * eigen._EPS * max(-lo, hi)
+
+
+def test_ql_sweep_cap_raises(monkeypatch):
+    d, e = _seeded_tridiagonal(20, 3)
+    eigen._tridiagonal_eigenvalues(d, e)
+    monkeypatch.setattr(eigen, "_QL_SWEEPS", 1)
+    with pytest.raises(NoConvergence, match="QL did not converge in 1 sweeps"):
+        eigen._tridiagonal_eigenvalues(d, e)
+
+
+@pytest.mark.parametrize("n, kernel", [(1, "ql"), (_N0, "ql"), (_N0 + 1, "bisect")])
+def test_the_order_alone_selects_the_kernel(monkeypatch, n, kernel):
+    calls = []
+    for name in ("_ql", "_bisect"):
+        solve = getattr(eigen, name)
+        monkeypatch.setattr(eigen, name, lambda *args, solve=solve, name=name:
+                            calls.append(name[1:]) or solve(*args))
+    d, e = _seeded_tridiagonal(n, 80 + n)
+    full = eigen._tridiagonal_eigenvalues(d, e)
+    # a stack of three lanes, the last all zero, and a rank subset of each
+    ends = eigen._tridiagonal_eigenvalues(np.stack([d, 2 * d, 0 * d]),
+                                          np.stack([e, 2 * e, 0 * e]), (0, n - 1))
+    assert ends.shape == (3, 2) and not ends[2].any()
+    if kernel == "ql":
+        # one call a lane that is not all zero; the ranks are read off its
+        # whole spectrum, so a lane gets the single matrix's bits
+        assert calls == ["ql"] * 3
+        assert np.array_equal(ends[0], full[[0, n - 1]])
+    else:
+        assert calls == ["bisect"] * 2
+
+
 # --- the stack axis ---------------------------------------------------------------
 
 _FLIP = np.array([[[0.0, 1.0], [1.0, 0.0]]])
@@ -522,8 +595,11 @@ def test_equal_brackets_share_one_tree(monkeypatch):
     eigen._bisect(d, e, range(16, 32))
     assert len(points) <= 6
     points.clear()
+    # the order-7 class table's tridiagonals, which QL solves in the table
+    # itself; bisected as one stack
     reps = class_table(7).reps
-    eigen.symmetric_eigenvalues_batch(adjacency_batch(reps, 7))
+    d, e, _ = eigen._scaled_tridiagonal(adjacency_batch(reps, 7))
+    eigen._bisect(d, e)
     # each lane's 7 brackets start equal, so the first pass counts one point
     # a lane with an edge, not 7
     assert points[0] == reps.size - 1 < reps.size * 7

@@ -18,37 +18,37 @@ from spectranorm.graphs import complete, cycle, paley, write_graph6
 
 GOLDENS = {
     "sweep --n 4 --format json":
-        (0, "3404e1c56057df9a3bc17955c5539cb1273d0aead3f15e309e6d9e73c2b5c6f2"),
+        (0, "cdf1770db30d33d8025bc30437afe312d876f0d5e6bcb1991bbe047d08021e72"),
     "sweep --n 4 --format csv":
-        (0, "730097f5fe4b95d3b3dd7bd7868f37e2c139dc886aea9b257a777518f67751da"),
+        (0, "0a99fd293245f6047a7825f775ac438ce8d0fb85bac1747c6c2a6e1ce14d3b1d"),
     "sweep --n 4 --canonical --format json":
-        (0, "283269767aadf37d36987e358e8c16211e7eb95b3dcbe5d6710de347dd0de47d"),
+        (0, "e54f24c76760ad4bd837a6a7fd8f3e545d5251db9525e69ceea803e1714cd482"),
     "sweep --n 4 --canonical --format csv":
-        (0, "874ac4a49a2795447466a9697320d211304d5c1892cae4d8b817418be3a26047"),
+        (0, "757bdbb97a00012712a8641782872013fd92cec386bb92d6b2a3fc5106ccd375"),
     "sweep --n 5 --format json":
-        (0, "8109d29d902746d52ded80b72a69bb46c2625540b5fee359395704cbbfbeb415"),
+        (0, "688f94c276b7d14e1e607496680e14fe23d0a2953524eafc755277220960cb6f"),
     "sweep --n 5 --format csv":
-        (0, "ebf6fbf82cdc6e2d7add13979c39b58fa84d2917b1d4d76907c81e373a58416a"),
+        (0, "96fb2dc7fa2a471439b2fffee03843b444a534e03e71a8627b1eab770ddc1a6f"),
     "sweep --n 5 --canonical --format json":
-        (0, "127b2eb7a7ce315a3cff01b5ec5d7cf57f983623e70c49f84bb938aff321df1b"),
+        (0, "7fcfc07daa2d144bb4a5a32929e12fa6ea404d484928faf54948a348f9c0273a"),
     "sweep --n 5 --canonical --format csv":
-        (0, "7e4a1b356c543da8b1669607ea3cd90e0d6d1836a2d870ab549f9723e90b8279"),
+        (0, "7784711341cd1fc9072580f03baf47dbec3e7f171f50d69f68d3103b22a70173"),
     "sweep --n 5 --p 1.5 --p 3 --k 2 --format json":
-        (0, "bd896d642965aee3b6efffb5432a5d38a08287b929c3d366ba5602dbe03c6ace"),
+        (0, "e3ad11fdbd934a2cfcd1163cb16de4d259c2e7b436eda584a6dbeb5aef8ce0c7"),
     "search --objective XI_K --k 2 --n 5 --format json":
-        (0, "671b875a18574b4c827c6df455c31d2561a48fe000139d574d4f3a1a1d0065f7"),
+        (0, "66ea6c5ccd0ee48beb6d0a0bdf3af31de1b25915ca98813931c0cbd1115f2096"),
     "search --objective TAU_K --k 3 --n 5 --format json":
-        (0, "46ef9cac9b6aa902d9a06a0302bac3e054a22b523210fdc78f8ad1ee27dc9238"),
+        (0, "88a93c6372289452a22c0f6c52bf02fb39752ff65bb5f8549848a14fc336457c"),
     "search --objective SPREAD --n 5 --format json":
-        (0, "7d9ed70bd2a2bc3d2591deae5f782e18775b01e877f2705b586932194e4326ee"),
+        (0, "f0bead5cbed4aac2997d8552977d39c8f20b92c865a4b38615043418b53a8e82"),
     "search --objective MAX_ENERGY --n 5 --format json":
-        (0, "bcc7037d9b79d4761752e27e88fd1860c5084b109c7cbf558a8a2f59d6869317"),
+        (0, "1d1774fe074c5d416da176fe5ff3f5a47e50c19ab0317e856ac275bfa0b0223d"),
     "search --objective MAX_ENERGY --n 5 --canonical --format json":
-        (0, "6473b42720b7fbe069bdb08adbd59734a277612ddf72672d484fcf6f0508879c"),
+        (0, "252a5a3acf1d1cbe6e038ec5453c4f6dff1fc234fada4b67b22d03a0a77089e0"),
     "search --objective MAX_SCHATTEN_P --p 1.5 --n 5 --format json":
-        (0, "343b6c2649884ee86dc2953a2021a61d98244d12eb8b08fa236fbe057aa5b188"),
+        (0, "29d5856b9d3e74fb7784ed8950b214d911905f6800dc65759fe3f8f8a41ab20b"),
     "search --objective SPREAD_VS_F2 --n 5 --format json":
-        (0, "f02267a126ff8f29b8016ec12df0b5c79e9a2dc345355ee0a74379281cd0523c"),
+        (0, "154beddd932cc2cc40fb76eae8f71daaa41330ab12fb052d99d58c468893e470"),
     "search --objective XI_K --n 5 --format json":
         (2, "76e88cac9e6b7b9305ca3c9ce830715f3afa41083d559d1c1b8ef0681c8f8ed9"),
     "search --objective TAU_K --n 5 --format json":
@@ -56,27 +56,27 @@ GOLDENS = {
     "search --objective MAX_SCHATTEN_P --n 5 --format json":
         (2, "447407e0f952d9113484ba158a2985ee7b552d4fa7af17a71cd449ff5afdcb0d"),
     "check --in k4.g6 --format json":
-        (0, "cb7270a5eebf2edffabc7108b1779d46d9b6bc891b901e3d0881a729b9a39b66"),
+        (0, "746109dacef9a859228a2dc6252a4078c283114be519b8c60fbd841686d0511a"),
     "check --in paley13.g6 --format json":
-        (0, "8e6c8e5ab1bcc908599486a46e89918ea3d4eea4ed8da9d75f1f13ae9dfa1049"),
+        (0, "8f74557983ff3efec497a442b219927624994b8a34635306301413f12be6167d"),
     "check --in c5.g6 --format json":
-        (0, "77be665eeb2cabe41bd618f88dfc528cd40cf26968bc484b8e9e001614c84169"),
+        (0, "d4da11e889ebfab9fd37660c91184638bd698c39eeec193b511bfe2d662ca714"),
     "check --in c35.csv --format json":
-        (0, "7f87df5dcff0655f644b7d85cb690ae8d9306d33d63308b69a81941c6066cd60"),
+        (0, "4f1964fa12386bd6045b18fdd5f972fae9cc77ba677fa4d57f310fa0fceec5f6"),
     "check --in k4.g6 --p 1000 --q 1000 --format json":
-        (0, "40d4b7ff2344d7b4847d5191df67c3adc9e2f50c04a25d057d6e6b5e89efd4c9"),
+        (0, "9c23a232e821345661bb55bf8b373707be81899a69e83bd3b619babd534516cd"),
     "check --in c35.csv --p 1.5 --q 3 --k 2 --format json":
-        (0, "79f3ad5eb71b11be6262ee121cbd03624cd957bf4c93541298abc4edd3f6598f"),
+        (0, "cfcf09921260bda974e0a16aeba4fe781fa81376a155523e9353c09ba3acf89f"),
     "norms --in k4.g6 --format json":
         (0, "ca3544dd5e9e21f7b07d0e061308ea9f0a601386b1cbf991bbf8aef0cad32c30"),
     "norms --in paley13.g6 --format json":
-        (0, "50e7befcb1eaa529b63732c7c67c882fefdd45e1966e7aca178ca9870e6d65fa"),
+        (0, "560510b2c800e6d68e638774d858fa15faff67eef4180902eedd06c9e8f83136"),
     "norms --in c5.g6 --format json":
-        (0, "388c20fba0c1ea503dc148b04f979be1899d991058484f4e46c88bc6456be3da"),
+        (0, "d6ad7bc750a6217bea6bae15ad4db199394ee9fcb24f3b92743fd3d860818bef"),
     "norms --in c35.csv --format json":
-        (0, "d1aac832388b9db29ff313d93725cbe74a8221f7d44d07af3d971c6a677bf0b6"),
+        (0, "0b9f91dd83a959541d17b1502837e3e93afc685736f9c40d2129f029c38f9d64"),
     "norms --in k4.g6 --p 1 --p 1.5 --p 1000 --k 2 --format json":
-        (0, "47c0c74bb1834d92316cbc5d071ed257e03e78b4d23f1e4c71c300d4ba3cb682"),
+        (0, "feea12d9db3d3d63b284587dc63849d54b39b932323bf2bdce83c5a87574cbdd"),
     "construct --family paley --params 13":
         (0, "9ef54215ac86fcb70ebc6fefc900af318bdd3d159bd9600cd88a000e8115a5b0"),
     "construct --family hadamard --params 8":
@@ -86,15 +86,15 @@ GOLDENS = {
     "construct --family with_isolated --params 3 --in el30.txt":
         (0, "5c4c0d585608ae4b5ce810a3ea7b6c78e6419f18c1006f358bdf8a3e66bff48a"),
     "random --n 60 --p 1 --samples 2 --seed 3 --format json":
-        (0, "1b438d81fd25888ff74a6cd87145d5a57dc72995c6704e16a79e841cd9903af8"),
+        (0, "8e9962af8e91fab10c1f664760ef8809de3746116def3062c15198315f6ab34f"),
     "random --n 60 --p 1.5 --samples 2 --seed 3 --format json":
-        (0, "9b2409c5fdd363208d76eab9747cfd64588f63b1faad4224adef2b68f2fd09d6"),
+        (0, "51b2930fa03bfd67a979549f1dd64098678bbf1903284a1e269c8d404eb41f5c"),
     "random --n 60 --p 2 --samples 2 --seed 3 --format json":
-        (0, "9f9ed8fabdbe796970b31a542cdf9d57bdf11f9a42154995dd6ad907cc1dcd45"),
+        (0, "21afcabb47557c626288806b016dc8a74ccfc06cad3b1dcb7205da44ed356524"),
     "random --n 60 --p 3 --samples 2 --seed 3 --format json":
-        (0, "27b6aa913d97b05d5a833f400c04641a901eb84cde96e5d3041eb09ee396355c"),
+        (0, "6d068e1b7dc0f8cfc92c361b638273890657601e6c789ddcc8f339d8c3f53df6"),
     "random --n 13 --p 1 --samples 3 --seed 0 --format csv":
-        (0, "898f7fd2cb568085c1303b80a1a6fbbc7dc1e9d7a2e26dab19a02a56fcd5dbd4"),
+        (0, "f4e3bd54396c4c6c6842e4792adb7b2e140a893bff17ec8a098c03f99ef1052c"),
     "random --n 13 --p 1.5 --samples 3 --seed 0 --format text":
         (0, "26c9d57161e2d157626ae5d9037eeafff554282085aa4d0c8f9aa5e8fad75ff3"),
 }

@@ -385,3 +385,18 @@ def test_graph_immutability():
     g = complete(3)
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 13, 300])
+def test_neighbor_masks_equal_the_per_edge_build(n):
+    # the packed-row build against the big-int step per edge, which the
+    # class table's chi path keeps
+    rng = np.random.default_rng(n)
+    pairs = pair_list(n)
+    for density in (0.0, 0.3, 0.5, 1.0):
+        bits = rng.random(pair_count(n)) < density
+        mask = sum(1 << t for t in np.flatnonzero(bits).tolist())
+        g = Graph(n, mask)
+        masks = graphs.neighbor_masks_of(n, mask, pairs)
+        assert g.neighbor_masks() == masks
+        assert g.degrees() == [a.bit_count() for a in masks]
