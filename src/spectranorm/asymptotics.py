@@ -53,8 +53,7 @@ def sample_gn_half(n: int, seed: int, index: int = 0) -> Graph:
         raise TooLarge("order must be >= 1")
     if n > _MAX_ORDER:
         raise TooLarge(f"sampling capped at order {_MAX_ORDER}")
-    packed = np.packbits(_pair_bits(n, seed, index), bitorder="little")
-    return Graph(n, int.from_bytes(packed.tobytes(), "little"))
+    return Graph.from_pair_bits(n, _pair_bits(n, seed, index))
 
 
 def _sample_adjacency(n: int, seed: int, index: int) -> np.ndarray:

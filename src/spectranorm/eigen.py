@@ -21,16 +21,17 @@ stack of the same order get the same bits:
     dyadic tree inside each distinct bracket, and the nodes are bisection's
     own midpoints, so the result is bisection's bit for bit, within
     2 eps |T| of each eigenvalue. Brackets that are equal bit for bit (all
-    of a lane's at the start, and a cluster of equal or not yet separated
+    of them at the start, and a cluster of equal or not yet separated
     eigenvalues after) share one tree and its counts, so the tree depth
     follows from the number of distinct brackets, not of wanted eigenvalues:
-    it is log2(W / (B U) + 1) for about W points a pass, rounded to the
-    nearest level, so a pass counts at most max(2 W, B U) points.
-The kernel takes a leading stack axis: `symmetric_eigenvalues_batch`
-reduces a (B, n, n) stack in one pass and solves each lane with its own
-scale, bracket and tolerance, and a single matrix is the case B = 1. No
-external eigensolver is used anywhere in the package: every norm
-ultimately reduces to this module.
+    it is log2(W / U + 1) for about W points a pass, rounded to the
+    nearest level, so a pass counts at most max(2 W, m) points for m
+    wanted eigenvalues.
+The reduction takes a leading stack axis: `symmetric_eigenvalues_batch`
+reduces a (B, n, n) stack in one pass, and a single matrix is the case
+B = 1. Each tridiagonal kernel takes one lane, with its own scale, bracket
+and tolerance. No external eigensolver is used anywhere in the package:
+every norm ultimately reduces to this module.
 
 Conventions:
   * eigenvalues are returned sorted nonincreasing,
@@ -71,9 +72,9 @@ _ROW_BLOCK = 64
 # matrix takes one rank-2 * _PANEL update per panel.
 _PANEL = 32
 # W, the points per Sturm-count pass: multisection counts at about W points
-# at once for the U distinct brackets of each of B lanes (U <= m, the wanted
-# eigenvalues), never more than max(2 W, B m), so a pass's temporaries hold
-# at most _ROW_BLOCK x max(2 W, B m) doubles.
+# at once for the U distinct brackets (U <= m, the wanted eigenvalues), never
+# more than max(2 W, m), so a pass's temporaries hold at most
+# _ROW_BLOCK x max(2 W, m) doubles.
 _MULTISECT_WIDTH = 512
 # Tridiagonals of at most this order are solved by scalar QL, larger ones by
 # multisection, near the measured crossover (2 vCPUs, Python 3.11, numpy
@@ -261,26 +262,24 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.min(d - radius, axis=-1), np.max(d + radius, axis=-1)
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """For each point x[j, b], the eigenvalues of lane b's tridiagonal below it.
+def _sturm_counts(d: np.ndarray, e2: list[float], x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """For each point x[j], the eigenvalues below it of the tridiagonal with diagonal d.
 
-    Lanes run along the last axis: d is (n, B), e2 (n - 1, B) and x (K, B).
-    Counts the negative pivots of T_b - x I, q_i = (d_i - x) - e_{i-1}^2 /
-    q_{i-1}, at every point at once, a block of rows at a time; the last
-    row of a block is divided before the next block overwrites it. The
-    pivots live in `scratch`, at least (min(n, _ROW_BLOCK) + 1) x.size
+    `e2` holds the n - 1 squared off-diagonal entries e_i^2 as Python
+    floats, the cheapest divisor to broadcast. Counts the negative pivots of T - x I, q_i = (d_i - x) -
+    e_{i-1}^2 / q_{i-1}, at every point at once, a block of rows at a time;
+    the last row of a block is divided before the next block overwrites it.
+    The pivots live in `scratch`, at least (min(n, _ROW_BLOCK) + 1) x.size
     doubles, which the passes of one solve share.
     """
-    n = d.shape[0]
+    n, k = d.size, x.size
     rows = min(n, _ROW_BLOCK)
-    q = scratch[:rows * x.size].reshape((rows,) + x.shape)
+    q = scratch[:rows * k].reshape(rows, k)
     q_rows = list(q)
-    t = scratch[rows * x.size:(rows + 1) * x.size].reshape(x.shape)
+    t = scratch[rows * k:(rows + 1) * k]
     negative = np.empty(q.shape, dtype=bool)
     # a count never passes n, and the narrowest type that holds n is the fastest
-    count = np.zeros(x.shape, dtype=np.min_scalar_type(n))
-    # a lone lane divides by Python floats, the cheapest operand to broadcast
-    e2 = e2[:, 0].tolist() if x.shape[1] == 1 else list(e2)
+    count = np.zeros(k, dtype=np.min_scalar_type(n))
     for r in range(0, n, rows):
         block = q[:min(rows, n - r)]
         if r:
@@ -296,83 +295,73 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray, scratch: np.ndar
     return count
 
 
+def _squares(e: np.ndarray) -> list[float]:
+    """e_i^2 as Python floats, kept off exact zero, where 0/0 would give NaN."""
+    return np.maximum(e * e, np.finfo(float).tiny).tolist()
+
+
 def _bisect(d: np.ndarray, e: np.ndarray, ranks=None) -> np.ndarray:
     """The eigenvalues of the given ascending ranks (default: all) of the tridiagonal (d, e).
 
     Rank r is the (r + 1)-th smallest eigenvalue; `ranks` may repeat one,
-    and the result is ascending. For a stack, d is (B, n), e is (B, n - 1)
-    and each row of the result is one lane's. Every wanted eigenvalue is
-    bracketed by its lane's Gershgorin interval and bisected on Sturm counts
-    until each bracket of the lane is within 2 * eps * |T_b|. A lane then
-    stops moving and leaves the count pass, so its result is the one it gets
-    alone, bit for bit, and an all-zero lane is done at once. Since a lane
-    stops on all of its wanted brackets, a subset of the ranks can stop at
-    another depth than the whole spectrum and differ from it in the last
-    bits, within the tolerance.
+    and the result is ascending. Every wanted eigenvalue is bracketed by the
+    Gershgorin interval and bisected on Sturm counts until each bracket is
+    within 2 * eps * |T|, and an all-zero tridiagonal is done at once. Since
+    the solve stops on all of its wanted brackets, a subset of the ranks can
+    stop at another depth than the whole spectrum and differ from it in the
+    last bits, within the tolerance.
     The counts come by multisection (Lo, Philippe & Sameh, SIAM J. Sci.
     Stat. Comput. 8, 1987): one pass over the rows counts the eigenvalues
     below every node of an L-level dyadic tree inside each bracket, and L
     bisection steps are then replayed from the stored counts. Each node is
     0.5 * (a + b) of the bracket bisection holds there, so the result is
     bisection's, bit for bit. Brackets that are equal bit for bit share one
-    tree: every bracket of a lane at the start, and every cluster of equal
-    or not yet separated eigenvalues after. A pass counts only the U
-    distinct brackets of each lane, at L = round(log2(W / (B U) + 1))
-    levels (at least 1), so a cluster of m equal eigenvalues costs the
-    passes of one. Rounding rather than flooring the depth gives a pass
-    with B U in (W / 3, W / (2^1.5 - 1)] two levels, not one bisection
-    step; a pass then counts at B U (2^L - 1) <= max(2 W, B m) points, the
-    scratch the solve allocates. A
-    lane is done at the first replayed depth where all its brackets are
-    within tolerance, and gives their midpoints there. A zero pivot divides
-    to an infinity of the right sign and the count reads the sign bit, so -0
+    tree: every bracket at the start, and every cluster of equal or not yet
+    separated eigenvalues after. A pass counts only the U distinct
+    brackets, at L = round(log2(W / U + 1)) levels (at least 1), so a
+    cluster of m equal eigenvalues costs the passes of one. Rounding rather
+    than flooring the depth gives a pass with U in (W / 3, W / (2^1.5 - 1)]
+    two levels, not one bisection step; a pass then counts at U (2^L - 1)
+    <= max(2 W, m) points, the scratch the solve allocates. The solve is
+    done at the first replayed depth where all brackets are within
+    tolerance, and gives their midpoints there. A zero pivot divides to an
+    infinity of the right sign and the count reads the sign bit, so -0
     counts as negative and no pivot needs a guard; only e_i^2 is kept off
-    exact zero, where 0/0 would give NaN.
+    exact zero (`_squares`).
     """
-    dd, ee = np.atleast_2d(d, e)
-    b, n = dd.shape
+    n = d.size
     rank = np.arange(n) if ranks is None else np.asarray(ranks)
-    rank = rank.astype(np.min_scalar_type(n))[:, None]  # the counts' type
-    m = rank.shape[0]
-    lo, hi = _gershgorin(dd, ee)
-    norm = np.maximum(-lo, hi)
-    out = np.zeros((m, b))
-    # lanes run along the last axis from here on, so that a lane's d_i and
-    # e_i^2 broadcast over long contiguous runs of its points
-    live = np.flatnonzero(norm > 0.0)
-    tol = 2.0 * _EPS * norm[live]
-    lo = np.repeat((lo[live] - tol)[None], m, axis=0)
-    hi = np.repeat((hi[live] + tol)[None], m, axis=0)
-    # compress and take keep the lanes contiguous, where indexing would not
-    d_live = np.take(dd.T, live, axis=-1)
-    e2_live = np.take(np.maximum(ee * ee, np.finfo(float).tiny).T, live, axis=-1)
-    # a pass never has more than max(2 W, B m) points (see L below)
-    scratch = np.empty((min(n, _ROW_BLOCK) + 1) * max(2 * _MULTISECT_WIDTH, m * live.size))
-    steps = 0  # bisection steps taken by the live lanes
-    shared = m > 1  # whether some lane may still hold equal brackets
+    rank = rank.astype(np.min_scalar_type(n))  # the counts' type
+    m = rank.size
+    lo, hi = _gershgorin(d, e)
+    norm = max(-lo, hi)
+    if not norm > 0.0:
+        return np.zeros(m)
+    tol = 2.0 * _EPS * norm
+    lo = np.full(m, lo - tol)
+    hi = np.full(m, hi + tol)
+    e2 = _squares(e)
+    # a pass never has more than max(2 W, m) points (see L below)
+    scratch = np.empty((min(n, _ROW_BLOCK) + 1) * max(2 * _MULTISECT_WIDTH, m))
+    steps = 0  # bisection steps taken
+    tree = np.arange(m)
+    shared = m > 1  # whether some brackets may still be equal
     with np.errstate(divide="ignore", over="ignore"):
-        while live.size:
-            lanes = np.arange(live.size)
-            # every bracket of a lane is a node of one bisection tree, so its
-            # brackets are equal or disjoint, and equal ones are adjacent in
-            # rank: tree[r, b] numbers the U distinct brackets of lane b (a
-            # lane with fewer repeats its last), and they share one tree;
+        while True:
+            # every bracket is a node of one bisection tree, so brackets are
+            # equal or disjoint, and equal ones are adjacent in rank: tree[r]
+            # numbers the U distinct brackets, and equal ones share one tree;
             # brackets that have parted never meet again, so once every
-            # bracket is distinct each is its own tree, with no grouping or
-            # scatter (on a class-table stack some lane's m brackets part
-            # within a few passes: at order 7, 49 of the 53 passes skip both)
+            # bracket is distinct, tree stays 0..m - 1 with no grouping
             if shared:
-                tree = np.zeros(lo.shape, dtype=np.intp)
-                np.cumsum((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]), axis=0, out=tree[1:])
-                u = int(tree[-1].max()) + 1
-                shared = u < m
-            else:
-                u = m
-            # L = round(log2(W / (B U) + 1)) levels of 2^L - 1 nodes: L >= 2
-            # needs W / (B U) > 2^1.5 - 1, and then 2^L <= sqrt(2) (W / (B U)
-            # + 1) puts at most 2 W points in a pass; past that, plain
-            # bisection (L = 1) counts B U points
-            levels = min(max(1, round(math.log2(_MULTISECT_WIDTH / (live.size * u) + 1))),
+                np.cumsum((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]), out=tree[1:])
+                shared = tree[-1] < m - 1
+            u = int(tree[-1]) + 1
+            # L = round(log2(W / U + 1)) levels of 2^L - 1 nodes: L >= 2 needs
+            # W / U > 2^1.5 - 1, and then 2^L <= sqrt(2) (W / U + 1) puts at
+            # most 2 W points in a pass; past that, plain bisection (L = 1)
+            # counts U points
+            levels = min(max(1, round(math.log2(_MULTISECT_WIDTH / u + 1))),
                          _BISECT_STEPS - 1 - steps)
             if levels < 1:
                 raise NoConvergence(f"bisection did not converge in {_BISECT_STEPS} steps (n={n})")
@@ -381,52 +370,37 @@ def _bisect(d: np.ndarray, e: np.ndarray, ranks=None) -> np.ndarray:
             # ends is that bracket's midpoint, 0.5 * (a + b) as bisection
             # takes it; the 2^L - 1 inner points are the nodes
             span = 1 << levels
-            grid = np.empty((span + 1, u, live.size))
-            if u < m:
-                for end, a in ((grid[0], lo), (grid[span], hi)):
-                    end[...] = a[-1]
-                    end[tree, lanes] = a
-                pos = tree * live.size + lanes
-            else:
-                grid[0], grid[span] = lo, hi
-                pos = np.arange(lo.size).reshape(lo.shape)
+            grid = np.empty((span + 1, u))
+            grid[0, tree], grid[span, tree] = lo, hi
+            pos = tree
             for t in range(levels):
                 step = span >> t
                 mid = grid[step // 2::step]
                 np.add(grid[:-step:step], grid[step::step], out=mid)
                 mid *= 0.5
-            count = _sturm_counts(d_live, e2_live, grid[1:-1].reshape(-1, live.size), scratch)
+            count = _sturm_counts(d, e2, grid[1:-1].reshape(-1), scratch)
             # replay the L steps on flat indices into the grid: pos is the
             # lower end of each bracket, which stays put below the midpoint
-            # and moves to it above (count row i is grid row i + 1); at[t]
-            # holds it at depth t + 1
-            stride = u * live.size
-            count = count.reshape(-1)
-            at = np.empty((levels,) + lo.shape, dtype=np.intp)
+            # and moves to it above (count entry i is grid entry i + u);
+            # at[t] holds it at depth t + 1
+            at = np.empty((levels, m), dtype=np.intp)
             for t in range(levels):
-                half = (span >> t + 1) * stride
-                above = count[pos + (half - stride)] <= rank
+                half = (span >> t + 1) * u
+                above = count[pos + (half - u)] <= rank
                 pos = np.add(pos, above * half, out=at[t])
             grid = grid.reshape(-1)
-            widths = (span >> np.arange(1, levels + 1)) * stride
-            lo, hi = grid[at], grid[at + widths[:, None, None]]
-            # a lane is done at the first depth where all its brackets are
-            # within tol, and its eigenvalues are their midpoints there; depth
-            # 0 was the last pass's depth L, or the first bracket, wider than
-            # 2 tol
-            wide = (hi - lo).max(axis=1) > tol
-            keep = wide.all(axis=0)
-            if keep.all():
-                lo, hi = lo[-1], hi[-1]
-            else:
-                done = ~keep
-                t, k = wide[:, done].argmin(axis=0), lanes[done]
-                out[:, live[done]] = np.sort(0.5 * (lo[t, :, k] + hi[t, :, k]), axis=1).T
-                live, tol, d_live, e2_live, lo, hi = (
-                    np.compress(keep, a, axis=-1)
-                    for a in (live, tol, d_live, e2_live, lo[-1], hi[-1]))
+            widths = (span >> np.arange(1, levels + 1)) * u
+            lo, hi = grid[at], grid[at + widths[:, None]]
             steps += levels
-    return out.T if d.ndim == 2 else out[:, 0]
+            # the solve is done at the first depth where all brackets are
+            # within tol, and the eigenvalues are their midpoints there;
+            # depth 0 was the last pass's depth L, or the first bracket,
+            # wider than 2 tol
+            wide = (hi - lo).max(axis=1) > tol
+            if not wide.all():
+                t = wide.argmin()
+                return np.sort(0.5 * (lo[t] + hi[t]))
+            lo, hi = lo[-1], hi[-1]
 
 
 def _ql(d: list[float], e: list[float], norm: float) -> list[float]:
@@ -492,22 +466,23 @@ def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray, ranks=None) -> np.nda
     """`_bisect`'s result, from the kernel that is faster at this order.
 
     The same contract as `_bisect`: the eigenvalues of the given ascending
-    ranks (default: all), ascending, one row per lane of a (B, n) stack.
-    Order n <= _QL_MAX_ORDER takes `_ql`, one lane at a time, and the ranks
-    are read off the whole spectrum; a larger order takes `_bisect`. The
-    kernel depends on the order alone, so a matrix and a stack lane of the
-    same order get the same bits.
+    ranks (default: all), ascending, and one row per lane of a (B, n) stack.
+    Each kernel takes one lane at a time. Order n <= _QL_MAX_ORDER takes
+    `_ql`, and the ranks are read off the whole spectrum; a larger order
+    takes `_bisect`. The kernel depends on the order alone, so a matrix and
+    a stack lane of the same order get the same bits.
     """
     n = d.shape[-1]
-    if n > _QL_MAX_ORDER:
-        return _bisect(d, e, ranks)
     dd, ee = np.atleast_2d(d, e)
-    lo, hi = _gershgorin(dd, ee)
-    norm = np.maximum(-lo, hi).tolist()
-    out = np.array([_ql(dk, ek, s) if s > 0.0 else [0.0] * n
-                    for dk, ek, s in zip(dd.tolist(), ee.tolist(), norm)])
-    if ranks is not None:
-        out = out[:, np.asarray(ranks, dtype=np.intp)]
+    if n > _QL_MAX_ORDER:
+        out = np.array([_bisect(dk, ek, ranks) for dk, ek in zip(dd, ee)])
+    else:
+        lo, hi = _gershgorin(dd, ee)
+        norm = np.maximum(-lo, hi).tolist()
+        out = np.array([_ql(dk, ek, s) if s > 0.0 else [0.0] * n
+                        for dk, ek, s in zip(dd.tolist(), ee.tolist(), norm)])
+        if ranks is not None:
+            out = out[:, np.asarray(ranks, dtype=np.intp)]
     return out if d.ndim == 2 else out[0]
 
 
@@ -574,17 +549,16 @@ def _eigenvalues_of_hermitian_array(w: np.ndarray, part: str = "all") -> np.ndar
     """
     if part == "all":
         return symmetric_eigenvalues_batch(w[None])[0]
-    d, e, s = _scaled_tridiagonal(w[None])
+    (d,), (e,), (s,) = _scaled_tridiagonal(w[None])
     n = w.shape[0]
     if part == "extremes":
         first = max(n - 2, 0)
     else:
-        # "positive": the count at 0, as `_bisect` counts, e_i^2 kept off exact zero
-        e2 = np.maximum(e * e, np.finfo(float).tiny).T
+        # "positive": the count at 0, as `_bisect` counts
         scratch = np.empty(min(n, _ROW_BLOCK) + 1)
         with np.errstate(divide="ignore", over="ignore"):
-            first = int(_sturm_counts(d.T, e2, np.zeros((1, 1)), scratch)[0, 0])
-    return _tridiagonal_eigenvalues(d[0], e[0], (0, *range(first, n)))[::-1] * s[0]
+            first = int(_sturm_counts(d, _squares(e), np.zeros(1), scratch)[0])
+    return _tridiagonal_eigenvalues(d, e, (0, *range(first, n)))[::-1] * s
 
 
 def hermitian_eigenvalues(m: CMatrix) -> EigenSpectrum:

@@ -83,16 +83,29 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     @classmethod
+    def from_pair_bits(cls, n: int, bits: np.ndarray) -> "Graph":
+        """The graph whose pair t is an edge iff bits[t], the inverse of `_pair_bits`.
+
+        `bits` holds 0/1 values, in pair index order, for the first len(bits)
+        of the C(n,2) pairs; the pairs past its end are absent.
+        """
+        packed = np.packbits(bits, bitorder="little")
+        return cls(n, int.from_bytes(packed.tobytes(), "little"))
+
+    @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from (u, v) pairs; duplicates are collapsed."""
-        mask = 0
+        index = []
         for u, v in edges:
             if u == v:
                 raise LoopEdge(f"loop at vertex {u}")
             if not (0 <= u < n) or not (0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
-            mask |= 1 << pair_index(u, v)
-        return cls(n, mask)
+            index.append(pair_index(u, v))
+        # bits only up to the last pair named, so a few edges cost little at any order
+        bits = np.zeros(max(index, default=-1) + 1, dtype=np.uint8)
+        bits[index] = 1
+        return cls.from_pair_bits(n, bits)
 
     def num_edges(self) -> int:
         return self.mask.bit_count()

@@ -433,26 +433,27 @@ def test_bisect_equals_plain_bisection_where_rounding_changes_the_depth(monkeypa
     assert np.array_equal(eigen._bisect(d, e, range(210, 420)), _plain_bisect(d, e, 210))
 
 
-@pytest.mark.parametrize("bu", [1, 3, 60, 200, 300, 511, 520])
-def test_sturm_count_passes_fit_the_scratch(monkeypatch, bu):
+@pytest.mark.parametrize("m", [1, 3, 60, 200, 300, 511, 520])
+def test_sturm_count_passes_fit_the_scratch(monkeypatch, m):
     passes = []
     sturm_counts = eigen._sturm_counts
 
     def bounded(d, e2, x, scratch):
-        assert (min(d.shape[0], eigen._ROW_BLOCK) + 1) * x.size <= scratch.size
-        assert x.size <= max(2 * eigen._MULTISECT_WIDTH, x.shape[1] * m)
+        assert x.ndim == 1 and len(e2) == d.size - 1
+        assert (min(d.size, eigen._ROW_BLOCK) + 1) * x.size <= scratch.size
+        assert x.size <= max(2 * eigen._MULTISECT_WIDTH, m)
         passes.append(x.size)
         return sturm_counts(d, e2, x, scratch)
 
     monkeypatch.setattr(eigen, "_sturm_counts", bounded)
-    # bu lanes whose m brackets start equal: the first pass has B U = bu, at
-    # L = round(log2(W / bu + 1)) levels
-    m = 3  # wanted eigenvalues a lane, read by `bounded`
-    d, e = map(np.stack, zip(*(_seeded_tridiagonal(m, 900 + k) for k in range(bu))))
+    # all m eigenvalues of an order-m tridiagonal: their brackets start
+    # equal, so the first pass has U = 1, at L = round(log2(W + 1)) levels
+    d, e = _seeded_tridiagonal(m, 900 + m)
     eigen._bisect(d, e)
-    levels = max(1, round(np.log2(eigen._MULTISECT_WIDTH / bu + 1)))
-    assert passes[0] == bu * ((1 << levels) - 1)
-    # one lane whose distinct brackets pass through every U up to 210
+    levels = round(np.log2(eigen._MULTISECT_WIDTH + 1))
+    assert passes[0] == (1 << levels) - 1 == 2 ** 9 - 1
+    # the upper half of order 420, whose distinct brackets pass through
+    # every U up to 210
     m = 210
     d, e = _seeded_tridiagonal(420, 4200)
     eigen._bisect(d, e, range(210, 420))
@@ -535,7 +536,8 @@ def test_the_order_alone_selects_the_kernel(monkeypatch, n, kernel):
         assert calls == ["ql"] * 3
         assert np.array_equal(ends[0], full[[0, n - 1]])
     else:
-        assert calls == ["bisect"] * 2
+        # one call for the matrix and one a lane, the all-zero lane too
+        assert calls == ["bisect"] * 4
 
 
 # --- the stack axis ---------------------------------------------------------------
@@ -565,20 +567,25 @@ def _stacked_tridiagonals(n, seed):
 
 
 @pytest.mark.parametrize("width", [512, 64, 4])
-@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("n", [1, 2, 7, 40, _N0 + 1, 130])
 def test_stacked_bisect_equals_each_lane_alone(monkeypatch, n, width):
+    # a stack is solved one lane at a time, by QL up to order _N0 and by
+    # bisection above it, so each row is the lane's own solve, bit for bit
     monkeypatch.setattr(eigen, "_MULTISECT_WIDTH", width)
     d, e = _stacked_tridiagonals(n, 500 + n)
     for first in sorted({0, n // 2, n - 1}):
-        stacked = eigen._bisect(d, e, range(first, n))
-        alone = np.stack([eigen._bisect(dk, ek, range(first, n)) for dk, ek in zip(d, e)])
+        stacked = eigen._tridiagonal_eigenvalues(d, e, range(first, n))
+        alone = np.stack([eigen._tridiagonal_eigenvalues(dk, ek, range(first, n))
+                          for dk, ek in zip(d, e)])
         assert np.array_equal(stacked, alone)
-    assert not eigen._bisect(d, e)[-1].any()
+        if n > _N0:
+            assert np.array_equal(stacked, [eigen._bisect(dk, ek, range(first, n))
+                                            for dk, ek in zip(d, e)])
+    assert not eigen._tridiagonal_eigenvalues(d, e)[-1].any()
 
 
 def test_equal_brackets_share_one_tree(monkeypatch):
     from spectranorm.constructions import sylvester_hadamard
-    from spectranorm.enumeration import adjacency_batch, class_table
 
     points = []  # points counted, one entry a Sturm-count pass
     sturm_counts = eigen._sturm_counts
@@ -594,15 +601,6 @@ def test_equal_brackets_share_one_tree(monkeypatch):
     d, e = _golub_kahan(sylvester_hadamard(16).data.real)
     eigen._bisect(d, e, range(16, 32))
     assert len(points) <= 6
-    points.clear()
-    # the order-7 class table's tridiagonals, which QL solves in the table
-    # itself; bisected as one stack
-    reps = class_table(7).reps
-    d, e, _ = eigen._scaled_tridiagonal(adjacency_batch(reps, 7))
-    eigen._bisect(d, e)
-    # each lane's 7 brackets start equal, so the first pass counts one point
-    # a lane with an edge, not 7
-    assert points[0] == reps.size - 1 < reps.size * 7
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -27,6 +27,7 @@ from spectranorm.graphs import (
     family,
     is_strongly_regular,
     pair_count,
+    pair_index,
     pair_list,
     paley,
     parse_graph6,
@@ -52,6 +53,12 @@ def test_from_edge_list_basic():
     edges = g.edges()
     assert edges == [(u, v) for u, v in pair_list(300) if g.has_edge(u, v)]
     assert len(edges) == bits.sum() and Graph.from_edge_list(300, edges) == g
+    # against a per-edge OR of the pair bits, on reversed and repeated pairs
+    pairs = [(v, u) for u, v in edges[::-1]] + edges[:50]
+    mask = 0
+    for u, v in pairs:
+        mask |= 1 << pair_index(u, v)
+    assert mask == g.mask and Graph.from_edge_list(300, pairs).mask == mask
 
 
 def test_graph6_known_strings():
@@ -119,8 +126,6 @@ def test_paley_small():
 
 def _canonical_mask(g: Graph) -> int:
     import itertools as it
-
-    from spectranorm.graphs import pair_index
 
     best = g.mask
     for perm in it.permutations(range(g.n)):
