@@ -38,9 +38,9 @@ from .graphs import (
     Graph,
     adjacency_from_pair_bits,
     chromatic_number_masks,
-    neighbor_masks_of,
     pair_count,
     pair_list,
+    row_masks,
 )
 
 MAX_ENUM_ORDER = 8
@@ -127,9 +127,7 @@ class ClassTable:
         eigs = symmetric_eigenvalues_batch(adjacency_batch(self.reps, n))
         self.eigs = np.ascontiguousarray(eigs)
         self.sig = np.ascontiguousarray(np.sort(np.abs(eigs), axis=1)[:, ::-1])
-        self.m = np.zeros(self.size, dtype=np.int64)
-        for t in range(pair_count(n)):
-            self.m += (self.reps >> t) & 1
+        self.m = _mask_bits(self.reps, n).sum(axis=1)
         # an adjacency matrix is 0/1, so nonnegative, with |A|_1 = |A|_2^2 = 2m
         # and |A|_inf = 1 unless it has no edge
         self.ent1 = self.ent2_sq = 2.0 * self.m
@@ -143,9 +141,9 @@ class ClassTable:
 
     @functools.cached_property
     def chi(self) -> np.ndarray:
-        pairs = pair_list(self.n)
-        chi = np.array([chromatic_number_masks(neighbor_masks_of(self.n, rep, pairs))
-                        for rep in self.reps.tolist()], dtype=np.int64)
+        adj = adjacency_batch(self.reps, self.n).astype(np.uint8)
+        chi = np.array([chromatic_number_masks(masks) for masks in row_masks(adj)],
+                       dtype=np.int64)
         chi.flags.writeable = False
         return chi
 

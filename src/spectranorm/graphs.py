@@ -1,9 +1,21 @@
 """Graph representation, graph6 interchange, named families, and invariants.
 
-Graphs are simple and undirected, stored as a bitset over unordered vertex
-pairs in graph6 column order: pair (u, v) with u < v has index
-v*(v-1)/2 + u. That makes graph6 round-trips and exhaustive enumeration by
-increasing bitmask plain integer arithmetic.
+Graphs are simple and undirected. A graph of order n is held in three
+forms, with one converter for each direction:
+
+- the int mask, a bitset over the C(n,2) unordered vertex pairs in graph6
+  column order: pair (u, v) with u < v has index v*(v-1)/2 + u, so graph6
+  round-trips and exhaustive enumeration by increasing mask are plain
+  integer arithmetic;
+- the pair-bit vector, the mask's C(n,2) 0/1 bits in pair index order,
+  the exchange form: `Graph._pair_bits` reads it off a mask and
+  `Graph.from_pair_bits` packs it back;
+- the adjacency array, (n, n), whose strict lower triangle read row-major
+  is the pair-bit vector: `adjacency_from_pair_bits` builds it (for any
+  leading axes) and `Graph.from_adjacency` reads the graph back.
+
+Neighbour bitsets, the chromatic number's input, are packed off a 0/1
+adjacency by `row_masks`.
 """
 
 from __future__ import annotations
@@ -50,20 +62,17 @@ def adjacency_from_pair_bits(bits: np.ndarray, n: int) -> np.ndarray:
     return a + np.swapaxes(a, -1, -2)
 
 
-def neighbor_masks_of(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """Per-vertex neighbor bitsets of the order-n edge bitset `mask`.
+def row_masks(adj: np.ndarray) -> list:
+    """Per-row bitsets of a boolean or integer 0/1 array (..., n, n), as lists.
 
-    `pairs` is `pair_list(n)`, passed in so that a caller converting many
-    masks of one order builds it once.
+    Bit v of row u is adj[..., u, v], so an adjacency gives each vertex's
+    neighbour bitset; leading axes become nested lists.
     """
-    adj = [0] * n
-    while mask:
-        low = mask & -mask
-        u, v = pairs[low.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        mask ^= low
-    return adj
+    rows = np.packbits(adj, axis=-1, bitorder="little")
+    width, raw = rows.shape[-1], rows.tobytes()
+    masks = np.empty(rows.size // width, dtype=object)
+    masks[:] = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    return masks.reshape(adj.shape[:-1]).tolist()
 
 
 class Graph:
@@ -91,6 +100,15 @@ class Graph:
         """
         packed = np.packbits(bits, bitorder="little")
         return cls(n, int.from_bytes(packed.tobytes(), "little"))
+
+    @classmethod
+    def from_adjacency(cls, adj: np.ndarray) -> "Graph":
+        """The graph of a symmetric (n, n) adjacency array, nonzero meaning an edge.
+
+        Only the strict lower triangle is read; row-major, it is pair index order.
+        """
+        n = len(adj)
+        return cls.from_pair_bits(n, adj[np.tri(n, k=-1, dtype=bool)] != 0)
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -127,18 +145,19 @@ class Graph:
         present = self._pair_bits().astype(bool)
         return list(zip(u[present].tolist(), v[present].tolist()))
 
+    def _boolean_adjacency(self) -> np.ndarray:
+        """The (n, n) adjacency as booleans."""
+        n = self.n
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.tri(n, k=-1, dtype=bool)] = self._pair_bits()  # row-major: pair index order
+        return adj | adj.T
+
     def neighbor_masks(self) -> list[int]:
         """Per-vertex neighbor bitsets (bit v set in entry u iff u ~ v).
 
-        Read off the packed rows of the 0/1 adjacency, in time linear in the
-        pair count; `neighbor_masks_of` takes a big-int step per edge.
+        The packed rows of the boolean adjacency, in time linear in the pair count.
         """
-        n = self.n
-        idx = np.arange(n)
-        adj = np.zeros((n, n), dtype=bool)
-        adj[idx[:, None] > idx] = self._pair_bits()  # row-major: pair index order
-        rows = np.packbits(adj | adj.T, axis=1, bitorder="little")
-        return list(map(int.from_bytes, rows.tolist(), ["little"] * n))
+        return row_masks(self._boolean_adjacency())
 
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.neighbor_masks()]
@@ -167,16 +186,10 @@ def write_graph6(g: Graph) -> str:
     n = g.n
     if n > 62:
         raise MalformedGraph6(f"graph6 writer supports n <= 62, got {n}")
-    npairs = pair_count(n)
-    out = [chr(63 + n)]
-    for group in range(0, npairs, 6):
-        val = 0
-        for i in range(6):
-            t = group + i
-            bit = (g.mask >> t) & 1 if t < npairs else 0
-            val |= bit << (5 - i)
-        out.append(chr(63 + val))
-    return "".join(out)
+    width = -(-pair_count(n) // 6) * 6
+    bits = format(g.mask, f"0{width}b")[::-1]  # pair t at position t, zero padded
+    return chr(63 + n) + "".join(
+        chr(63 + int(bits[i:i + 6], 2)) for i in range(0, width, 6))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -200,17 +213,10 @@ def parse_graph6(text: str) -> Graph:
         raise MalformedGraph6(
             f"expected {expected} characters for n={n}, got {len(codes)}"
         )
-    mask = 0
-    for gi, code in enumerate(codes[1:]):
-        val = code - 63
-        for i in range(6):
-            t = gi * 6 + i
-            bit = (val >> (5 - i)) & 1
-            if t < npairs:
-                mask |= bit << t
-            elif bit:
-                raise MalformedGraph6("nonzero padding bits")
-    return Graph(n, mask)
+    bits = "".join(format(c - 63, "06b") for c in codes[1:])  # pair t at position t
+    if "1" in bits[npairs:]:
+        raise MalformedGraph6("nonzero padding bits")
+    return Graph(n, int(bits[:npairs][::-1] or "0", 2))
 
 
 # --- named families ----------------------------------------------------------
@@ -232,17 +238,8 @@ def complete_multipartite(sizes: Sequence[int]) -> Graph:
     sizes = list(sizes)
     if not sizes or any((not isinstance(s, int)) or s < 1 for s in sizes):
         raise BadFamilyParams("part sizes must be positive integers")
-    n = sum(sizes)
-    part = []
-    for i, s in enumerate(sizes):
-        part.extend([i] * s)
-    edges = [
-        (u, v)
-        for v in range(1, n)
-        for u in range(v)
-        if part[u] != part[v]
-    ]
-    return Graph.from_edge_list(n, edges)
+    part = np.repeat(np.arange(len(sizes)), sizes)
+    return Graph.from_adjacency(part[:, None] != part)
 
 
 def perfect_matching(n: int) -> Graph:
@@ -287,15 +284,10 @@ def paley(q: int) -> Graph:
         raise BadFamilyParams(f"paley({q}): order must be prime")
     if q % 4 != 1:
         raise BadFamilyParams(f"paley({q}): need q = 1 (mod 4)")
-    residues = {(x * x) % q for x in range(1, q)}
-    residues.discard(0)
-    edges = [
-        (u, v)
-        for v in range(1, q)
-        for u in range(v)
-        if (v - u) % q in residues
-    ]
-    return Graph.from_edge_list(q, edges)
+    residue = np.zeros(q, dtype=bool)
+    residue[np.arange(1, q) ** 2 % q] = True
+    i = np.arange(q)
+    return Graph.from_adjacency(residue[(i[:, None] - i) % q])
 
 
 def with_isolated(g: Graph, t: int) -> Graph:
@@ -304,8 +296,7 @@ def with_isolated(g: Graph, t: int) -> Graph:
         raise TypeError(f"the base must be a Graph, not {type(g).__name__}")
     if t < 0:
         raise BadFamilyParams("isolated vertex count must be >= 0")
-    n = g.n + t
-    return Graph.from_edge_list(n, g.edges()) if t else g
+    return Graph(g.n + t, g.mask)  # pair indices do not depend on the order
 
 
 def blow_up(g: Graph, t: int) -> Graph:
@@ -316,15 +307,7 @@ def blow_up(g: Graph, t: int) -> Graph:
     """
     if t < 1:
         raise BadFamilyParams("blow-up coefficient must be >= 1")
-    if t == 1:
-        return g
-    n = g.n * t
-    edges = []
-    for u, v in g.edges():
-        for a in range(t):
-            for b in range(t):
-                edges.append((u * t + a, v * t + b))
-    return Graph.from_edge_list(n, edges)
+    return Graph.from_adjacency(np.kron(g._boolean_adjacency(), np.ones((t, t), dtype=bool)))
 
 
 _FAMILIES = {

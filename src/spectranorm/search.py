@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .enumeration import chunk_quantities, class_table
+from .enumeration import _mask_bits, chunk_quantities, class_table
 from .graphs import Graph, pair_count, write_graph6
 from .norms import schatten_of
 
@@ -75,11 +75,7 @@ def _graph6_order(masks: np.ndarray, n: int) -> np.ndarray:
     graph6 writes pair bit 0 first, so for one order its string order is
     the order of the reversed masks. Reversing twice gives the mask back.
     """
-    npairs = pair_count(n)
-    key = np.zeros_like(masks)
-    for t in range(npairs):
-        key |= ((masks >> t) & 1) << (npairs - 1 - t)
-    return key
+    return _mask_bits(masks, n)[:, ::-1] @ (1 << np.arange(pair_count(n)))
 
 
 def _witnesses(n: int, classes: list, canonical: bool) -> tuple[str, ...]:

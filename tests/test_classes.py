@@ -24,7 +24,6 @@ from spectranorm.enumeration import (
 from spectranorm.graphs import (
     Graph,
     chromatic_number_masks,
-    neighbor_masks_of,
     pair_count,
     pair_index,
     pair_list,
@@ -134,7 +133,6 @@ def test_canonical_enumeration_lists_the_representatives():
 
 def test_gathered_order7_quantities_match_a_direct_solve():
     ranges = mask_ranges(7)
-    pairs = pair_list(7)
     for chunk in (0, 77, 128, 255):
         lo, hi = ranges[chunk]
         q = chunk_quantities(7, lo, hi, need_chi=True)
@@ -142,7 +140,7 @@ def test_gathered_order7_quantities_match_a_direct_solve():
         assert np.abs(q["eigs"] - direct).max() < 1e-12, chunk
         assert (q["m"] == [int(mk).bit_count() for mk in q["masks"]]).all()
         for i, mk in enumerate(q["masks"][:50].tolist()):
-            assert q["chi"][i] == chromatic_number_masks(neighbor_masks_of(7, mk, pairs))
+            assert q["chi"][i] == chromatic_number_masks(Graph(7, mk).neighbor_masks())
 
 
 def test_graph6_order_key():
@@ -166,8 +164,7 @@ def _scanned_masks(n: int, canonical: bool) -> np.ndarray:
 def _reference_record(n: int, masks: np.ndarray):
     eigs = symmetric_eigenvalues_batch(adjacency_batch(masks, n))
     m = np.array([int(mk).bit_count() for mk in masks], dtype=np.int64)
-    pairs = pair_list(n)
-    chi = np.array([chromatic_number_masks(neighbor_masks_of(n, int(mk), pairs))
+    chi = np.array([chromatic_number_masks(Graph(n, int(mk)).neighbor_masks())
                     for mk in masks], dtype=np.int64)
     every = np.ones(masks.size, dtype=bool)
     return types.SimpleNamespace(

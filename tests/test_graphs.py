@@ -1,6 +1,7 @@
 """Graph model: construction, graph6, families, invariants."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -69,19 +70,22 @@ def test_graph6_known_strings():
 
 
 def test_graph6_malformed():
-    with pytest.raises(MalformedGraph6):
+    with pytest.raises(MalformedGraph6, match="^character outside graph6 range$"):
         parse_graph6("junk\x01")
-    with pytest.raises(MalformedGraph6):
+    with pytest.raises(MalformedGraph6, match="^empty graph6 string$"):
         parse_graph6("")
-    with pytest.raises(MalformedGraph6):
+    with pytest.raises(MalformedGraph6, match="^order-0 graphs are not supported$"):
         parse_graph6("?")  # order 0
-    with pytest.raises(MalformedGraph6):
+    with pytest.raises(MalformedGraph6, match="^expected 2 characters for n=2, got 3$"):
         parse_graph6("A_X")  # wrong length
-    with pytest.raises(MalformedGraph6):
+    with pytest.raises(MalformedGraph6,
+                       match=r"^extended \(n > 62\) graph6 headers are not supported$"):
         parse_graph6("~AAAA")  # extended header unsupported
     # padding bits must be zero: K_2's byte with a stray low bit set
-    with pytest.raises(MalformedGraph6):
+    with pytest.raises(MalformedGraph6, match="^nonzero padding bits$"):
         parse_graph6("A" + chr(63 + 0b100001))
+    with pytest.raises(MalformedGraph6, match="^graph6 writer supports n <= 62, got 63$"):
+        write_graph6(Graph(63))
 
 
 def test_graph6_roundtrip_exhaustive_small():
@@ -104,14 +108,21 @@ def test_graph6_against_networkx():
     # independent implementation of the same published format
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(77)
+    cases = []
     for n in range(1, 15):
         top = 1 << (n * (n - 1) // 2)
-        for mask in rng.integers(0, min(top, 1 << 62), size=25):
-            g = Graph(n, int(mask) % top)
-            s = write_graph6(g)
-            gx = nx.from_graph6_bytes(s.encode())
-            assert sorted(tuple(sorted(e)) for e in gx.edges()) == sorted(g.edges())
-            assert nx.to_graph6_bytes(gx, header=False).decode().strip() == s
+        cases += [Graph(n, int(mask) % top)
+                  for mask in rng.integers(0, min(top, 1 << 62), size=25)]
+    # rng.integers stops at 2^62; getrandbits draws masks of any width
+    rnd = random.Random(77)
+    for n in (15, 29, 40, 62):
+        cases += [Graph(n, rnd.getrandbits(pair_count(n))) for _ in range(25)]
+    for g in cases:
+        s = write_graph6(g)
+        gx = nx.from_graph6_bytes(s.encode())
+        assert sorted(tuple(sorted(e)) for e in gx.edges()) == sorted(g.edges())
+        assert nx.to_graph6_bytes(gx, header=False).decode().strip() == s
+        assert parse_graph6(s) == g
 
 
 def test_paley_small():
@@ -172,6 +183,45 @@ def test_blow_up():
     expect = np.kron(a, np.ones((t, t)))
     got = blow_up(complete(4), t).adjacency_matrix().data.real
     assert np.array_equal(got, expect)
+
+
+def _per_pair(n: int, adjacent) -> tuple[int, int]:
+    """(n, mask) of the graph with u ~ v iff adjacent(u, v), set one pair at a time."""
+    bits = "".join("1" if adjacent(u, v) else "0" for u, v in pair_list(n))
+    return n, int(bits[::-1] or "0", 2)  # pair t is bit t
+
+
+@pytest.mark.parametrize("q", [5, 13, 29, 101, 401])
+def test_paley_equals_the_per_pair_build(q):
+    residues = {x * x % q for x in range(1, q)}
+    g = paley(q)
+    assert (g.n, g.mask) == _per_pair(q, lambda u, v: (v - u) % q in residues)
+
+
+@pytest.mark.parametrize("sizes", [[1], [1, 1], [1, 2, 3, 4], [300, 300]])
+def test_complete_multipartite_equals_the_per_pair_build(sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    g = complete_multipartite(sizes)
+    assert (g.n, g.mask) == _per_pair(len(part), lambda u, v: part[u] != part[v])
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_blow_up_equals_the_per_pair_build(t):
+    rnd = random.Random(t)
+    for n in (1, 2, 5, 13):
+        for _ in range(4):
+            g = Graph(n, rnd.getrandbits(pair_count(n)))
+            b = blow_up(g, t)
+            assert (b.n, b.mask) == _per_pair(n * t, lambda u, v: g.has_edge(u // t, v // t))
+
+
+@pytest.mark.parametrize("t", [0, 1, 5])
+def test_with_isolated_equals_the_per_pair_build(t):
+    rnd = random.Random(10 + t)
+    for n in (1, 2, 5, 13):
+        g = Graph(n, rnd.getrandbits(pair_count(n)))
+        h = with_isolated(g, t)
+        assert (h.n, h.mask) == _per_pair(n + t, lambda u, v: v < n and g.has_edge(u, v))
 
 
 def _brute_chromatic(g: Graph) -> int:
@@ -394,14 +444,19 @@ def test_graph_immutability():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 13, 300])
 def test_neighbor_masks_equal_the_per_edge_build(n):
-    # the packed-row build against the big-int step per edge, which the
-    # class table's chi path keeps
+    # the packed-row build against a big-int step per edge
     rng = np.random.default_rng(n)
     pairs = pair_list(n)
     for density in (0.0, 0.3, 0.5, 1.0):
         bits = rng.random(pair_count(n)) < density
         mask = sum(1 << t for t in np.flatnonzero(bits).tolist())
         g = Graph(n, mask)
-        masks = graphs.neighbor_masks_of(n, mask, pairs)
+        masks = [0] * n
+        while mask:
+            low = mask & -mask
+            u, v = pairs[low.bit_length() - 1]
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            mask ^= low
         assert g.neighbor_masks() == masks
         assert g.degrees() == [a.bit_count() for a in masks]

@@ -67,13 +67,12 @@ def test_order8_chi_against_the_plain_decision_scan():
     import numpy as np
 
     from spectranorm.enumeration import class_table
-    from spectranorm.graphs import _k_colorable, neighbor_masks_of, pair_list
+    from spectranorm.graphs import Graph, _k_colorable
 
     table = class_table(8)
     chi = table.chi[np.arange(table.reps.size)]
-    pairs = pair_list(8)
     for c, rep in enumerate(table.reps.tolist()):
-        adj = neighbor_masks_of(8, rep, pairs)
+        adj = Graph(8, rep).neighbor_masks()
         k = 1
         while not _k_colorable(adj, k):
             k += 1
