@@ -34,7 +34,7 @@ import numpy as np
 
 from .cmatrix import CMatrix
 from .constructions import _complement, _plain_at, in_had_class
-from .eigen import hermitian_eigenvalues, singular_values
+from .eigen import hermitian_eigenvalues, singular_values, symmetric_singular_values
 from .errors import PreconditionFailed, UnknownBoundId
 from .graphs import CHI_MAX_ORDER, Graph, chromatic_number, is_strongly_regular
 from .norms import as_matrix
@@ -114,10 +114,7 @@ class SubjectContext:
     @cached_property
     def sig(self) -> np.ndarray:
         if self.graph is not None:
-            # a graph's adjacency matrix is symmetric: sigma_i = |mu_i|;
-            # contiguous, as in a class table, so that numpy takes the same
-            # loops for sigma^p and a row gets the table's numbers bit for bit
-            return np.ascontiguousarray(np.sort(np.abs(self.eigs), axis=1)[:, ::-1])
+            return symmetric_singular_values(self.eigs)
         return singular_values(self.matrix).values[None, :]
 
     @cached_property

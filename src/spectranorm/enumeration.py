@@ -32,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .eigen import symmetric_eigenvalues_batch
+from .eigen import symmetric_eigenvalues_batch, symmetric_singular_values
 from .errors import TooLarge
 from .graphs import (
     Graph,
@@ -126,7 +126,7 @@ class ClassTable:
         # row-major, so that a row sum adds in the same order on every reader
         eigs = symmetric_eigenvalues_batch(adjacency_batch(self.reps, n))
         self.eigs = np.ascontiguousarray(eigs)
-        self.sig = np.ascontiguousarray(np.sort(np.abs(eigs), axis=1)[:, ::-1])
+        self.sig = symmetric_singular_values(eigs)
         self.m = _mask_bits(self.reps, n).sum(axis=1)
         # an adjacency matrix is 0/1, so nonnegative, with |A|_1 = |A|_2^2 = 2m
         # and |A|_inf = 1 unless it has no edge

@@ -6,9 +6,9 @@ exponent, rows of equal length, `\n` line ends), which is what
 `format_matrix_csv` writes, is converted in bulk by `np.loadtxt`; every other
 file is parsed cell by cell, which accepts more (spaces, `nan`, `inf`, an
 `I` suffix, blank lines) and gives the errors. Both give the same values, bit
-for bit. Graph files are either a graph6 string or an edge list (first line
-the order, then one `u v` pair per line); the two are told apart by content,
-never by a flag.
+for bit. Graph files are a graph6 string or an edge list (first line the order,
+then one `u v` pair per line). `load_subject` tells the formats apart once,
+by content alone; a malformed edge list is never re-read as a matrix.
 """
 
 from __future__ import annotations
@@ -97,11 +97,8 @@ def parse_matrix_file(text: str) -> CMatrix:
 
 def _parse_cells(text: str) -> CMatrix:
     """Any matrix file, one `parse_complex_literal` call a cell."""
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rows.append([parse_complex_literal(c) for c in line.split(",")])
+    rows = [[parse_complex_literal(c) for c in line.split(",")]
+            for line in text.splitlines() if line.strip()]
     if not rows:
         raise BadComplexLiteral("no matrix rows found")
     width = len(rows[0])
@@ -129,49 +126,48 @@ def format_matrix_csv(m: CMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str) -> list[str]:
+    return [ln for ln in (l.strip() for l in text.splitlines()) if ln]
+
+
+def _edge(line: str) -> tuple[int, int]:
+    """The (u, v) of one edge line, read lazily, so the first bad line in file order raises."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError(f"edge line must be 'u v', got {line!r}")
+    return int(parts[0]), int(parts[1])
+
+
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
+    lines = _lines(text)
     if not lines:
         raise ValueError("empty edge list")
     try:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"edge list must start with the order, got {lines[0]!r}") from None
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Graph.from_edge_list(n, edges)
+    return Graph.from_edge_list(n, map(_edge, lines[1:]))
 
 
-def _looks_like_graph6(text: str) -> bool:
-    lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
-    if len(lines) != 1:
-        return False
-    token = lines[0]
-    if token.startswith(">>graph6<<"):
-        token = token[len(">>graph6<<"):]
-    return bool(token) and all(63 <= ord(ch) <= 126 for ch in token)
+_GRAPH6 = re.compile(r"(?:>>graph6<<)?[?-~]+")
 
 
 def load_subject(text: str) -> Union[Graph, CMatrix]:
-    """Autodetect graph6 / edge list / matrix CSV content.
+    """Read a graph or a matrix, the format decided once from the content.
 
-    Commas mean CSV. A single line in the graph6 character range is graph6.
-    A leading bare integer starts an edge list. Anything else is tried as a
-    one-cell-per-line matrix (covers literals like `1+1i`).
+    Commas mean matrix CSV. Otherwise the text is split once into stripped,
+    non-blank lines: one line in the graph6 range (after an optional
+    `>>graph6<<` header) is graph6; a first line that `int()` reads starts an
+    edge list, which raises at its first bad line and is never re-read as a
+    matrix; anything else is a one-cell-per-line matrix (such as `1+1i`).
     """
     if "," in text:
         return parse_matrix_file(text)
-    if _looks_like_graph6(text):
-        return parse_graph6(text)
-    lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
-    if lines:
-        try:
-            int(lines[0])
-            return parse_edge_list(text)
-        except ValueError:
-            pass
-    return parse_matrix_file(text)
+    lines = _lines(text)
+    if len(lines) == 1 and _GRAPH6.fullmatch(lines[0]):
+        return parse_graph6(lines[0])
+    try:
+        n = int(lines[0] if lines else "")
+    except ValueError:
+        return parse_matrix_file(text)
+    return Graph.from_edge_list(n, map(_edge, lines[1:]))

@@ -64,7 +64,7 @@ def spectral_norms(subject: Subject, ps, ks) -> tuple[list[float], list[float]]:
     ps = [_check_schatten_order(p) for p in ps]
     ks = [_check_kyfan_order(k) for k in ks]
     sig = singular_values(as_matrix(subject)).values
-    schatten = [float(sig.sum()) if p == 1.0 else float(schatten_of(sig, p)) for p in ps]
+    schatten = [float(schatten_of(sig, p)) for p in ps]
     kyfan = [float(sig[: min(k, len(sig))].sum()) for k in ks]
     return schatten, kyfan
 

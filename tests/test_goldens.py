@@ -67,6 +67,8 @@ GOLDENS = {
         (0, "9c23a232e821345661bb55bf8b373707be81899a69e83bd3b619babd534516cd"),
     "check --in c35.csv --p 1.5 --q 3 --k 2 --format json":
         (0, "cfcf09921260bda974e0a16aeba4fe781fa81376a155523e9353c09ba3acf89f"),
+    "check --in el_bad.txt --format json":
+        (2, "7c348f96df34f59fd9f202215ce96e07112322cbf4442b7c56996c4efcaa2c99"),
     "norms --in k4.g6 --format json":
         (0, "ca3544dd5e9e21f7b07d0e061308ea9f0a601386b1cbf991bbf8aef0cad32c30"),
     "norms --in paley13.g6 --format json":
@@ -111,6 +113,7 @@ def inputs(tmp_path_factory):
     bits = rng.integers(0, 2, size=(30, 30))
     lines = ["30"] + [f"{u} {v}" for v in range(30) for u in range(v) if bits[u, v]]
     (d / "el30.txt").write_text("\n".join(lines) + "\n")
+    (d / "el_bad.txt").write_text("3\n0 1 2\n")
     return d
 
 

@@ -175,3 +175,16 @@ def test_schatten_of_is_finite_at_any_scale(scale):
     assert got[0] == pytest.approx(3.0 * scale, rel=1e-14)
     assert got[1] == 0.0
     assert got[2] == pytest.approx(2.0 * scale, rel=1e-14)
+
+
+def test_energy_at_a_subnormal_scale_takes_the_scaled_form():
+    from spectranorm.eigen import singular_values
+
+    # sum sigma_i is subnormal: p = 1 is sigma_1 sum(sigma_i / sigma_1), as at every other p
+    a = np.random.default_rng(20).standard_normal((6, 6))
+    m = CMatrix.from_array(1e-310 * a)
+    sig = singular_values(m).values
+    assert 0.0 < sig.sum() < np.finfo(float).tiny
+    top = sig.max()
+    assert energy(m) == schatten_norm(m, 1.0) == float(top * (sig / top).sum())
+    assert energy(m) == pytest.approx(1e-310 * energy(CMatrix.from_array(a)), rel=1e-12)
