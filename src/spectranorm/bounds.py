@@ -33,7 +33,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .cmatrix import CMatrix
-from .constructions import _complement, _plain_at, in_had_class
+from .constructions import _complement, _constant_modulus, _plain_at, in_had_class
 from .eigen import hermitian_eigenvalues, singular_values, symmetric_singular_values
 from .errors import PreconditionFailed, UnknownBoundId
 from .graphs import CHI_MAX_ORDER, Graph, chromatic_number, is_strongly_regular
@@ -203,15 +203,6 @@ def _nonzero_sigma_profile(sig: np.ndarray) -> tuple[int, bool, float]:
     return int(nz.size), _values_equal(nz, float(sig[0])), float(nz.mean())
 
 
-def _gram_scalar_identity(data: np.ndarray) -> tuple[bool, float]:
-    """Whether A A* = cI within 1e-8 relative; returns (flag, c)."""
-    gram = data @ data.conj().T
-    diag = np.einsum("ii->i", gram).real
-    c = float(diag.mean())
-    dev = np.abs(gram - c * np.eye(gram.shape[0]))
-    return bool(np.max(dev) <= 1e-8 * (1.0 + abs(c))), c
-
-
 def detect_complete_multipartite(g: Graph) -> Optional[list[int]]:
     """Part sizes when G is complete multipartite plus isolated vertices.
 
@@ -276,9 +267,11 @@ def _p_between(lo, hi, *, hi_strict=False):
     return check
 
 
-def _tail_factor(m: int, e: float) -> float:
-    """(m - 1)^e, with 0^0 = 1 for a single row or vertex."""
-    return float(m - 1) ** e if m > 1 else (1.0 if e == 0.0 else 0.0)
+def _km_rhs(q, p, top, total, r, e):
+    """Koolen-Moulton's top^p + (m-1)^(1-p/r) max(total - top^r, 0)^e, m = `n_rows`, 0^0 = 1."""
+    m, f = q.n_rows, 1.0 - p / r
+    tail = float(m - 1) ** f if m > 1 else (1.0 if f == 0.0 else 0.0)
+    return top**p + tail * np.clip(total - top**r, 0.0, None) ** e
 
 
 def _f_mcclelland(q, params):
@@ -286,9 +279,10 @@ def _f_mcclelland(q, params):
 
 
 def _detect_mcclelland(ctx, params):
-    flag, c = _gram_scalar_identity(ctx.oriented.data)
-    nonzero = c > 1e-8 * (1.0 + c)
-    return flag and nonzero, {"gram_scale": c}
+    """POWER_MEAN's A A* = cI, with c nonzero."""
+    flag, witness = _detect_power_mean(ctx, params)
+    c = witness["gram_scale"]
+    return flag and c > 1e-8 * (1.0 + c), witness
 
 
 def _f_schatten_edges(q, params):
@@ -304,10 +298,7 @@ def _detect_schatten_edges(ctx, params):
 
 def _f_km_spectral(q, params):
     p = params["p"]
-    mu = q.eigs[:, 0]
-    inner = np.clip(2.0 * q.m - mu * mu, 0.0, None)
-    rhs = mu**p + _tail_factor(q.n_rows, 1.0 - p / 2.0) * inner ** (p / 2.0)
-    return _spow(q, p), rhs, False, None
+    return _spow(q, p), _km_rhs(q, p, q.eigs[:, 0], 2.0 * q.m, 2.0, p / 2.0), False, None
 
 
 def _detect_sigma_tail_equal(ctx, params):
@@ -320,10 +311,7 @@ def _detect_sigma_tail_equal(ctx, params):
 
 def _f_km_density(q, params):
     p = params["p"]
-    d = 2.0 * q.m / q.n_rows
-    inner = np.clip(2.0 * q.m - d * d, 0.0, None)
-    rhs = d**p + _tail_factor(q.n_rows, 1.0 - p / 2.0) * inner ** (p / 2.0)
-    return _spow(q, p), rhs, False, None
+    return _spow(q, p), _km_rhs(q, p, 2.0 * q.m / q.n_rows, 2.0 * q.m, 2.0, p / 2.0), False, None
 
 
 def _detect_km_density(ctx, params):
@@ -438,8 +426,12 @@ def _f_power_mean(q, params):
 
 
 def _detect_power_mean(ctx, params):
-    flag, c = _gram_scalar_identity(ctx.oriented.data)
-    return flag, {"gram_scale": c}
+    """Whether A A* = cI within 1e-8 relative, with c in the witness."""
+    data = ctx.oriented.data
+    gram = data @ data.conj().T
+    c = float(np.einsum("ii->i", gram).real.mean())
+    dev = np.abs(gram - c * np.eye(gram.shape[0]))
+    return bool(np.max(dev) <= 1e-8 * (1.0 + abs(c))), {"gram_scale": c}
 
 
 def _f_schatten_abs_mat(q, params):
@@ -454,9 +446,7 @@ def _detect_schatten_abs_mat(ctx, params):
 
 def _km_matrix_rhs(q, params, final_exponent):
     p, qq = params["p"], params["q"]
-    s1 = q.sig[:, 0]
-    inner = np.clip(_spow(q, qq) - s1**qq, 0.0, None)
-    return s1**p + _tail_factor(q.n_rows, 1.0 - p / qq) * inner**final_exponent
+    return _km_rhs(q, p, q.sig[:, 0], _spow(q, qq), qq, final_exponent)
 
 
 def _f_km_matrix(q, params):
@@ -508,10 +498,8 @@ def _detect_kyfan_l2(ctx, params):
 
 def _detect_kyfan_inf(ctx, params):
     k = params["k"]
-    entinf = float(ctx.entinf[0])
     count, equal, value = _nonzero_sigma_profile(ctx.sig[0])
-    mods = np.abs(ctx.matrix.data)
-    unimodular = bool(entinf > 0.0 and float(mods.min()) >= entinf * (1.0 - 1e-9))
+    unimodular = _constant_modulus(ctx.matrix.data)
     return equal and count == k and unimodular, {
         "nonzero_sigma": count,
         "constant_modulus": unimodular,

@@ -22,10 +22,9 @@ from json.encoder import encode_basestring_ascii
 
 from .asymptotics import run_experiment
 from .bounds import registry_ids, run_registry
-from .constructions import all_ones, dft_matrix, sylvester_hadamard
 from .errors import PreconditionFailed, SpectranormError
 from .fileio import format_matrix_csv, load_subject
-from .graphs import Graph, blow_up, family, with_isolated, write_graph6
+from .graphs import _FAMILIES, Graph, family, write_graph6
 from .norms import entrywise_norm, spectral_norms
 from .search import OBJECTIVE_PARAMS, OBJECTIVES, compare_spread_vs_f2, extremal
 from .sweep import run_sweep
@@ -163,10 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("construct", help="emit a named graph (graph6) or matrix (CSV)")
-    p.add_argument("--family", required=True,
-                   help="complete | complete_multipartite | perfect_matching | "
-                        "cycle | path | paley | empty | blow_up | with_isolated | "
-                        "all_ones | dft | hadamard")
+    p.add_argument("--family", required=True, help=" | ".join(_FAMILIES))
     p.add_argument("--params", default="",
                    help="comma-separated integer parameters")
     p.add_argument("--in", dest="infile",
@@ -298,30 +294,17 @@ def _cmd_random(args) -> int:
     return 0
 
 
-_MATRIX_FAMILIES = {
-    "all_ones": lambda params: all_ones(*params),
-    "dft": lambda params: dft_matrix(*params),
-    "hadamard": lambda params: sylvester_hadamard(*params),
-}
-
-
 def _cmd_construct(args) -> int:
     params = [int(tok) for tok in args.params.replace(",", " ").split()] if args.params else []
-    if args.family in _MATRIX_FAMILIES:
-        matrix = _MATRIX_FAMILIES[args.family](params)
-        sys.stdout.write(format_matrix_csv(matrix))
-        return 0
     if args.family in ("blow_up", "with_isolated"):
         if not args.infile:
             raise PreconditionFailed(f"{args.family} needs a base graph via --in")
         base = load_subject(_read_input(args.infile))
         if not isinstance(base, Graph):
             raise PreconditionFailed(f"{args.family} needs a graph input")
-        t = params[0] if params else 1
-        out = blow_up(base, t) if args.family == "blow_up" else with_isolated(base, t)
-        print(write_graph6(out))
-        return 0
-    print(write_graph6(family(args.family, params)))
+        params = [base, params[0] if params else 1]
+    out = family(args.family, params)
+    sys.stdout.write(write_graph6(out) + "\n" if isinstance(out, Graph) else format_matrix_csv(out))
     return 0
 
 

@@ -81,6 +81,13 @@ def is_plain(a: CMatrix) -> bool:
     return _plain_at(a, float(singular_values(a)[0]))
 
 
+def _constant_modulus(d: np.ndarray) -> bool:
+    """Whether every entry has one common nonzero modulus, within 1e-9 relative."""
+    mods = np.abs(d)
+    top = float(mods.max())
+    return top > 0.0 and float(mods.min()) >= top * (1.0 - 1e-9)
+
+
 def in_had_class(a: CMatrix) -> bool:
     """Membership in Had_{m,n}: constant entry modulus, orthogonal rows.
 
@@ -89,11 +96,7 @@ def in_had_class(a: CMatrix) -> bool:
     """
     if a.rows > a.cols:
         raise PreconditionFailed("Had_{m,n} is defined for m <= n")
-    mods = np.abs(a.data)
-    top = float(mods.max())
-    if top == 0.0:
-        return False
-    if float(mods.min()) < top * (1.0 - 1e-9):
+    if not _constant_modulus(a.data):
         return False
     gram = a.data @ a.data.conj().T
     row_norm_sq = float(np.max(np.abs(np.einsum("ii->i", gram))))

@@ -14,13 +14,13 @@ by content alone; a malformed edge list is never re-read as a matrix.
 from __future__ import annotations
 
 import re
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .cmatrix import CMatrix
 from .errors import BadComplexLiteral, RaggedRows
-from .graphs import Graph, parse_graph6
+from .graphs import Graph, _is_graph6_line, parse_graph6
 
 
 def parse_complex_literal(cell: str) -> complex:
@@ -131,43 +131,48 @@ def _lines(text: str) -> list[str]:
 
 
 def _edge(line: str) -> tuple[int, int]:
-    """The (u, v) of one edge line, read lazily, so the first bad line in file order raises."""
     parts = line.split()
     if len(parts) != 2:
         raise ValueError(f"edge line must be 'u v', got {line!r}")
     return int(parts[0]), int(parts[1])
 
 
+def _edge_list(lines: list[str]) -> Optional[Graph]:
+    """The graph of an edge list's lines, or None when the first is not an order.
+
+    Only that `int()` is guarded; the `u v` lines are read one by one, so the
+    first bad line in file order raises.
+    """
+    try:
+        n = int(lines[0])
+    except ValueError:
+        return None
+    return Graph.from_edge_list(n, map(_edge, lines[1:]))
+
+
 def parse_edge_list(text: str) -> Graph:
     lines = _lines(text)
     if not lines:
         raise ValueError("empty edge list")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"edge list must start with the order, got {lines[0]!r}") from None
-    return Graph.from_edge_list(n, map(_edge, lines[1:]))
-
-
-_GRAPH6 = re.compile(r"(?:>>graph6<<)?[?-~]+")
+    graph = _edge_list(lines)
+    if graph is None:
+        raise ValueError(f"edge list must start with the order, got {lines[0]!r}")
+    return graph
 
 
 def load_subject(text: str) -> Union[Graph, CMatrix]:
     """Read a graph or a matrix, the format decided once from the content.
 
     Commas mean matrix CSV. Otherwise the text is split once into stripped,
-    non-blank lines: one line in the graph6 range (after an optional
-    `>>graph6<<` header) is graph6; a first line that `int()` reads starts an
+    non-blank lines: one line that starts with the graph6 header or is all
+    graph6 characters is graph6; a first line that `int()` reads starts an
     edge list, which raises at its first bad line and is never re-read as a
     matrix; anything else is a one-cell-per-line matrix (such as `1+1i`).
     """
     if "," in text:
         return parse_matrix_file(text)
     lines = _lines(text)
-    if len(lines) == 1 and _GRAPH6.fullmatch(lines[0]):
+    if len(lines) == 1 and _is_graph6_line(lines[0]):
         return parse_graph6(lines[0])
-    try:
-        n = int(lines[0] if lines else "")
-    except ValueError:
-        return parse_matrix_file(text)
-    return Graph.from_edge_list(n, map(_edge, lines[1:]))
+    graph = _edge_list(lines) if lines else None
+    return parse_matrix_file(text) if graph is None else graph

@@ -15,16 +15,19 @@ forms, with one converter for each direction:
   leading axes) and `Graph.from_adjacency` reads the graph back.
 
 Neighbour bitsets, the chromatic number's input, are packed off a 0/1
-adjacency by `row_masks`.
+adjacency by `row_masks`. The named families, graph and matrix, are built
+by name through `family`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+import re
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .cmatrix import CMatrix
+from .constructions import all_ones, dft_matrix, sylvester_hadamard
 from .errors import (
     BadFamilyParams,
     LoopEdge,
@@ -113,6 +116,7 @@ class Graph:
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from (u, v) pairs; duplicates are collapsed."""
+        cls(n)  # the order check, before the first pair is read
         index = []
         for u, v in edges:
             if u == v:
@@ -181,6 +185,15 @@ class Graph:
 
 # --- graph6 -----------------------------------------------------------------
 
+_GRAPH6_HEADER = ">>graph6<<"
+_GRAPH6_CHARS = re.compile(r"[?-~]+")  # chr(63)..chr(126), each code 63 plus six bits
+
+
+def _is_graph6_line(line: str) -> bool:
+    """Whether one stripped line starts with the header or is all graph6 characters."""
+    return line.startswith(_GRAPH6_HEADER) or _GRAPH6_CHARS.fullmatch(line) is not None
+
+
 def write_graph6(g: Graph) -> str:
     """Header-less graph6 string; supports 1 <= n <= 62."""
     n = g.n
@@ -193,15 +206,13 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Parse a header-less graph6 string (n <= 62); strict about padding."""
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+    """Parse a graph6 string (n <= 62), with or without the header; strict about padding."""
+    s = text.strip().removeprefix(_GRAPH6_HEADER)
     if not s:
         raise MalformedGraph6("empty graph6 string")
-    codes = [ord(ch) for ch in s]
-    if any(c < 63 or c > 126 for c in codes):
+    if not _GRAPH6_CHARS.fullmatch(s):
         raise MalformedGraph6("character outside graph6 range")
+    codes = [ord(ch) for ch in s]
     n = codes[0] - 63
     if n == 0:
         raise MalformedGraph6("order-0 graphs are not supported")
@@ -305,25 +316,32 @@ def blow_up(g: Graph, t: int) -> Graph:
     Blobs are fully joined iff the original vertices were adjacent, so the
     adjacency matrix is A(G) (x) J_t.
     """
+    if not isinstance(g, Graph):
+        raise TypeError(f"the base must be a Graph, not {type(g).__name__}")
     if t < 1:
         raise BadFamilyParams("blow-up coefficient must be >= 1")
     return Graph.from_adjacency(np.kron(g._boolean_adjacency(), np.ones((t, t), dtype=bool)))
 
 
+# every name `construct` takes; blow_up and with_isolated take the base graph first
 _FAMILIES = {
-    "complete": lambda params: complete(*params),
-    "complete_multipartite": lambda params: complete_multipartite(params),
-    "perfect_matching": lambda params: perfect_matching(*params),
-    "cycle": lambda params: cycle(*params),
-    "path": lambda params: path(*params),
-    "paley": lambda params: paley(*params),
-    "empty": lambda params: empty_graph(*params),
-    "with_isolated": lambda params: with_isolated(*params),
+    "complete": complete,
+    "complete_multipartite": lambda *sizes: complete_multipartite(sizes),
+    "perfect_matching": perfect_matching,
+    "cycle": cycle,
+    "path": path,
+    "paley": paley,
+    "empty": empty_graph,
+    "blow_up": blow_up,
+    "with_isolated": with_isolated,
+    "all_ones": all_ones,
+    "dft": dft_matrix,
+    "hadamard": sylvester_hadamard,
 }
 
 
-def family(kind: str, params: Sequence[int]) -> Graph:
-    """Dispatch to a named family by kind string (CLI entry point)."""
+def family(kind: str, params: Sequence) -> Union[Graph, CMatrix]:
+    """A named graph or matrix family by kind string; bad parameters are BadFamilyParams."""
     try:
         builder = _FAMILIES[kind]
     except KeyError:
@@ -331,7 +349,7 @@ def family(kind: str, params: Sequence[int]) -> Graph:
             f"unknown family {kind!r}; choose from {sorted(_FAMILIES)}"
         ) from None
     try:
-        return builder(list(params))
+        return builder(*params)
     except TypeError as exc:
         raise BadFamilyParams(f"bad parameters for {kind}: {exc}") from None
 

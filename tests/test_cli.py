@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spectranorm import bounds, sweep
-from spectranorm.cli import main
+from spectranorm.cli import _build_parser, main
 from spectranorm.fileio import format_matrix_csv, load_subject, parse_matrix_file
 from spectranorm.cmatrix import CMatrix
 from spectranorm.errors import BadComplexLiteral, RaggedRows
@@ -783,3 +783,40 @@ def test_load_subject_detection(tmp_path):
     # a bare integer line reads as an edge-list header
     g = load_subject("5\n")
     assert isinstance(g, Graph) and g.n == 5 and g.num_edges() == 0
+
+
+def _construct_family_names():
+    """The names the `construct --family` help lists."""
+    (subs,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    (family,) = [a for a in subs.choices["construct"]._actions if a.dest == "family"]
+    return family.help.split(" | ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "hadamard"),
+    ("--family", "dft", "--params", "2,3"),
+    ("--family", "all_ones", "--params", "3"),
+])
+def test_construct_wrong_param_count_is_bad_family_params(capsys, argv):
+    code, out = _run(capsys, "construct", *argv, "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "BadFamilyParams" and error["message"].startswith("bad parameters")
+
+
+def test_construct_every_listed_family_without_params(capsys):
+    names = _construct_family_names()
+    for name in names:
+        # no exception may leave main: exit 0 with output, or 2 with an error payload
+        code, out = _run(capsys, "construct", "--family", name, "--format", "json")
+        if code == 0:
+            assert out
+        else:
+            assert code == 2 and set(json.loads(out)) == {"error"}
+            assert not json.loads(out)["error"]["message"].startswith("unknown family")
+    # a name off the list is unknown, and the error offers exactly the listed names
+    code, out = _run(capsys, "construct", "--family", "no_such_family", "--format", "json")
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "BadFamilyParams"
+    offered = error["message"].split("choose from ", 1)[1]
+    assert offered == str(sorted(names))

@@ -7,7 +7,7 @@ import pytest
 
 from spectranorm.cli import main
 from spectranorm.cmatrix import CMatrix
-from spectranorm.errors import LoopEdge
+from spectranorm.errors import LoopEdge, MalformedGraph6
 from spectranorm.fileio import load_subject, parse_edge_list
 from spectranorm.graphs import Graph, paley, write_graph6
 
@@ -16,6 +16,9 @@ MALFORMED_EDGE_LISTS = [
     ("3\n1\n2\n", ValueError, "edge line must be 'u v', got '1'"),
     ("0\n", ValueError, "graph order must be a positive integer"),
     ("-2\n", ValueError, "graph order must be a positive integer"),
+    # the order is checked before the first edge
+    ("0\n0 1\n", ValueError, "graph order must be a positive integer"),
+    ("-2\n0 1\n", ValueError, "graph order must be a positive integer"),
     ("2\n0 1\n1 x\n", ValueError, "invalid literal for int() with base 10: 'x'"),
     # the loop on line 2 comes before the bad line 3
     ("3\n1 1\n0 1 2\n", LoopEdge, "loop at vertex 1"),
@@ -90,6 +93,37 @@ def test_graph6_with_and_without_header():
     for text in (token, token + "\n", f">>graph6<<{token}\n", f"\n  >>graph6<<{token}  \n\n"):
         got = load_subject(text)
         assert isinstance(got, Graph) and (got.n, got.mask) == (g.n, g.mask)
+
+
+@pytest.mark.parametrize("text, message", [
+    (">>graph6<<", "empty graph6 string"),
+    (">>graph6<<\n", "empty graph6 string"),
+    (">>graph6<<1+1i", "character outside graph6 range"),
+])
+def test_a_line_with_the_graph6_header_is_graph6(text, message):
+    with pytest.raises(MalformedGraph6) as exc:
+        load_subject(text)
+    assert str(exc.value) == message
+
+
+# one row per rule of the format decision, in its order: text, kind, (n, m) or shape
+FORMAT_DECISION = [
+    ("0,1\n1,0\n", CMatrix, (2, 2)),  # a comma: matrix CSV
+    ("C~\n", Graph, (4, 6)),  # one line of graph6 characters
+    (">>graph6<<C~\n", Graph, (4, 6)),  # one line that starts with the header
+    ("\n  >>graph6<<C~  \n", Graph, (4, 6)),
+    ("3\n0 1\n1 2\n", Graph, (3, 2)),  # a first line that int() reads: an edge list
+    ("5\n", Graph, (5, 0)),
+    ("1+1i\n", CMatrix, (1, 1)),  # anything else: one cell per line
+    ("1+1i\n2\n", CMatrix, (2, 1)),
+]
+
+
+@pytest.mark.parametrize("text, kind, size", FORMAT_DECISION)
+def test_format_decision(text, kind, size):
+    got = load_subject(text)
+    assert type(got) is kind
+    assert ((got.n, got.num_edges()) if kind is Graph else (got.rows, got.cols)) == size
 
 
 def test_bare_order_is_an_empty_graph_and_a_literal_is_a_matrix():

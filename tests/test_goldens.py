@@ -13,8 +13,9 @@ import pytest
 
 from spectranorm.cli import main
 from spectranorm.cmatrix import CMatrix
+from spectranorm.constructions import dft_matrix, sylvester_hadamard
 from spectranorm.fileio import format_matrix_csv
-from spectranorm.graphs import complete, cycle, paley, write_graph6
+from spectranorm.graphs import complete, cycle, paley, perfect_matching, write_graph6
 
 GOLDENS = {
     "sweep --n 4 --format json":
@@ -69,6 +70,20 @@ GOLDENS = {
         (0, "cfcf09921260bda974e0a16aeba4fe781fa81376a155523e9353c09ba3acf89f"),
     "check --in el_bad.txt --format json":
         (2, "7c348f96df34f59fd9f202215ce96e07112322cbf4442b7c56996c4efcaa2c99"),
+    "check --in g6_header.txt --format json":
+        (2, "cb4661fcc1a3dcaa08c5527713b9b2c90138c76a6fa106434455198d0a3686c9"),
+    # equality cases of KM_MATRIX, KYFAN_INF, KYFAN_L2, POWER_MEAN and SCHATTEN_ABS_MAT
+    "check --in h8.csv --p 1 --k 8 --format json":
+        (0, "09e5aaba0a09b7cd659d48747ae8c9abc177909487c1fbc33f8e72c66ef8e287"),
+    "check --in h8.csv --p 3 --q 3 --k 3 --format json":
+        (0, "e09aca76cf3f63341a9e4afec6235db04b46c0545c489f89c743f8820b2d8403"),
+    "check --in dft4.csv --p 1.5 --q 3 --k 4 --format json":
+        (0, "b64e109aae8d4848515be569b4ddd2c0439e6dcd1fc828b04d30ee4a2a01c48a"),
+    # equality cases of KM_SPECTRAL, KM_DENSITY, KM_MATRIX, MCCLELLAND and POWER_MEAN
+    "check --in pm6.g6 --p 1 --k 1 --format json":
+        (0, "22a393fc3e3ca7fe8eed85239a68439b98d32edf437fd0abf6385ce2b843ee8f"),
+    "check --in pm6.g6 --p 1.5 --q 3 --k 2 --format json":
+        (0, "0992e627de3c2d1b7eb1fe7dceb5f96f64ff9a3818de16985dfd6e51e6187ea5"),
     "norms --in k4.g6 --format json":
         (0, "ca3544dd5e9e21f7b07d0e061308ea9f0a601386b1cbf991bbf8aef0cad32c30"),
     "norms --in paley13.g6 --format json":
@@ -105,8 +120,11 @@ GOLDENS = {
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("goldens")
-    for name, g in {"k4": complete(4), "paley13": paley(13), "c5": cycle(5)}.items():
+    for name, g in {"k4": complete(4), "paley13": paley(13), "c5": cycle(5),
+                    "pm6": perfect_matching(6)}.items():
         (d / f"{name}.g6").write_text(write_graph6(g) + "\n")
+    (d / "h8.csv").write_text(format_matrix_csv(sylvester_hadamard(8)))
+    (d / "dft4.csv").write_text(format_matrix_csv(dft_matrix(4)))
     rng = np.random.default_rng(5)
     m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     (d / "c35.csv").write_text(format_matrix_csv(CMatrix.from_array(m)))
@@ -114,6 +132,7 @@ def inputs(tmp_path_factory):
     lines = ["30"] + [f"{u} {v}" for v in range(30) for u in range(v) if bits[u, v]]
     (d / "el30.txt").write_text("\n".join(lines) + "\n")
     (d / "el_bad.txt").write_text("3\n0 1 2\n")
+    (d / "g6_header.txt").write_text(">>graph6<<\n")
     return d
 
 

@@ -183,6 +183,9 @@ def test_blow_up():
     expect = np.kron(a, np.ones((t, t)))
     got = blow_up(complete(4), t).adjacency_matrix().data.real
     assert np.array_equal(got, expect)
+    assert family("blow_up", [g, 2]) == blow_up(g, 2)
+    with pytest.raises(BadFamilyParams):
+        family("blow_up", [5, 2])  # the base is a graph, not an order
 
 
 def _per_pair(n: int, adjacent) -> tuple[int, int]:
