@@ -1,12 +1,12 @@
 """Schatten and Ky Fan norms of graphs and complex matrices.
 
-A self-contained Householder eigensolver (Golub-Kahan bidiagonalization for
-singular values), which solves a tridiagonal of order up to 64 by implicit
-QL and a larger one by Sturm-count multisection that reproduces bisection
-exactly, feeds norm functionals, a registry of extremal bounds with equality
-detection, named graph and matrix constructions, seeded Monte Carlo
-experiments on G(n, 1/2), and exhaustive extremal search over all
-small-order graphs.
+A self-contained Householder eigensolver, which solves a tridiagonal of
+order up to 64 by implicit QL and a larger one by Sturm-count multisection
+that reproduces bisection exactly, and singular values by Golub-Kahan
+bidiagonalization and dqds on the bidiagonal, feed norm functionals, a
+registry of extremal bounds with equality detection, named graph and
+matrix constructions, seeded Monte Carlo experiments on G(n, 1/2), and
+exhaustive extremal search over all small-order graphs.
 """
 
 from .asymptotics import (

@@ -65,7 +65,9 @@ def spectral_norms(subject: Subject, ps, ks) -> tuple[list[float], list[float]]:
     ks = [_check_kyfan_order(k) for k in ks]
     sig = singular_values(as_matrix(subject)).values
     schatten = [float(schatten_of(sig, p)) for p in ps]
-    kyfan = [float(sig[: min(k, len(sig))].sum()) for k in ks]
+    # a sum past the double range is inf, as in `schatten_of`
+    with np.errstate(over="ignore"):
+        kyfan = [float(sig[: min(k, len(sig))].sum()) for k in ks]
     return schatten, kyfan
 
 

@@ -46,6 +46,14 @@ def test_norms_text_and_json(capsys, tmp_path):
     assert abs(payload["schatten"]["1"] - 6.0) < 1e-9
 
 
+def test_norms_past_the_double_range_prints_inf_quietly(capsys, tmp_path):
+    f = tmp_path / "big.csv"
+    f.write_text("1e308,1e308\n1e308,-1e308\n")
+    code, out = _run(capsys, "norms", "--in", str(f), "--k", "1", "--k", "2")
+    assert code == 0 and capsys.readouterr().err == ""
+    assert "kyfan   k=2: inf" in out
+
+
 def test_norms_solves_once(capsys, tmp_path, monkeypatch):
     import numpy as np
 

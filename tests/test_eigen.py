@@ -1,6 +1,7 @@
 """Eigensolver and singular value unit tests plus randomized cross-checks."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import spectranorm
 from spectranorm import eigen
 from spectranorm.cmatrix import CMatrix
-from spectranorm.constructions import all_ones, dft_matrix
+from spectranorm.constructions import all_ones, dft_matrix, sylvester_hadamard
 from spectranorm.eigen import (
     EigenSpectrum,
     SingularSpectrum,
@@ -782,3 +783,185 @@ def test_single_matrix_equals_the_one_lane_stack(kind, n):
         assert not np.array_equal(a, a.conj().T)
     single = hermitian_eigenvalues(CMatrix.from_array(a)).values
     assert np.array_equal(single, eigen.symmetric_eigenvalues_batch(a[None])[0])
+
+
+# --- singular values by dqds on the bidiagonal ------------------------------------
+
+def _bidiagonal_matrix(d, f):
+    return np.diag(np.asarray(d, dtype=float)) + np.diag(np.asarray(f, dtype=float), 1)
+
+
+def _mpmath_singular_values(d, f, digits):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        b = mpmath.matrix(_bidiagonal_matrix(d, f).tolist())
+        return sorted((float(s) for s in mpmath.svd_r(b, compute_uv=False)), reverse=True)
+
+
+def _relatively_close(sig, ref, rtol):
+    # a zero value of the reference is zero only to its 50 digits
+    sig, ref = np.asarray(sig), np.asarray(ref)
+    return np.all(np.abs(sig - ref) <= rtol * ref + 1e-45 * ref[0])
+
+
+def _graded(k, seed, offset):
+    # d_i about 10^-i and f_i about 10^-(i + offset), each times a factor in [1/2, 2]
+    rng = np.random.default_rng(seed)
+    d = 10.0 ** -np.arange(k) * rng.uniform(0.5, 2.0, k)
+    f = 10.0 ** -(np.arange(k - 1) + offset) * rng.uniform(0.5, 2.0, k - 1)
+    return d, f
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5, -0.5])
+@pytest.mark.parametrize("k", [1, 2, 3, 12, 40])
+def test_dqds_graded_bidiagonals_against_mpmath(k, offset):
+    # the values span about 10^-k of sigma_1, so the reference carries 50
+    # digits beyond that span; each value of either grading is right to a
+    # few eps relative, far below the normwise c k eps sigma_1
+    d, f = _graded(k, 10 * k, offset)
+    for dd, ff in ((d, f), (d[::-1], f[::-1])):
+        ref = _mpmath_singular_values(dd, ff, 50 + k)
+        assert _relatively_close(eigen._dqds(dd.tolist(), ff.tolist()), ref, 2 * k * eigen._EPS)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_dqds_exact_zero_diagonal_at_any_position(k):
+    # a zero d makes B singular: sigma_k is exactly 0, and every pivot d + e
+    # after it has d = 0 and e > 0
+    rng = np.random.default_rng(k)
+    for p in range(k):
+        d = rng.uniform(0.5, 2.0, k)
+        f = rng.uniform(0.5, 2.0, k - 1)
+        d[p] = 0.0
+        sig = eigen._dqds(d.tolist(), f.tolist())
+        ref = np.linalg.svd(_bidiagonal_matrix(d, f), compute_uv=False)
+        assert sig[-1] == 0.0
+        assert np.max(np.abs(np.array(sig) - ref)) <= 1e-14 * ref[0]
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_dqds_exact_zero_superdiagonal_splits(k):
+    rng = np.random.default_rng(20 + k)
+    for p in range(k - 1):
+        d = rng.uniform(0.5, 2.0, k)
+        f = rng.uniform(0.5, 2.0, k - 1)
+        f[p] = 0.0
+        sig = eigen._dqds(d.tolist(), f.tolist())
+        ref = np.linalg.svd(_bidiagonal_matrix(d, f), compute_uv=False)
+        assert np.max(np.abs(np.array(sig) - ref)) <= 4 * k * eigen._EPS * ref[0]
+    # zeros in both: d = 0 above a zero f, and an all-zero diagonal
+    assert eigen._dqds([1.0, 0.0, 2.0], [1.0, 0.0]) == sorted(
+        np.linalg.svd(_bidiagonal_matrix([1.0, 0.0, 2.0], [1.0, 0.0]), compute_uv=False).tolist(),
+        reverse=True)
+    sig = eigen._dqds([0.0] * 4, [1.0, 2.0, 3.0])
+    assert sig[-1] == 0.0
+    assert np.allclose(sig[:3], [3.0, 2.0, 1.0], rtol=4 * eigen._EPS, atol=0.0)
+
+
+def test_dqds_diagonal_and_zero_inputs():
+    assert eigen._dqds([0.0, 0.0, 0.0], [0.0, 0.0]) == [0.0] * 3
+    assert eigen._dqds([3.0, 1.0, 2.0, 1.0], [0.0] * 3) == [3.0, 2.0, 1.0, 1.0]
+
+
+def test_dqds_orders_one_and_two():
+    assert eigen._dqds([2.5], []) == [2.5]
+    assert eigen._dqds([0.0], []) == [0.0]
+    # [[a, b], [0, c]], with zeros and tiny entries, against mpmath
+    for a, b, c in ((3.0, 4.0, 5.0), (1.0, 1.0, 1.0), (2.0, 1e-9, 2.0), (1.0, 1.0, 0.0),
+                    (1.0, 0.0, 1.0), (1e-8, 1.0, 1e-8), (1.0, 1e-20, 3.0)):
+        ref = _mpmath_singular_values([a, c], [b], 50)
+        assert _relatively_close(eigen._dqds([a, c], [b]), ref, 2 * eigen._EPS), (a, b, c)
+
+
+@pytest.mark.parametrize("exponent", [900, 300, -300, -900, -1000])
+def test_dqds_is_exact_under_power_of_two_scaling(exponent):
+    # the kernel rescales by a power of two itself, so any power of two in
+    # the input passes through bit for bit, even past the double range of
+    # the scaling
+    d, f = [1.0, 2.0, 3.0, 0.5, 1.5], [0.3, 0.2, 0.1, 0.7]
+    sig = eigen._dqds(d, f)
+    scaled = eigen._dqds([math.ldexp(x, exponent) for x in d], [math.ldexp(x, exponent) for x in f])
+    assert scaled == [math.ldexp(x, exponent) for x in sig]
+
+
+@pytest.mark.parametrize("a, ulps", [(lambda: sylvester_hadamard(16), 2), (lambda: dft_matrix(8), 4)])
+def test_equal_singular_values_within_a_few_eps(a, ulps):
+    # the superdiagonal of the bidiagonal is negligible, so each value is a
+    # diagonal entry: H16 gets 2 eps, and DFT8 the 3.5 eps spread of its
+    # Householder diagonal (the 2k x 2k tridiagonal route read 6 and 7.1 eps)
+    m = a()
+    expect = math.sqrt(m.rows)
+    sig = singular_values(m).values
+    assert sig.size == m.rows
+    assert np.all(np.abs(sig - expect) <= ulps * eigen._EPS * expect)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_dqds_singular_values_against_svd_for_every_k_to_80(complex_entries):
+    rng = np.random.default_rng(80 + complex_entries)
+    for k in range(1, 81):
+        shape = (k, k + k % 7) if k % 2 else (k + k % 5, k)
+        z = rng.standard_normal(shape)
+        if complex_entries:
+            z = z + 1j * rng.standard_normal(shape)
+        ref = np.linalg.svd(z, compute_uv=False)
+        sig = singular_values(CMatrix.from_array(z)).values
+        assert np.max(np.abs(sig - ref)) <= 1e-13 * ref[0], k
+
+
+def test_dqds_transform_cap_raises(monkeypatch):
+    rng = np.random.default_rng(3)
+    d, f = rng.uniform(0.5, 2.0, 20).tolist(), rng.uniform(0.5, 2.0, 19).tolist()
+    eigen._dqds(d, f)
+    monkeypatch.setattr(eigen, "_DQDS_TRANSFORMS", 1)
+    with pytest.raises(NoConvergence, match="dqds did not converge in 20 transforms"):
+        eigen._dqds(d, f)
+
+
+def test_singular_values_use_neither_tridiagonal_kernel(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("singular values went through a tridiagonal kernel")
+
+    for name in ("_tridiagonal_eigenvalues", "_ql", "_bisect"):
+        monkeypatch.setattr(eigen, name, forbidden)
+    rng = np.random.default_rng(5)
+    for shape in ((1, 1), (2, 3), (40, 30), (70, 80)):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = np.linalg.svd(z, compute_uv=False)
+        assert np.max(np.abs(singular_values(CMatrix.from_array(z)).values - ref)) <= 1e-13 * ref[0]
+
+
+def test_dqds_transform_stops_at_a_negative_pivot():
+    # tau = (5 - sqrt 5) / 2 drives d_1 to about -e_1, so the next pivot
+    # d_1 + e_1 is about 0; the transform stops at d_1 < 0 before dividing,
+    # and an early failure reports that d as all six
+    q, e = [2.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0]
+    qq, ee = [0.0] * 4, [0.0] * 3
+    out = eigen._dqds_transform(q, e, qq, ee, 0, 4, (5.0 - math.sqrt(5.0)) / 2.0)
+    assert out[0] < 0.0 and len(set(out)) == 1
+    # the input is only read, so a failed shift has nothing to undo
+    assert q == [2.0, 1.0, 1.0, 1.0] and e == [1.0, 1.0, 1.0]
+    # a shift past q_i0 stops before the first row
+    out = eigen._dqds_transform([1.0, 2.0, 3.0], [1.0, 1.0], qq, ee, 0, 3, 1.5)
+    assert out == (-0.5,) * 6
+    # a zero shift never fails, a zero q included
+    out = eigen._dqds_transform([1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0], qq, ee, 0, 4, 0.0)
+    assert min(out) >= 0.0
+
+
+def test_bottom_estimate_below_the_least_eigenvalue_or_zero():
+    q, e = [4.0, 3.0, 2.0, 0.5], [0.5, 0.4, 0.1]
+    lam = min(_mpmath_singular_values(np.sqrt(q), np.sqrt(e), 50)) ** 2
+    est = eigen._bottom_estimate(q, e, 0, 3)
+    assert 0.99 * lam < est <= lam
+    # a pivot that is zero, or negative, says nothing: no division by it
+    assert eigen._bottom_estimate([4.0, 1.0, 5.0], [1.0, 1.0], 0, 2) == 0.0
+    assert eigen._bottom_estimate([1.0, 1.0, 5.0], [0.1, 0.1], 0, 2) == 0.0
+
+
+def test_dqds_bottom_two_by_two():
+    # the 2 x 2 deflation divides by t = ((a - c) + b) / 2 only for b > 0
+    for d, f in (([2.0, 2.0], [1.0]), ([1.0, 0.0], [1.0]), ([0.0, 1.0], [1.0]),
+                 ([3.0, 1.0], [1e-30]), ([1.0, 1.0, 1.0], [1.0, 1.0])):
+        ref = _mpmath_singular_values(d, f, 50)
+        assert _relatively_close(eigen._dqds(d, f), ref, 4 * eigen._EPS), (d, f)

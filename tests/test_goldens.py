@@ -67,33 +67,33 @@ GOLDENS = {
     "check --in k4.g6 --p 1000 --q 1000 --format json":
         (0, "9c23a232e821345661bb55bf8b373707be81899a69e83bd3b619babd534516cd"),
     "check --in c35.csv --p 1.5 --q 3 --k 2 --format json":
-        (0, "cfcf09921260bda974e0a16aeba4fe781fa81376a155523e9353c09ba3acf89f"),
+        (0, "b89d0eea521658e7f3a116db3d714b3e9804eb1488dd374b1a20ac958d598f1d"),
     "check --in el_bad.txt --format json":
         (2, "7c348f96df34f59fd9f202215ce96e07112322cbf4442b7c56996c4efcaa2c99"),
     "check --in g6_header.txt --format json":
         (2, "cb4661fcc1a3dcaa08c5527713b9b2c90138c76a6fa106434455198d0a3686c9"),
     # equality cases of KM_MATRIX, KYFAN_INF, KYFAN_L2, POWER_MEAN and SCHATTEN_ABS_MAT
     "check --in h8.csv --p 1 --k 8 --format json":
-        (0, "09e5aaba0a09b7cd659d48747ae8c9abc177909487c1fbc33f8e72c66ef8e287"),
+        (0, "1871ef08de2b8c074c124b1b570e62a9a020d297ef26cbb18b8fd857aa0c0932"),
     "check --in h8.csv --p 3 --q 3 --k 3 --format json":
-        (0, "e09aca76cf3f63341a9e4afec6235db04b46c0545c489f89c743f8820b2d8403"),
+        (0, "d82403b056a8a543b953c1c14ca13f44c7140744193290989b526466a6dca00d"),
     "check --in dft4.csv --p 1.5 --q 3 --k 4 --format json":
-        (0, "b64e109aae8d4848515be569b4ddd2c0439e6dcd1fc828b04d30ee4a2a01c48a"),
+        (0, "1a2cb78c9a1b484a2303c460f8e5368a1589cd28d30ae13baeab682f7826b231"),
     # equality cases of KM_SPECTRAL, KM_DENSITY, KM_MATRIX, MCCLELLAND and POWER_MEAN
     "check --in pm6.g6 --p 1 --k 1 --format json":
         (0, "22a393fc3e3ca7fe8eed85239a68439b98d32edf437fd0abf6385ce2b843ee8f"),
     "check --in pm6.g6 --p 1.5 --q 3 --k 2 --format json":
         (0, "0992e627de3c2d1b7eb1fe7dceb5f96f64ff9a3818de16985dfd6e51e6187ea5"),
     "norms --in k4.g6 --format json":
-        (0, "ca3544dd5e9e21f7b07d0e061308ea9f0a601386b1cbf991bbf8aef0cad32c30"),
+        (0, "797eab51e1f2e3a9bfda7d8ab9268f1eeca4b89edae90a34a0983f3b6fdd027e"),
     "norms --in paley13.g6 --format json":
-        (0, "560510b2c800e6d68e638774d858fa15faff67eef4180902eedd06c9e8f83136"),
+        (0, "9a080d875df85619e0aaec6950569f387107d12251ba3425482124cff0808184"),
     "norms --in c5.g6 --format json":
-        (0, "d6ad7bc750a6217bea6bae15ad4db199394ee9fcb24f3b92743fd3d860818bef"),
+        (0, "70ca181510a7811efc49a3ded8a3cb013ee74145b7f871f3495e41dac627b1de"),
     "norms --in c35.csv --format json":
         (0, "0b9f91dd83a959541d17b1502837e3e93afc685736f9c40d2129f029c38f9d64"),
     "norms --in k4.g6 --p 1 --p 1.5 --p 1000 --k 2 --format json":
-        (0, "feea12d9db3d3d63b284587dc63849d54b39b932323bf2bdce83c5a87574cbdd"),
+        (0, "701cbba8db9fa557503443c1235effd122294c2a8c078fd075676c96264b2558"),
     "construct --family paley --params 13":
         (0, "9ef54215ac86fcb70ebc6fefc900af318bdd3d159bd9600cd88a000e8115a5b0"),
     "construct --family hadamard --params 8":

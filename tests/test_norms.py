@@ -15,6 +15,7 @@ from spectranorm.norms import (
     kyfan2_eigen_identity,
     kyfan_norm,
     schatten_norm,
+    spectral_norms,
 )
 
 
@@ -188,3 +189,17 @@ def test_energy_at_a_subnormal_scale_takes_the_scaled_form():
     top = sig.max()
     assert energy(m) == schatten_norm(m, 1.0) == float(top * (sig / top).sum())
     assert energy(m) == pytest.approx(1e-310 * energy(CMatrix.from_array(a)), rel=1e-12)
+
+
+def test_kyfan_sum_past_the_double_range_is_inf_without_a_warning():
+    # sigma = sqrt(2) 1e308 twice; the pytest setting turns a RuntimeWarning
+    # into an error, so the sum must overflow quietly, as schatten_of does
+    a = CMatrix.from_array(np.array([[1e308, 1e308], [1e308, -1e308]]))
+    schatten, kyfan = spectral_norms(a, [1, 2], [1, 2, 3])
+    assert schatten == [math.inf, math.inf]
+    assert kyfan[0] == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+    assert kyfan[1:] == [math.inf, math.inf]
+    # finite sums keep their bits
+    b = CMatrix.from_array(np.array([[3.0, 1.0], [1.0, 2.0]]))
+    sig = np.linalg.svd(b.data, compute_uv=False)
+    assert spectral_norms(b, [], [1, 2])[1] == pytest.approx([sig[0], sig.sum()], rel=1e-15)
