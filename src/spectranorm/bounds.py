@@ -76,7 +76,10 @@ class SubjectContext:
     Here B = 1, and each field is computed on first use, so spectra and chi
     are only paid for by rows that apply; fields already computed elsewhere
     are passed in `known`. The detectors read the subject itself through
-    `graph`, `matrix` and `oriented`.
+    `graph`, `matrix` and `oriented`, and the Gram test `gram` once for
+    every row. `powers` holds each exponent's power sum (`_spow`). A
+    context is made once per `check` and once per class in a sweep, so
+    none of this outlives the call that made it.
     """
 
     size = 1
@@ -89,6 +92,7 @@ class SubjectContext:
         else:
             raise TypeError(f"expected Graph or CMatrix, got {type(subject).__name__}")
         self._subject = subject
+        self.powers: dict[float, np.ndarray] = {}
         for name, value in known.items():
             if not isinstance(getattr(SubjectContext, name, None), cached_property):
                 raise TypeError(f"{name!r} is not a field computed on first use")
@@ -180,12 +184,29 @@ class SubjectContext:
         """Whether `flip` is plain (`constructions.is_plain`), from `flip_sig`."""
         return _plain_at(self.flip, float(self.flip_sig[0]))
 
+    @cached_property
+    def gram(self) -> tuple[bool, float]:
+        """(whether A A* = cI within 1e-8 relative, c) for the oriented subject."""
+        data = self.oriented.data
+        gram = data @ data.conj().T
+        c = float(np.einsum("ii->i", gram).real.mean())
+        dev = np.abs(gram - c * np.eye(gram.shape[0]))
+        return bool(np.max(dev) <= 1e-8 * (1.0 + abs(c))), c
+
 
 # --- small shared predicates ---------------------------------------------------
 
 def _spow(q, p):
-    """Per-subject sum of sigma_i^p."""
-    return (q.sig**p).sum(axis=1)
+    """Per-subject sum of sigma_i^p, formed once per exponent on a record with `powers`.
+
+    That memo is a `SubjectContext`'s own, or the sweep's per-call copy of
+    the class table's; the cached table itself has none, so no sum
+    outlives the `check` or `sweep` that formed it.
+    """
+    powers = getattr(q, "powers", {})
+    if p not in powers:
+        powers[p] = (q.sig**p).sum(axis=1)
+    return powers[p]
 
 
 def _values_equal(values: np.ndarray, scale: float) -> bool:
@@ -280,9 +301,8 @@ def _f_mcclelland(q, params):
 
 def _detect_mcclelland(ctx, params):
     """POWER_MEAN's A A* = cI, with c nonzero."""
-    flag, witness = _detect_power_mean(ctx, params)
-    c = witness["gram_scale"]
-    return flag and c > 1e-8 * (1.0 + c), witness
+    flag, c = ctx.gram
+    return flag and c > 1e-8 * (1.0 + c), {"gram_scale": c}
 
 
 def _f_schatten_edges(q, params):
@@ -426,12 +446,9 @@ def _f_power_mean(q, params):
 
 
 def _detect_power_mean(ctx, params):
-    """Whether A A* = cI within 1e-8 relative, with c in the witness."""
-    data = ctx.oriented.data
-    gram = data @ data.conj().T
-    c = float(np.einsum("ii->i", gram).real.mean())
-    dev = np.abs(gram - c * np.eye(gram.shape[0]))
-    return bool(np.max(dev) <= 1e-8 * (1.0 + abs(c))), {"gram_scale": c}
+    """Whether A A* = cI (`SubjectContext.gram`), with c in the witness."""
+    flag, c = ctx.gram
+    return flag, {"gram_scale": c}
 
 
 def _f_schatten_abs_mat(q, params):

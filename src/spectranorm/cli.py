@@ -264,12 +264,12 @@ def _cmd_sweep(args) -> int:
         print(f"sweep n={report.n} graphs={report.graphs_scanned} "
               f"violations={report.total_violations}")
         for r in report.rows:
-            params = " ".join(f"{k}={_fmt(v)}" for k, v in r.params.items())
+            cell = " ".join([r.bound_id, *(f"{k}={_fmt(v)}" for k, v in r.params.items())])
             if r.evaluated == 0:
-                print(f"  SKIP {r.bound_id} {params}: {r.skip_reason or 'not applicable'}")
+                print(f"  SKIP {cell}: {r.skip_reason or 'not applicable'}")
                 continue
             ms = "" if r.min_slack is None else f" min_slack={_fmt(r.min_slack)}"
-            print(f"  {r.bound_id} {params}: evaluated={r.evaluated} "
+            print(f"  {cell}: evaluated={r.evaluated} "
                   f"violations={r.violations}{ms} equalities={r.equality_count}")
             for ex in r.equality_examples[:3]:
                 print(f"      equality example {ex['graph6']} "

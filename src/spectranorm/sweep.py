@@ -13,10 +13,17 @@ equality example's slack is read off the row's arrays on the table, and its
 verdict is the one `check` gives (`BoundRow.equality_verdict`), taken once
 per (row cell, class) on a context of the class representative with the
 table's spectrum and chromatic number.
+
+Work whose inputs repeat across cells is done once per sweep: the examples
+of each distinct set of flagged classes (one `first_members` call and one
+graph6 string per mask), each class's context (with its Gram test), and
+each exponent's power sum (`bounds._spow`, on this sweep's copy of the
+table). All of it is local to the call; none is kept for the next sweep.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -54,6 +61,9 @@ class SweepRowSummary:
 def _sweep_chunk(n, p_values, k_values, tol_scale, canonical) -> list[SweepRowSummary]:
     """Every row on every class of order n, as one stack; q's grid is p's."""
     table = chunk_quantities(n)
+    table.chi  # solved on the cached table, not on this sweep's copy
+    record = copy.copy(table)  # the table's arrays, with a power-sum memo for this sweep
+    record.powers = {}
     weight = table.counts(canonical)
     scanned = int(weight.sum())
 
@@ -63,10 +73,20 @@ def _sweep_chunk(n, p_values, k_values, tol_scale, canonical) -> list[SweepRowSu
         return bounds.SubjectContext(Graph(n, int(table.reps[c])),
                                      eigs=table.eigs[one], chi=table.chi[one])
 
+    graph6 = functools.cache(lambda mask: write_graph6(Graph(n, mask)))
+    by_flags = {}  # flag mask bytes -> (class, graph6) of the first members it flags
+
+    def examples(flags):
+        key = flags.tobytes()
+        if key not in by_flags:
+            by_flags[key] = [(c, graph6(mask)) for c, mask in table.first_members(
+                np.flatnonzero(flags), _MAX_EXAMPLES, canonical=canonical)]
+        return by_flags[key]
+
     rows = []
     for row in bounds._ROWS.values():
         for params in bounds._param_grid(row, p_values, None, k_values):
-            app, reason, values = row.run(table, params, tol_scale)
+            app, reason, values = row.run(record, params, tol_scale)
             s = SweepRowSummary(row.bound_id, params, skipped=scanned, skip_reason=reason)
             rows.append(s)
             if reason is not None:
@@ -79,18 +99,14 @@ def _sweep_chunk(n, p_values, k_values, tol_scale, canonical) -> list[SweepRowSu
             s.min_slack = float(slack[app].min())
             s.equality_count = int(weight[eq].sum())
             verdicts = {}  # class -> the verdict its examples share
-            for c, mask in table.first_members(np.flatnonzero(eq), _MAX_EXAMPLES,
-                                               canonical=canonical):
+            for c, g6 in examples(eq):
                 if c not in verdicts:
                     # every example is a numeric equality: the row's `equal` flagged it
                     equality, witness = row.equality_verdict(context(c), params, True)
                     verdicts[c] = {"slack": float(slack[c]), "equality": equality,
                                    "witness": witness}
-                s.equality_examples.append({"graph6": write_graph6(Graph(n, mask)),
-                                            **verdicts[c]})
-            s.violation_examples = [
-                write_graph6(Graph(n, mask)) for _, mask in
-                table.first_members(np.flatnonzero(viol), _MAX_EXAMPLES, canonical=canonical)]
+                s.equality_examples.append({"graph6": g6, **verdicts[c]})
+            s.violation_examples = [g6 for _, g6 in examples(viol)]
     return rows
 
 

@@ -330,6 +330,17 @@ def test_sweep_csv(capsys):
     assert header == "bound_id,params,evaluated,skipped,violations,min_slack,equality_count"
 
 
+def test_sweep_text_names_each_cell_without_a_space_before_the_colon(capsys):
+    code, out = _run(capsys, "sweep", "--n", "1", "--p", "1", "--k", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert "  MCCLELLAND: evaluated=1 violations=0 min_slack=0 equalities=1" in lines
+    assert "  SKIP HOFFMAN: graph must have at least one edge" in lines
+    assert "  SKIP KM_DENSITY p=1: requires m >= n/2" in lines
+    assert "  POWER_MEAN p=1 q=1: evaluated=1 violations=0 min_slack=0 equalities=1" in lines
+    assert not any(" :" in line for line in lines)
+
+
 def test_key_value_csv_joins_lists(capsys):
     code, out = _run(capsys, "search", "--objective", "TAU_K", "--n", "2", "--k", "2",
                      "--format", "csv")

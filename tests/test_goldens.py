@@ -36,6 +36,15 @@ GOLDENS = {
         (0, "7784711341cd1fc9072580f03baf47dbec3e7f171f50d69f68d3103b22a70173"),
     "sweep --n 5 --p 1.5 --p 3 --k 2 --format json":
         (0, "e3ad11fdbd934a2cfcd1163cb16de4d259c2e7b436eda584a6dbeb5aef8ce0c7"),
+    # the benchmark's order-6 calls
+    "sweep --n 6 --format json":
+        (0, "80821c79201f214953afa64bd9e1c2e4c60712d505363541617e61866b52588f"),
+    "sweep --n 6 --canonical --format json":
+        (0, "9a9b4c0c8440ac2a9706147578f185bf80757b859a6e053a44f01f95f448f9d8"),
+    "sweep --n 6 --p 1.5 --p 3 --k 2 --format csv":
+        (0, "dcf8caf839be78141980851ab8f53d23511f85a904a7bc8c2ccc34d28f0cdc27"),
+    "search --objective MAX_ENERGY --n 6 --format json":
+        (0, "fa9f0cb35ba073d26688360a65228bef77af68590dc3c9b8f34341e742a6dbd4"),
     "search --objective XI_K --k 2 --n 5 --format json":
         (0, "66ea6c5ccd0ee48beb6d0a0bdf3af31de1b25915ca98813931c0cbd1115f2096"),
     "search --objective TAU_K --k 3 --n 5 --format json":
