@@ -25,6 +25,7 @@ before matrix rows are evaluated; singular values are unchanged by this.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,10 +77,14 @@ class SubjectContext:
     Here B = 1, and each field is computed on first use, so spectra and chi
     are only paid for by rows that apply; fields already computed elsewhere
     are passed in `known`. The detectors read the subject itself through
-    `graph`, `matrix` and `oriented`, and the Gram test `gram` once for
-    every row. `powers` holds each exponent's power sum (`_spow`). A
-    context is made once per `check` and once per class in a sweep, so
-    none of this outlives the call that made it.
+    `graph`, `matrix` and `oriented`, and each structural fact they derive
+    from the subject alone is computed once, on first use, for every row:
+    the Gram test `gram`, the complete-multipartite `parts`, the
+    strongly-regular parameters `srg` and the singular-value profile
+    `sig_profile`. A detector copies what it quotes into a fresh witness.
+    `powers` holds each exponent's power sum (`_spow`). A context is made
+    once per `check` and once per class in a sweep, so none of this
+    outlives the call that made it.
     """
 
     size = 1
@@ -192,6 +197,21 @@ class SubjectContext:
         c = float(np.einsum("ii->i", gram).real.mean())
         dev = np.abs(gram - c * np.eye(gram.shape[0]))
         return bool(np.max(dev) <= 1e-8 * (1.0 + abs(c))), c
+
+    @cached_property
+    def parts(self) -> Optional[list[int]]:
+        return detect_complete_multipartite(self.graph)
+
+    @cached_property
+    def srg(self) -> Optional[tuple[int, int, int, int]]:
+        return is_strongly_regular(self.graph)
+
+    @cached_property
+    def sig_profile(self) -> tuple[bool, bool, tuple[int, bool, float]]:
+        """(all sigma equal, sigma_2.. equal, `_nonzero_sigma_profile`) of the subject."""
+        sig = self.sig[0]
+        top = float(sig[0])
+        return _values_equal(sig, top), _values_equal(sig[1:], top), _nonzero_sigma_profile(sig)
 
 
 # --- small shared predicates ---------------------------------------------------
@@ -312,8 +332,7 @@ def _f_schatten_edges(q, params):
 
 
 def _detect_schatten_edges(ctx, params):
-    sig = ctx.sig[0]
-    return _values_equal(sig, float(sig[0])), {"sigma_top": float(sig[0])}
+    return ctx.sig_profile[0], {"sigma_top": float(ctx.sig[0, 0])}
 
 
 def _f_km_spectral(q, params):
@@ -323,10 +342,7 @@ def _f_km_spectral(q, params):
 
 def _detect_sigma_tail_equal(ctx, params):
     sig = ctx.sig[0]
-    tail = sig[1:]
-    return _values_equal(tail, float(sig[0])), {
-        "sigma_tail": float(tail[0]) if tail.size else 0.0
-    }
+    return ctx.sig_profile[1], {"sigma_tail": float(sig[1]) if sig.size > 1 else 0.0}
 
 
 def _f_km_density(q, params):
@@ -343,7 +359,7 @@ def _detect_km_density(ctx, params):
         return True, {"case": "perfect_matching"}
     if m == n * (n - 1) // 2:
         return True, {"case": "complete"}
-    srg = is_strongly_regular(g)
+    srg = ctx.srg
     if srg is None or m == 0:
         return False, {"case": None}
     d = 2.0 * m / n
@@ -361,7 +377,7 @@ def _f_km_absolute(q, params):
 def _detect_km_absolute(ctx, params):
     # informational: reports the strongly-regular parameters for inspection;
     # the equality flag stays purely numeric
-    srg = is_strongly_regular(ctx.graph)
+    srg = ctx.srg
     n = ctx.graph.n
     root = math.sqrt(n)
     target = None
@@ -386,7 +402,7 @@ def _f_schatten_p_ge2(q, params):
 
 
 def _detect_schatten_p_ge2(ctx, params):
-    count, equal, value = _nonzero_sigma_profile(ctx.sig[0])
+    count, equal, value = ctx.sig_profile[2]
     return count == 1 and equal, {"nonzero_sigma": count}
 
 
@@ -398,7 +414,7 @@ def _f_schr_lower(q, params):
 
 def _detect_schr_lower(ctx, params):
     chi = int(ctx.chi[0])
-    parts = detect_complete_multipartite(ctx.graph)
+    parts = copy.copy(ctx.parts)
     if parts is None or len(parts) != chi:
         return False, {"parts": parts}
     # at p > 1 equality needs sigma_1 = ... = sigma_chi: equal parts, or
@@ -420,7 +436,7 @@ def _f_caporossi(q, params):
 
 
 def _detect_caporossi(ctx, params):
-    parts = detect_complete_multipartite(ctx.graph)
+    parts = copy.copy(ctx.parts)
     return parts is not None, {"parts": parts}
 
 
@@ -509,13 +525,13 @@ def _detect_kyfan_01(ctx, params):
 
 def _detect_kyfan_l2(ctx, params):
     k = params["k"]
-    count, equal, value = _nonzero_sigma_profile(ctx.sig[0])
+    count, equal, value = ctx.sig_profile[2]
     return equal and count == k, {"nonzero_sigma": count, "sigma_value": value}
 
 
 def _detect_kyfan_inf(ctx, params):
     k = params["k"]
-    count, equal, value = _nonzero_sigma_profile(ctx.sig[0])
+    count, equal, value = ctx.sig_profile[2]
     unimodular = _constant_modulus(ctx.matrix.data)
     return equal and count == k and unimodular, {
         "nonzero_sigma": count,
@@ -599,6 +615,8 @@ class BoundRow:
         app = np.ones(q.size, dtype=bool)
         for check in self.applies:
             ok, reason = check(q, params)
+            if ok is True:  # a parameter or shape check that passes
+                continue
             app &= ok
             if not app.any():
                 return app, reason, None

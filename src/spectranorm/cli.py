@@ -67,21 +67,25 @@ def _json_key(key) -> str:
 def _json_text(obj, pad: str) -> str:
     """`json.dumps(obj, indent=2)` byte for byte, for obj nested at the
     line prefix `pad`: Python's encoder runs in pure Python once it indents,
-    and this walk over the same cases takes about 60% of its time."""
-    leaf = _JSON_LEAVES.get(type(obj))
+    and this walk over the same cases takes about 55% of its time. A
+    container writes its leaf items itself and recurses only into the rest."""
+    leaves = _JSON_LEAVES
+    leaf = leaves.get(type(obj))
     if leaf is not None:
         return leaf(obj)
     inner = pad + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_json_text(v, inner) for v in obj]
+        items = [leaves[type(v)](v) if type(v) in leaves else _json_text(v, inner)
+                 for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [encode_basestring_ascii(k if type(k) is str else _json_key(k)) + ": "
-                 + _json_text(v, inner) for k, v in obj.items()]
+                 + (leaves[type(v)](v) if type(v) in leaves else _json_text(v, inner))
+                 for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     for base in (str, int, float):
         if isinstance(obj, base):

@@ -7,18 +7,24 @@ itself the rows' record of its classes, and `BoundRow.run` runs on it as
 `check` runs it on a single subject. Labelled counts are sums of orbit
 sizes; a canonical sweep counts the representatives alone.
 
-Each row summary is built whole in one pass: the counts, then the examples,
-the first labelled graphs in mask order whose class the row flags. An
-equality example's slack is read off the row's arrays on the table, and its
-verdict is the one `check` gives (`BoundRow.equality_verdict`), taken once
-per (row cell, class) on a context of the class representative with the
+Every (row, parameter) cell is evaluated first, into (cells x classes)
+tables that keep only applicability, slack, holds and numeric equality;
+no cell keeps its sides once its row has run. Each cell's evaluated,
+violation and equality counts are then one product of those tables with
+the class weights, and its least slack one masked minimum. The examples
+follow, per cell: the first labelled graphs in mask order whose class the
+cell flags. An equality example's slack is read off the slack table, and
+its verdict is the one `check` gives (`BoundRow.equality_verdict`), taken
+once per (cell, class) on a context of the class representative with the
 table's spectrum and chromatic number.
 
 Work whose inputs repeat across cells is done once per sweep: the examples
 of each distinct set of flagged classes (one `first_members` call and one
-graph6 string per mask), each class's context (with its Gram test), and
-each exponent's power sum (`bounds._spow`, on this sweep's copy of the
-table). All of it is local to the call; none is kept for the next sweep.
+graph6 string per mask), each class's context with every structural fact
+its detectors read (the Gram test, the complete-multipartite parts, the
+strongly-regular parameters and the singular-value profile), and each
+exponent's power sum (`bounds._spow`, on this sweep's copy of the table).
+All of it is local to the call; none is kept for the next sweep.
 """
 
 from __future__ import annotations
@@ -83,30 +89,39 @@ def _sweep_chunk(n, p_values, k_values, tol_scale, canonical) -> list[SweepRowSu
                 np.flatnonzero(flags), _MAX_EXAMPLES, canonical=canonical)]
         return by_flags[key]
 
+    cells = [(row, params) for row in bounds._ROWS.values()
+             for params in bounds._param_grid(row, p_values, None, k_values)]
+    app = np.zeros((len(cells), table.size), dtype=bool)
+    holds, equal, slack = np.zeros_like(app), np.zeros_like(app), np.zeros(app.shape)
     rows = []
-    for row in bounds._ROWS.values():
-        for params in bounds._param_grid(row, p_values, None, k_values):
-            app, reason, values = row.run(record, params, tol_scale)
-            s = SweepRowSummary(row.bound_id, params, skipped=scanned, skip_reason=reason)
-            rows.append(s)
-            if reason is not None:
-                continue
-            _, _, _, slack, holds, equal = values
-            viol, eq = app & ~holds, app & equal
-            s.evaluated = int(weight[app].sum())
-            s.skipped = scanned - s.evaluated
-            s.violations = int(weight[viol].sum())
-            s.min_slack = float(slack[app].min())
-            s.equality_count = int(weight[eq].sum())
-            verdicts = {}  # class -> the verdict its examples share
-            for c, g6 in examples(eq):
-                if c not in verdicts:
-                    # every example is a numeric equality: the row's `equal` flagged it
-                    equality, witness = row.equality_verdict(context(c), params, True)
-                    verdicts[c] = {"slack": float(slack[c]), "equality": equality,
-                                   "witness": witness}
-                s.equality_examples.append({"graph6": g6, **verdicts[c]})
-            s.violation_examples = [g6 for _, g6 in examples(viol)]
+    for i, (row, params) in enumerate(cells):
+        app[i], reason, values = row.run(record, params, tol_scale)
+        rows.append(SweepRowSummary(row.bound_id, params, skipped=scanned, skip_reason=reason))
+        if reason is None:
+            slack[i], holds[i], equal[i] = values[3:]
+    flags = np.stack([app, app & ~holds, app & equal])
+    _, viol, eq = flags
+    # one product; einsum casts the flags in buffers, where `@` would copy them all to int64
+    evaluated, violations, equalities = np.einsum("fck,k->fc", flags, weight)
+    min_slack = np.where(app, slack, np.inf).min(axis=1)
+
+    for i, ((row, params), s) in enumerate(zip(cells, rows)):
+        if s.skip_reason is not None:
+            continue
+        s.evaluated = int(evaluated[i])
+        s.skipped = scanned - s.evaluated
+        s.violations = int(violations[i])
+        s.min_slack = float(min_slack[i])
+        s.equality_count = int(equalities[i])
+        verdicts = {}  # class -> the verdict its examples share
+        for c, g6 in examples(eq[i]):
+            if c not in verdicts:
+                # every example is a numeric equality: the row's `equal` flagged it
+                equality, witness = row.equality_verdict(context(c), params, True)
+                verdicts[c] = {"slack": float(slack[i, c]), "equality": equality,
+                               "witness": witness}
+            s.equality_examples.append({"graph6": g6, **verdicts[c]})
+        s.violation_examples = [g6 for _, g6 in examples(viol[i])]
     return rows
 
 

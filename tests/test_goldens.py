@@ -45,6 +45,18 @@ GOLDENS = {
         (0, "dcf8caf839be78141980851ab8f53d23511f85a904a7bc8c2ccc34d28f0cdc27"),
     "search --objective MAX_ENERGY --n 6 --format json":
         (0, "fa9f0cb35ba073d26688360a65228bef77af68590dc3c9b8f34341e742a6dbd4"),
+    # sweeps with violation examples (no tolerance), cells that skip every
+    # class, and the one-vertex order
+    "sweep --n 5 --tol-scale 0 --format json":
+        (1, "3310e971cf0fa9d479989bf3b3eb0f449074432a7dfec10f2bd7aafb590ca10d"),
+    "sweep --n 6 --tol-scale 0 --canonical --format json":
+        (1, "1c363ae610d6e17c68de47f1534a11f5f23eae3d07a1002cc6eef7b5da404835"),
+    "sweep --n 4 --tol-scale 0 --p 1 --p 2.5 --k 1 --format csv":
+        (1, "fd52604df7d33e6bea9ef792b5d190b6cc9b495c2ac731fc4c881cfb6f4dbcf3"),
+    "sweep --n 3 --p 0.5 --k 0 --format json":
+        (0, "cb18ab82d909ce968f78cb3047a5c079837309b439be25b6ddd0acbb6fcb9e11"),
+    "sweep --n 1 --format json":
+        (0, "67890d9a39c8a844b0db5b1799d2b27504d9d472b6e3f8770c45556c458419ac"),
     "search --objective XI_K --k 2 --n 5 --format json":
         (0, "66ea6c5ccd0ee48beb6d0a0bdf3af31de1b25915ca98813931c0cbd1115f2096"),
     "search --objective TAU_K --k 3 --n 5 --format json":

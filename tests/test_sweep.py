@@ -13,7 +13,8 @@ import spectranorm
 from spectranorm import bounds, sweep
 from spectranorm.constructions import sylvester_hadamard
 from spectranorm.enumeration import ClassTable, class_table
-from spectranorm.graphs import complete, cycle, perfect_matching, write_graph6
+from spectranorm.graphs import (complete, complete_multipartite, cycle, perfect_matching,
+                                write_graph6)
 from spectranorm.sweep import run_sweep
 
 _SUBJECTS = {"C5": (cycle, 5), "K4": (complete, 4)}
@@ -108,3 +109,43 @@ def test_gram_test_runs_once_per_subject_with_a_witness_per_row(subject, monkeyp
     assert len(products) == 1
     assert len(witnesses) >= 3 and all(w == witnesses[0] for w in witnesses)
     assert len({id(w) for w in witnesses}) == len(witnesses)
+
+
+def _count_structure(monkeypatch):
+    """Graph masks passed to the two structure tests the detectors read, by test name."""
+    seen = {"detect_complete_multipartite": [], "is_strongly_regular": []}
+    for name, calls in seen.items():
+        def counted(g, fn=getattr(bounds, name), calls=calls):
+            calls.append(g.mask)
+            return fn(g)
+        monkeypatch.setattr(bounds, name, counted)
+    return seen
+
+
+def _parts_witnesses(witnesses):
+    """The distinct witness dicts that quote a parts list."""
+    distinct = {id(w): w for w in witnesses if w and w.get("parts") is not None}
+    return list(distinct.values())
+
+
+def test_sweep_derives_each_class_structure_once(monkeypatch):
+    seen = _count_structure(monkeypatch)
+    report = run_sweep(6, (1.0, 1.5, 2.0, 3.0), (1, 2, 3))
+    for name, masks in seen.items():
+        assert masks, name
+        assert len(masks) == len(set(masks)), name  # one context per class, one call per context
+    witnesses = _parts_witnesses(ex["witness"] for r in report.rows
+                                 for ex in r.equality_examples)
+    assert len(witnesses) > 1
+    assert len({id(w["parts"]) for w in witnesses}) == len(witnesses)
+
+
+def test_check_derives_the_parts_once_for_both_rows_that_read_them(monkeypatch):
+    seen = _count_structure(monkeypatch)
+    checks = bounds.run_registry(complete_multipartite([3, 3, 3]), p_values=(1.0, 2.0))
+    flagged = {chk.bound_id for chk in checks if chk.equality}
+    assert {"CAPOROSSI", "SCHR_LOWER"} <= flagged
+    assert len(seen["detect_complete_multipartite"]) == 1
+    witnesses = _parts_witnesses(chk.equality_witness for chk in checks)
+    assert len(witnesses) >= 3 and all(w["parts"] == [3, 3, 3] for w in witnesses)
+    assert len({id(w["parts"]) for w in witnesses}) == len(witnesses)
