@@ -79,9 +79,10 @@ class SubjectContext:
     are passed in `known`. The detectors read the subject itself through
     `graph`, `matrix` and `oriented`, and each structural fact they derive
     from the subject alone is computed once, on first use, for every row:
-    the Gram test `gram`, the complete-multipartite `parts`, the
-    strongly-regular parameters `srg` and the singular-value profile
-    `sig_profile`. A detector copies what it quotes into a fresh witness.
+    the complete-multipartite `parts`, the strongly-regular parameters
+    `srg` and the singular-value profile `sig_profile`, which also answers
+    whether A A* = cI (every sigma equal). A detector copies what it quotes
+    into a fresh witness.
     `powers` holds each exponent's power sum (`_spow`). A context is made
     once per `check` and once per class in a sweep, so none of this
     outlives the call that made it.
@@ -188,15 +189,6 @@ class SubjectContext:
     def flip_plain(self) -> bool:
         """Whether `flip` is plain (`constructions.is_plain`), from `flip_sig`."""
         return _plain_at(self.flip, float(self.flip_sig[0]))
-
-    @cached_property
-    def gram(self) -> tuple[bool, float]:
-        """(whether A A* = cI within 1e-8 relative, c) for the oriented subject."""
-        data = self.oriented.data
-        gram = data @ data.conj().T
-        c = float(np.einsum("ii->i", gram).real.mean())
-        dev = np.abs(gram - c * np.eye(gram.shape[0]))
-        return bool(np.max(dev) <= 1e-8 * (1.0 + abs(c))), c
 
     @cached_property
     def parts(self) -> Optional[list[int]]:
@@ -320,9 +312,9 @@ def _f_mcclelland(q, params):
 
 
 def _detect_mcclelland(ctx, params):
-    """POWER_MEAN's A A* = cI, with c nonzero."""
-    flag, c = ctx.gram
-    return flag and c > 1e-8 * (1.0 + c), {"gram_scale": c}
+    """POWER_MEAN's A A* = cI on a graph with an edge (c = 2m/n > 0): a perfect matching."""
+    flag, witness = _detect_power_mean(ctx, params)
+    return flag and ctx.m[0] >= 1, witness
 
 
 def _f_schatten_edges(q, params):
@@ -351,17 +343,20 @@ def _f_km_density(q, params):
 
 
 def _detect_km_density(ctx, params):
-    g = ctx.graph
-    n = g.n
-    m = g.num_edges()
-    degs = g.degrees()
-    if all(dg == 1 for dg in degs):
-        return True, {"case": "perfect_matching"}
-    if m == n * (n - 1) // 2:
-        return True, {"case": "complete"}
+    """Equality at perfect matchings, SRG(n, 1, 0, 0); at K_n, SRG(n, n-1, n-2, 0); and
+    at strongly regular graphs whose |lambda_2|, ..., |lambda_n| are all equal.
+
+    The row's m >= n/2 excludes the empty SRG(n, 0, 0, 0).
+    """
     srg = ctx.srg
-    if srg is None or m == 0:
+    if srg is None:
         return False, {"case": None}
+    n, k = srg[:2]
+    if k == 1:
+        return True, {"case": "perfect_matching"}
+    if k == n - 1:
+        return True, {"case": "complete"}
+    m = int(ctx.m[0])
     d = 2.0 * m / n
     t = math.sqrt(max(0.0, (2.0 * m - d * d) / (n - 1)))
     rest = np.abs(ctx.eigs[0, 1:])
@@ -462,9 +457,8 @@ def _f_power_mean(q, params):
 
 
 def _detect_power_mean(ctx, params):
-    """Whether A A* = cI (`SubjectContext.gram`), with c in the witness."""
-    flag, c = ctx.gram
-    return flag, {"gram_scale": c}
+    """Whether A A* = cI, that is every sigma equal, with c = |A|_2^2 / m in the witness."""
+    return ctx.sig_profile[0], {"gram_scale": float(ctx.ent2_sq[0] / ctx.n_rows)}
 
 
 def _f_schatten_abs_mat(q, params):

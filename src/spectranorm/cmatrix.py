@@ -69,9 +69,6 @@ class CMatrix:
         """Row-major flat tuple of entries."""
         return tuple(self._data.ravel())
 
-    def conj_transpose(self) -> "CMatrix":
-        return CMatrix.from_array(self._data.conj().T)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 

@@ -150,16 +150,6 @@ def _edge_list(lines: list[str]) -> Optional[Graph]:
     return Graph.from_edge_list(n, map(_edge, lines[1:]))
 
 
-def parse_edge_list(text: str) -> Graph:
-    lines = _lines(text)
-    if not lines:
-        raise ValueError("empty edge list")
-    graph = _edge_list(lines)
-    if graph is None:
-        raise ValueError(f"edge list must start with the order, got {lines[0]!r}")
-    return graph
-
-
 def load_subject(text: str) -> Union[Graph, CMatrix]:
     """Read a graph or a matrix, the format decided once from the content.
 

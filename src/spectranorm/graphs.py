@@ -133,6 +133,7 @@ class Graph:
         return self.mask.bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether u ~ v: public API, the one-pair query that library callers make on a graph."""
         if u == v:
             return False
         return bool((self.mask >> pair_index(u, v)) & 1)
@@ -162,9 +163,6 @@ class Graph:
         The packed rows of the boolean adjacency, in time linear in the pair count.
         """
         return row_masks(self._boolean_adjacency())
-
-    def degrees(self) -> list[int]:
-        return [a.bit_count() for a in self.neighbor_masks()]
 
     def adjacency_matrix(self) -> CMatrix:
         """0/1 symmetric adjacency matrix with zero diagonal."""

@@ -21,9 +21,9 @@ table's spectrum and chromatic number.
 Work whose inputs repeat across cells is done once per sweep: the examples
 of each distinct set of flagged classes (one `first_members` call and one
 graph6 string per mask), each class's context with every structural fact
-its detectors read (the Gram test, the complete-multipartite parts, the
-strongly-regular parameters and the singular-value profile), and each
-exponent's power sum (`bounds._spow`, on this sweep's copy of the table).
+its detectors read (the complete-multipartite parts, the strongly-regular
+parameters and the singular-value profile), and each exponent's power sum
+(`bounds._spow`, on this sweep's copy of the table).
 All of it is local to the call; none is kept for the next sweep.
 """
 

@@ -7,8 +7,8 @@ import pytest
 
 from spectranorm.cli import main
 from spectranorm.cmatrix import CMatrix
-from spectranorm.errors import LoopEdge, MalformedGraph6
-from spectranorm.fileio import load_subject, parse_edge_list
+from spectranorm.errors import BadComplexLiteral, LoopEdge, MalformedGraph6
+from spectranorm.fileio import load_subject
 from spectranorm.graphs import Graph, paley, write_graph6
 
 MALFORMED_EDGE_LISTS = [
@@ -30,9 +30,6 @@ def test_malformed_edge_list_raises_its_own_error(text, error, message):
     with pytest.raises(error) as exc:
         load_subject(text)
     assert type(exc.value) is error and str(exc.value) == message
-    with pytest.raises(error) as exc:
-        parse_edge_list(text)
-    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_check_on_a_malformed_edge_list_exits_2(capsys, tmp_path):
@@ -48,13 +45,13 @@ def test_check_on_a_malformed_edge_list_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("", "empty edge list"),
-    ("\n \n", "empty edge list"),
-    ("x\n0 1\n", "edge list must start with the order, got 'x'"),
-])
-def test_parse_edge_list_header_errors(text, message):
-    with pytest.raises(ValueError) as exc:
-        parse_edge_list(text)
+    ("", "no matrix rows found"),
+    ("\n \n", "no matrix rows found"),
+    ("x\n0 1\n", "cannot parse literal 'x'"),
+], ids=["empty", "blank", "no-order"])
+def test_text_without_an_order_line_is_read_as_a_matrix(text, message):
+    with pytest.raises(BadComplexLiteral) as exc:
+        load_subject(text)
     assert str(exc.value) == message
 
 
@@ -82,9 +79,8 @@ def test_edge_list_round_trip(n):
             body.append("   ")
     text = "\r\n".join([str(n), ""] + body) + "\r\n"
     expected = _per_edge(n, pairs)
-    for parse in (load_subject, parse_edge_list):
-        g = parse(text)
-        assert (g.n, g.mask) == (expected.n, expected.mask)
+    g = load_subject(text)
+    assert (g.n, g.mask) == (expected.n, expected.mask)
 
 
 def test_graph6_with_and_without_header():

@@ -93,20 +93,21 @@ def test_sweep_does_each_repeated_piece_of_work_once(monkeypatch):
 
 @pytest.mark.parametrize("subject", [perfect_matching(6), sylvester_hadamard(4)])
 def test_gram_test_runs_once_per_subject_with_a_witness_per_row(subject, monkeypatch):
-    products = []
-    gram = bounds.SubjectContext.gram.func
+    """A A* = cI is read off the singular-value profile, formed once per context."""
+    profiles = []
+    sig_profile = bounds.SubjectContext.sig_profile.func
 
     def counted(ctx):
-        products.append(ctx)
-        return gram(ctx)
+        profiles.append(ctx)
+        return sig_profile(ctx)
 
     prop = cached_property(counted)
-    prop.__set_name__(bounds.SubjectContext, "gram")
-    monkeypatch.setattr(bounds.SubjectContext, "gram", prop)
+    prop.__set_name__(bounds.SubjectContext, "sig_profile")
+    monkeypatch.setattr(bounds.SubjectContext, "sig_profile", prop)
     checks = bounds.run_registry(subject, p_values=(1.0, 2.0))
     witnesses = [chk.equality_witness for chk in checks
                  if chk.bound_id in ("MCCLELLAND", "POWER_MEAN") and not chk.skipped]
-    assert len(products) == 1
+    assert len(profiles) == 1
     assert len(witnesses) >= 3 and all(w == witnesses[0] for w in witnesses)
     assert len({id(w) for w in witnesses}) == len(witnesses)
 
