@@ -17,10 +17,8 @@ import numpy as np
 
 from .eigen import _eigenvalues_of_hermitian_array
 from .errors import DomainError, TooLarge
-from .graphs import Graph, adjacency_from_pair_bits
+from .graphs import MAX_ORDER, Graph, adjacency_from_pair_bits
 from .norms import schatten_of
-
-_MAX_ORDER = 2000
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -51,8 +49,8 @@ def sample_gn_half(n: int, seed: int, index: int = 0) -> Graph:
     """One G(n, 1/2) sample: each pair present independently with prob 1/2."""
     if n < 1:
         raise TooLarge("order must be >= 1")
-    if n > _MAX_ORDER:
-        raise TooLarge(f"sampling capped at order {_MAX_ORDER}")
+    if n > MAX_ORDER:
+        raise TooLarge(f"sampling capped at order {MAX_ORDER}")
     return Graph.from_pair_bits(n, _pair_bits(n, seed, index))
 
 
@@ -148,8 +146,8 @@ def run_experiment(n: int, p: float, samples: int, seed: int) -> ExperimentStats
     the p = 2 norm comes from the exact edge count and the p = 1 norm from
     the eigenvalues above 0, so those cases solve only part of the spectrum.
     """
-    if n < 1 or n > _MAX_ORDER:
-        raise TooLarge(f"order must be within 1..{_MAX_ORDER}")
+    if n < 1 or n > MAX_ORDER:
+        raise TooLarge(f"order must be within 1..{MAX_ORDER}")
     if samples < 1:
         raise ValueError("need at least one sample")
     if not 1.0 <= p < math.inf:

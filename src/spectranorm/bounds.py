@@ -4,12 +4,14 @@ Each row is defined once, over a record of B subjects of one shape and kind
 (its fields are documented on `SubjectContext`): `applies` lists its
 preconditions in order, and `formula` gives both sides of the inequality as
 arrays over the batch; `BoundRow.run` evaluates both on a record.
-`run_registry` runs rows on one subject, as the lazy B = 1 record
+`run_registry` runs rows on one subject, as the B = 1 record
 `SubjectContext`, and `check_bound` is its one-row case; the exhaustive
 sweep runs the same rows on a class table (`enumeration.ClassTable`), the
-record of every class of an order at once. When a single subject's slack is
-inside tolerance, a structural equality detector runs on the subject itself.
-Registry ids are stable strings used by the CLI and the JSON report schema.
+record of every class of an order at once. Both records take their
+spectrum-free fields from `graph_fields` or `matrix_fields`. When a single
+subject's slack is inside tolerance, a structural equality detector runs on
+the subject itself. Registry ids are stable strings used by the CLI and the
+JSON report schema.
 
 Conventions:
   * upper rows assert lhs <= rhs and use slack = rhs - lhs,
@@ -62,6 +64,32 @@ class BoundCheck:
     skip_reason: Optional[str] = None
 
 
+def graph_fields(n: int, m) -> dict:
+    """The spectrum-free fields of order-n graphs with edge counts `m`.
+
+    An adjacency matrix is 0/1, so nonnegative, with |A|_1 = |A|_2^2 = 2m
+    and |A|_inf = 1 unless it has no edge.
+    """
+    m = np.asarray(m)
+    ent, flag = 2.0 * m, np.ones(m.size, dtype=bool)
+    return {"n_rows": n, "n_cols": n, "m": m, "ent1": ent, "ent2_sq": ent,
+            "entinf": (m > 0).astype(float), "is_graph": flag, "nonneg": flag, "zero_one": flag}
+
+
+def matrix_fields(d: np.ndarray) -> dict:
+    """The spectrum-free fields of the one matrix `d`, oriented rows <= cols."""
+    with np.errstate(over="ignore"):  # |A|_2^2 may pass the float range
+        a = np.abs(d)
+        top = np.array([np.max(a)])  # |A|_inf
+        # each entry within 1e-12 |A|_inf of 0 or of 1, so that a matrix of
+        # tiny entries is not read as 0/1; at |A|_inf = 1 the band is 1e-12
+        band = 1e-12 * top[0]
+        return {"n_rows": min(d.shape), "n_cols": max(d.shape), "is_graph": np.array([False]),
+                "ent1": np.array([np.sum(a)]), "ent2_sq": np.array([np.sum(a**2)]), "entinf": top,
+                "nonneg": np.array([np.all(d.real >= 0.0) and np.all(np.abs(d.imag) <= band)]),
+                "zero_one": np.array([np.all((a <= band) | (np.abs(d - 1.0) <= band))])}
+
+
 class SubjectContext:
     """One graph or matrix as a record of the inputs the bound rows read.
 
@@ -74,15 +102,16 @@ class SubjectContext:
     table (`enumeration.ClassTable`) is the same record for every class of
     an order.
 
-    Here B = 1, and each field is computed on first use, so spectra and chi
-    are only paid for by rows that apply; fields already computed elsewhere
-    are passed in `known`. The detectors read the subject itself through
-    `graph`, `matrix` and `oriented`, and each structural fact they derive
-    from the subject alone is computed once, on first use, for every row:
-    the complete-multipartite `parts`, the strongly-regular parameters
-    `srg` and the singular-value profile `sig_profile`, which also answers
-    whether A A* = cI (every sigma equal). A detector copies what it quotes
-    into a fresh witness.
+    Here B = 1. The shape, `m`, the entrywise norms and the flags are set
+    when the context is made (`graph_fields`, `matrix_fields`); the spectra
+    and chi are computed on first use, so only rows that apply pay for
+    them, and those already computed elsewhere are passed in `known`. The
+    detectors read the subject itself through `graph`, `matrix` and
+    `oriented`, and each structural fact they derive from the subject alone
+    is computed once, on first use, for every row: the complete-multipartite
+    `parts`, the strongly-regular parameters `srg` and the singular-value
+    profile `sig_profile`, which also answers whether A A* = cI (every sigma
+    equal). A detector copies what it quotes into a fresh witness.
     `powers` holds each exponent's power sum (`_spow`). A context is made
     once per `check` and once per class in a sweep, so none of this
     outlives the call that made it.
@@ -93,8 +122,10 @@ class SubjectContext:
     def __init__(self, subject: Union[Graph, CMatrix], **known: np.ndarray):
         if isinstance(subject, Graph):
             self.graph: Optional[Graph] = subject
+            vars(self).update(graph_fields(subject.n, [subject.num_edges()]))
         elif isinstance(subject, CMatrix):
             self.graph = None
+            vars(self).update(matrix_fields(subject.data))
         else:
             raise TypeError(f"expected Graph or CMatrix, got {type(subject).__name__}")
         self._subject = subject
@@ -113,14 +144,6 @@ class SubjectContext:
         m = self.matrix
         return m if m.rows <= m.cols else CMatrix.from_array(m.data.T)
 
-    @property
-    def n_rows(self) -> int:
-        return self.oriented.rows
-
-    @property
-    def n_cols(self) -> int:
-        return self.oriented.cols
-
     @cached_property
     def sig(self) -> np.ndarray:
         if self.graph is not None:
@@ -132,43 +155,8 @@ class SubjectContext:
         return hermitian_eigenvalues(self.matrix).values[None, :]
 
     @cached_property
-    def m(self) -> np.ndarray:
-        return np.array([self.graph.num_edges()])
-
-    @cached_property
     def chi(self) -> np.ndarray:
         return np.array([chromatic_number(self.graph)])
-
-    @cached_property
-    def ent1(self) -> np.ndarray:
-        return np.array([np.sum(np.abs(self.matrix.data))])
-
-    @cached_property
-    def ent2_sq(self) -> np.ndarray:
-        return np.array([np.sum(np.abs(self.matrix.data) ** 2)])
-
-    @cached_property
-    def entinf(self) -> np.ndarray:
-        return np.array([np.max(np.abs(self.matrix.data))])
-
-    @cached_property
-    def is_graph(self) -> np.ndarray:
-        return np.array([self.graph is not None])
-
-    @cached_property
-    def nonneg(self) -> np.ndarray:
-        d = self.matrix.data
-        return np.array([
-            np.all(d.real >= 0.0) and np.all(np.abs(d.imag) <= 1e-12 * self.entinf[0])
-        ])
-
-    @cached_property
-    def zero_one(self) -> np.ndarray:
-        # each entry within 1e-12 |A|_inf of 0 or of 1, so that a matrix of
-        # tiny entries is not read as 0/1; at |A|_inf = 1 the band is 1e-12
-        d = self.matrix.data
-        band = 1e-12 * self.entinf[0]
-        return np.array([np.all((np.abs(d) <= band) | (np.abs(d - 1.0) <= band))])
 
     @cached_property
     def unit(self) -> np.ndarray:

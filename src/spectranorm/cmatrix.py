@@ -64,11 +64,6 @@ class CMatrix:
     def cols(self) -> int:
         return self._data.shape[1]
 
-    @property
-    def entries(self) -> tuple[complex, ...]:
-        """Row-major flat tuple of entries."""
-        return tuple(self._data.ravel())
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 

@@ -32,6 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .bounds import graph_fields
 from .eigen import symmetric_eigenvalues_batch, symmetric_singular_values
 from .errors import TooLarge
 from .graphs import (
@@ -111,8 +112,10 @@ class ClassTable:
     `reps` are the representatives, ascending; `weights` the orbit sizes.
     The rest is the bound rows' record of the classes, one per class in
     this order (`bounds.SubjectContext` documents the fields): `eigs` and
-    `sig` are the descending eigenvalues and singular values, `m` the edge
-    count, `chi` the chromatic number, solved for every class on first use.
+    `sig` are the descending eigenvalues and singular values, and `chi` the
+    chromatic number, solved for every class on first use. The edge counts
+    `m`, the shape, the entrywise norms and the flags are `bounds.graph_fields`,
+    as a graph's `SubjectContext` has them.
     `first_members` gives each example its class, so the sweep puts a
     flagged class to the row's detector once, on its representative. It
     reads the ascending head of each class's orbit, at most `limit` masks,
@@ -120,19 +123,14 @@ class ClassTable:
     """
 
     def __init__(self, n: int):
-        self.n = self.n_rows = self.n_cols = n
+        self.n = n
         self.reps, self.weights = _classes(n)
         self.size = self.reps.size
         # row-major, so that a row sum adds in the same order on every reader
         eigs = symmetric_eigenvalues_batch(adjacency_batch(self.reps, n))
         self.eigs = np.ascontiguousarray(eigs)
         self.sig = symmetric_singular_values(eigs)
-        self.m = _mask_bits(self.reps, n).sum(axis=1)
-        # an adjacency matrix is 0/1, so nonnegative, with |A|_1 = |A|_2^2 = 2m
-        # and |A|_inf = 1 unless it has no edge
-        self.ent1 = self.ent2_sq = 2.0 * self.m
-        self.entinf = (self.m > 0).astype(float)
-        self.is_graph = self.nonneg = self.zero_one = np.ones(self.size, dtype=bool)
+        vars(self).update(graph_fields(n, _mask_bits(self.reps, n).sum(axis=1)))
         # every reader gets these arrays themselves, not copies
         for shared in (self.reps, self.weights, self.eigs, self.sig, self.m,
                        self.ent1, self.entinf, self.is_graph):

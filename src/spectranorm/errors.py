@@ -76,7 +76,7 @@ class UnknownBoundId(SpectranormError):
 # --- enumeration / experiments ---
 
 class TooLarge(SpectranormError):
-    """Requested order exceeds the exhaustive-enumeration or sampling cap."""
+    """Requested order exceeds the exhaustive-enumeration, sampling or edge-list cap."""
 
 
 # --- input parsing ---

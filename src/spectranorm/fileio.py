@@ -19,8 +19,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .cmatrix import CMatrix
-from .errors import BadComplexLiteral, RaggedRows
-from .graphs import Graph, _is_graph6_line, parse_graph6
+from .errors import BadComplexLiteral, RaggedRows, TooLarge
+from .graphs import MAX_ORDER, Graph, _is_graph6_line, parse_graph6
 
 
 def parse_complex_literal(cell: str) -> complex:
@@ -140,13 +140,16 @@ def _edge(line: str) -> tuple[int, int]:
 def _edge_list(lines: list[str]) -> Optional[Graph]:
     """The graph of an edge list's lines, or None when the first is not an order.
 
-    Only that `int()` is guarded; the `u v` lines are read one by one, so the
-    first bad line in file order raises.
+    Only that `int()` is guarded. An order above `MAX_ORDER` raises TooLarge
+    before anything of order size is allocated; the `u v` lines are then
+    read one by one, so the first bad line in file order raises.
     """
     try:
         n = int(lines[0])
     except ValueError:
         return None
+    if n > MAX_ORDER:
+        raise TooLarge(f"edge-list order capped at {MAX_ORDER}, got {n}")
     return Graph.from_edge_list(n, map(_edge, lines[1:]))
 
 

@@ -506,6 +506,7 @@ def chromatic_number_masks(adj: list[int]) -> int:
 
 
 CHI_MAX_ORDER = 32  # largest order chromatic_number accepts
+MAX_ORDER = 2000  # largest order `random` samples or an edge list may name
 
 
 def chromatic_number(g: Graph) -> int:

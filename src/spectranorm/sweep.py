@@ -23,8 +23,9 @@ of each distinct set of flagged classes (one `first_members` call and one
 graph6 string per mask), each class's context with every structural fact
 its detectors read (the complete-multipartite parts, the strongly-regular
 parameters and the singular-value profile), and each exponent's power sum
-(`bounds._spow`, on this sweep's copy of the table).
-All of it is local to the call; none is kept for the next sweep.
+(`bounds._spow`, on this sweep's copy of the table). All of it is local
+to the call, except the orbit heads behind the examples, which are kept on
+the table for the next sweep (`ClassTable.first_members`).
 """
 
 from __future__ import annotations

@@ -580,11 +580,11 @@ def test_json_output_is_strict_json(capsys, tmp_path, p):
 
 def test_parse_matrix_examples():
     m = parse_matrix_file("0,1\n1,0")
-    assert m.rows == 2 and m.entries == (0, 1, 1, 0)
+    assert m.rows == 2 and m.data.ravel().tolist() == [0, 1, 1, 0]
     m = parse_matrix_file("1+1i")
-    assert m.rows == 1 and m.entries == (1 + 1j,)
+    assert m.rows == 1 and m.data.ravel().tolist() == [1 + 1j]
     m = parse_matrix_file("2.5e-1-3i,4")
-    assert m.entries == (0.25 - 3j, 4 + 0j)
+    assert m.data.ravel().tolist() == [0.25 - 3j, 4 + 0j]
     with pytest.raises(RaggedRows):
         parse_matrix_file("1,2\n3")
     with pytest.raises(BadComplexLiteral):

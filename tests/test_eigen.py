@@ -203,7 +203,7 @@ def test_cmatrix_validation():
         CMatrix.from_rows([[np.nan]])
     m = CMatrix(2, 3, range(6))
     assert m.rows == 2 and m.cols == 3
-    assert m.entries == tuple(complex(x) for x in range(6))
+    assert m.data.ravel().tolist() == [complex(x) for x in range(6)]
 
 
 # --- scale: inputs are divided by max|a_ij| before any product ------------------

@@ -7,9 +7,9 @@ import pytest
 
 from spectranorm.cli import main
 from spectranorm.cmatrix import CMatrix
-from spectranorm.errors import BadComplexLiteral, LoopEdge, MalformedGraph6
+from spectranorm.errors import BadComplexLiteral, LoopEdge, MalformedGraph6, TooLarge
 from spectranorm.fileio import load_subject
-from spectranorm.graphs import Graph, paley, write_graph6
+from spectranorm.graphs import MAX_ORDER, Graph, paley, write_graph6
 
 MALFORMED_EDGE_LISTS = [
     ("3\n0 1 2\n", ValueError, "edge line must be 'u v', got '0 1 2'"),
@@ -42,6 +42,26 @@ def test_check_on_a_malformed_edge_list_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "edge line must be 'u v', got '0 1 2'" in captured.err
+
+
+def test_edge_list_order_is_capped_before_the_graph_is_built(monkeypatch, capsys, tmp_path):
+    assert MAX_ORDER == 2000
+    g = load_subject("2000\n0 1\n")
+    assert (g.n, g.num_edges()) == (2000, 1)
+
+    def build(*args):
+        raise AssertionError("an edge list above the cap reached the graph")
+
+    monkeypatch.setattr(Graph, "from_edge_list", build)
+    for text in ("100000\n0 1\n", "2001\n"):
+        with pytest.raises(TooLarge) as exc:
+            load_subject(text)
+        assert str(exc.value) == f"edge-list order capped at 2000, got {text.split()[0]}"
+    big = tmp_path / "big.txt"
+    big.write_text("100000\n0 1\n")
+    assert main(["check", "--in", str(big), "--format", "json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "TooLarge", "message": "edge-list order capped at 2000, got 100000"}
 
 
 @pytest.mark.parametrize("text, message", [
