@@ -13,10 +13,13 @@ subject's slack is inside tolerance, a structural equality detector runs on
 the subject itself. Registry ids are stable strings used by the CLI and the
 JSON report schema.
 
+Detectors read A A* = cI as every sigma equal (`constructions._had_at`), at
+the one band `_values_equal`; Ky Fan sums are `norms.kyfan_of`, as in `norms`.
+
 Conventions:
   * upper rows assert lhs <= rhs and use slack = rhs - lhs,
   * lower rows assert lhs >= rhs and use slack = lhs - rhs,
-  * holds means slack >= -tol with tol = 1e-7 * (1 + |lhs| + |rhs|),
+  * holds means slack >= -tol with tol = EQ_TOL * (1 + |lhs| + |rhs|),
   * the equality flag is the numeric test AND the detector verdict when the
     row has a gating detector,
   * a subject with a non-finite lhs, rhs, mid or slack is a skip, never a failure.
@@ -36,13 +39,13 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .cmatrix import CMatrix
-from .constructions import _complement, _constant_modulus, _plain_at, in_had_class
+from .constructions import (EQ_TOL, _complement, _constant_modulus, _had_at, _plain_at,
+                            _values_equal)
 from .eigen import hermitian_eigenvalues, singular_values, symmetric_singular_values
 from .errors import PreconditionFailed, UnknownBoundId
 from .graphs import CHI_MAX_ORDER, Graph, chromatic_number, is_strongly_regular
-from .norms import as_matrix
+from .norms import as_matrix, kyfan_of
 
-EQ_TOL = 1e-7
 _SIGMA_ZERO_FRACTION = 1e-6  # sigma below this times sigma_1 counts as zero
 _NOT_FINITE = "a side of the bound is not finite in double precision"
 
@@ -159,15 +162,11 @@ class SubjectContext:
         return np.array([chromatic_number(self.graph)])
 
     @cached_property
-    def unit(self) -> np.ndarray:
-        """Real part of the oriented subject over |A|_inf (over 1 if A = 0)."""
-        entinf = float(self.entinf[0])
-        return self.oriented.data.real / (entinf if entinf > 0.0 else 1.0)
-
-    @cached_property
     def flip(self) -> CMatrix:
-        """J - 2 `unit`, the +-1 matrix of a 0/1 multiple, for the flip detectors."""
-        return _complement(self.unit)
+        """J - 2 Re(A) / |A|_inf of the oriented subject (over 1 if A = 0), the +-1
+        matrix of a 0/1 multiple, for the flip detectors."""
+        entinf = float(self.entinf[0])
+        return _complement(self.oriented.data.real / (entinf if entinf > 0.0 else 1.0))
 
     @cached_property
     def flip_sig(self) -> np.ndarray:
@@ -207,12 +206,6 @@ def _spow(q, p):
     if p not in powers:
         powers[p] = (q.sig**p).sum(axis=1)
     return powers[p]
-
-
-def _values_equal(values: np.ndarray, scale: float) -> bool:
-    if values.size <= 1:
-        return True
-    return float(values.max() - values.min()) <= EQ_TOL * (1.0 + scale)
 
 
 def _nonzero_sigma_profile(sig: np.ndarray) -> tuple[int, bool, float]:
@@ -334,7 +327,8 @@ def _detect_km_density(ctx, params):
     """Equality at perfect matchings, SRG(n, 1, 0, 0); at K_n, SRG(n, n-1, n-2, 0); and
     at strongly regular graphs whose |lambda_2|, ..., |lambda_n| are all equal.
 
-    The row's m >= n/2 excludes the empty SRG(n, 0, 0, 0).
+    On a k-regular graph sigma_1 = k, so the last is "sigma_2.. equal", each then
+    sqrt(k(n - k)/(n - 1)). The row's m >= n/2 excludes the empty SRG(n, 0, 0, 0).
     """
     srg = ctx.srg
     if srg is None:
@@ -344,12 +338,8 @@ def _detect_km_density(ctx, params):
         return True, {"case": "perfect_matching"}
     if k == n - 1:
         return True, {"case": "complete"}
-    m = int(ctx.m[0])
-    d = 2.0 * m / n
-    t = math.sqrt(max(0.0, (2.0 * m - d * d) / (n - 1)))
-    rest = np.abs(ctx.eigs[0, 1:])
-    ok = bool(np.max(np.abs(rest - t)) <= EQ_TOL * (1.0 + t))
-    return ok, {"case": "strongly_regular", "srg": list(srg), "eigenvalue_modulus": t}
+    return ctx.sig_profile[1], {"case": "strongly_regular", "srg": list(srg),
+                                "eigenvalue_modulus": math.sqrt(k * (n - k) / (n - 1))}
 
 
 def _f_km_absolute(q, params):
@@ -362,11 +352,8 @@ def _detect_km_absolute(ctx, params):
     # the equality flag stays purely numeric
     srg = ctx.srg
     n = ctx.graph.n
-    root = math.sqrt(n)
-    target = None
-    if abs(root - round(root)) < 1e-9:
-        r = round(root)
-        target = [n, (n + r) // 2, (n + 2 * r) // 4, (n + 2 * r) // 4]
+    r = math.isqrt(n)
+    target = [n, (n + r) // 2, (n + 2 * r) // 4, (n + 2 * r) // 4] if r * r == n else None
     return None, {
         "strongly_regular": list(srg) if srg else None,
         "target_params": target,
@@ -424,9 +411,7 @@ def _detect_caporossi(ctx, params):
 
 
 def _f_kyfan_chromatic(q, params):
-    idx = np.clip(q.chi - 1, 0, q.sig.shape[1] - 1)[:, None]
-    lhs = np.take_along_axis(np.cumsum(q.sig, axis=1), idx, axis=1)[:, 0]
-    return lhs, 2.0 * q.sig[:, 0], True, None
+    return kyfan_of(q.sig, q.chi), 2.0 * q.sig[:, 0], True, None
 
 
 _EMNA_COEF = 0.5 + math.sqrt(5.0 / 12.0)
@@ -456,7 +441,7 @@ def _f_schatten_abs_mat(q, params):
 
 
 def _detect_schatten_abs_mat(ctx, params):
-    return in_had_class(ctx.oriented), {}
+    return _had_at(ctx.oriented, ctx.sig[0]), {}
 
 
 def _km_matrix_rhs(q, params, final_exponent):
@@ -487,13 +472,13 @@ def _detect_nonneg_energy(ctx, params):
     if ctx.entinf[0] <= 0.0:
         return False, {"reason": "zero matrix"}
     plain = ctx.flip_plain
-    had = in_had_class(ctx.flip)
+    had = _had_at(ctx.flip, ctx.flip_sig)
     return plain and had, {"plain": plain, "had_class": had}
 
 
 def _f_kyfan_01(q, params):
     rhs = (1.0 + math.sqrt(params["k"])) * math.sqrt(q.n_rows * q.n_cols) / 2.0
-    return _kyfan_lhs(q, params), np.full(q.size, rhs), False, None
+    return kyfan_of(q.sig, params["k"]), np.full(q.size, rhs), False, None
 
 
 def _detect_kyfan_01(ctx, params):
@@ -525,9 +510,7 @@ def _detect_kyfan_nonneg(ctx, params):
     k = params["k"]
     if ctx.entinf[0] <= 0.0:
         return False, {"reason": "zero matrix"}
-    unit = ctx.unit
-    zero_one = bool(np.all((np.abs(unit) <= 1e-9) | (np.abs(unit - 1.0) <= 1e-9)))
-    if not zero_one:
+    if not _constant_modulus(ctx.flip.data):  # +-1 iff A / |A|_inf is 0/1
         return False, {"zero_one_multiple": False}
     count, equal, value = _nonzero_sigma_profile(ctx.flip_sig)
     plain = ctx.flip_plain
@@ -535,22 +518,18 @@ def _detect_kyfan_nonneg(ctx, params):
     return ok, {"zero_one_multiple": True, "plain": plain, "nonzero_sigma": count}
 
 
-def _kyfan_lhs(q, params):
-    return np.cumsum(q.sig, axis=1)[:, params["k"] - 1]
-
-
 def _f_kyfan_l2(q, params):
-    return _kyfan_lhs(q, params), math.sqrt(params["k"]) * np.sqrt(q.ent2_sq), False, None
+    return kyfan_of(q.sig, params["k"]), math.sqrt(params["k"]) * np.sqrt(q.ent2_sq), False, None
 
 
 def _f_kyfan_inf(q, params):
     rhs = math.sqrt(params["k"]) * math.sqrt(q.n_rows * q.n_cols) * q.entinf
-    return _kyfan_lhs(q, params), rhs, False, None
+    return kyfan_of(q.sig, params["k"]), rhs, False, None
 
 
 def _f_kyfan_nonneg(q, params):
     rhs = (1.0 + math.sqrt(params["k"])) * math.sqrt(q.n_rows * q.n_cols) / 2.0 * q.entinf
-    return _kyfan_lhs(q, params), rhs, False, None
+    return kyfan_of(q.sig, params["k"]), rhs, False, None
 
 
 # --- the registry ---------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Covers the all-ones matrix, the discrete Fourier transform matrix, Sylvester
 Hadamard matrices, Kronecker products, the J - 2A transform of a 0/1 matrix,
-plainness, and membership in the Hadamard-type class (constant entry modulus,
-pairwise orthogonal rows).
+plainness, and membership in the Hadamard-type class (constant entry modulus
+and A A* = cI, read as every singular value equal). Each matrix family
+refuses more than `_KRON_ENTRY_CAP` entries before it allocates. `EQ_TOL`
+and `_values_equal` are also the bound registry's one equality rule.
 """
 
 from __future__ import annotations
@@ -15,11 +17,18 @@ from .eigen import allones_quotient_modulus, singular_values
 from .errors import NotPowerOfTwo, NotZeroOne, PreconditionFailed, SizeOverflow
 
 _KRON_ENTRY_CAP = 10**6
+EQ_TOL = 1e-7  # relative band of every equality decision on singular values
+
+
+def _check_entries(entries: int, what: str) -> None:
+    if entries > _KRON_ENTRY_CAP:
+        raise SizeOverflow(f"{what} would have {entries} entries (cap {_KRON_ENTRY_CAP})")
 
 
 def all_ones(m: int, n: int) -> CMatrix:
     if m < 1 or n < 1:
         raise ValueError("all_ones needs positive dimensions")
+    _check_entries(m * n, "all_ones")
     return CMatrix.from_array(np.ones((m, n)))
 
 
@@ -27,6 +36,7 @@ def dft_matrix(n: int) -> CMatrix:
     """n x n discrete Fourier transform matrix, a_kj = exp(2*pi*i*k*j/n)."""
     if n < 1:
         raise ValueError("dft_matrix needs n >= 1")
+    _check_entries(n * n, "dft")
     idx = np.arange(n)
     return CMatrix.from_array(np.exp(2j * np.pi * np.outer(idx, idx) / n))
 
@@ -35,6 +45,7 @@ def sylvester_hadamard(order: int) -> CMatrix:
     """+-1 Hadamard matrix of power-of-two order by the doubling construction."""
     if order < 1 or order & (order - 1):
         raise NotPowerOfTwo(f"order must be a power of two, got {order}")
+    _check_entries(order * order, "hadamard")
     h = np.array([[1.0]])
     while h.shape[0] < order:
         h = np.block([[h, h], [h, -h]])
@@ -43,9 +54,7 @@ def sylvester_hadamard(order: int) -> CMatrix:
 
 def kronecker(a: CMatrix, b: CMatrix) -> CMatrix:
     """Kronecker product; singular values are all pairwise products."""
-    entries = a.rows * b.rows * a.cols * b.cols
-    if entries > _KRON_ENTRY_CAP:
-        raise SizeOverflow(f"product would have {entries} entries (cap {_KRON_ENTRY_CAP})")
+    _check_entries(a.rows * b.rows * a.cols * b.cols, "product")
     return CMatrix.from_array(np.kron(a.data, b.data))
 
 
@@ -67,9 +76,16 @@ def one_complement(a: CMatrix) -> CMatrix:
     return _complement(a.data)
 
 
+def _values_equal(values: np.ndarray, scale: float) -> bool:
+    """Whether the values span at most EQ_TOL (1 + scale)."""
+    if values.size <= 1:
+        return True
+    return float(values.max() - values.min()) <= EQ_TOL * (1.0 + scale)
+
+
 def _plain_at(a: CMatrix, sigma1: float) -> bool:
     """`is_plain` for a matrix whose sigma_1 is already known."""
-    return abs(allones_quotient_modulus(a) - sigma1) <= 1e-7 * (1.0 + sigma1)
+    return _values_equal(np.array([allones_quotient_modulus(a), sigma1]), sigma1)
 
 
 def is_plain(a: CMatrix) -> bool:
@@ -88,17 +104,17 @@ def _constant_modulus(d: np.ndarray) -> bool:
     return top > 0.0 and float(mods.min()) >= top * (1.0 - 1e-9)
 
 
+def _had_at(a: CMatrix, sig: np.ndarray) -> bool:
+    """`in_had_class` for a matrix whose singular values `sig` are already known."""
+    return _constant_modulus(a.data) and _values_equal(sig, float(sig[0]))
+
+
 def in_had_class(a: CMatrix) -> bool:
-    """Membership in Had_{m,n}: constant entry modulus, orthogonal rows.
+    """Membership in Had_{m,n}: constant entry modulus and A A* = cI, every sigma equal.
 
     Requires m <= n. The zero matrix is rejected: "same modulus" is read as a
     common nonzero modulus, matching the scalar-multiple-of-Hadamard picture.
     """
     if a.rows > a.cols:
         raise PreconditionFailed("Had_{m,n} is defined for m <= n")
-    if not _constant_modulus(a.data):
-        return False
-    gram = a.data @ a.data.conj().T
-    row_norm_sq = float(np.max(np.abs(np.einsum("ii->i", gram))))
-    off = gram - np.diag(np.einsum("ii->i", gram))
-    return float(np.max(np.abs(off))) <= 1e-9 * row_norm_sq
+    return _had_at(a, singular_values(a).values)

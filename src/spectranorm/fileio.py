@@ -19,8 +19,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .cmatrix import CMatrix
-from .errors import BadComplexLiteral, RaggedRows, TooLarge
-from .graphs import MAX_ORDER, Graph, _is_graph6_line, parse_graph6
+from .errors import BadComplexLiteral, RaggedRows
+from .graphs import Graph, _capped_order, _is_graph6_line, parse_graph6
 
 
 def parse_complex_literal(cell: str) -> complex:
@@ -148,9 +148,7 @@ def _edge_list(lines: list[str]) -> Optional[Graph]:
         n = int(lines[0])
     except ValueError:
         return None
-    if n > MAX_ORDER:
-        raise TooLarge(f"edge-list order capped at {MAX_ORDER}, got {n}")
-    return Graph.from_edge_list(n, map(_edge, lines[1:]))
+    return Graph.from_edge_list(_capped_order(n, "edge-list order"), map(_edge, lines[1:]))
 
 
 def load_subject(text: str) -> Union[Graph, CMatrix]:

@@ -21,6 +21,7 @@ by name through `family`.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable, Optional, Sequence, Union
 
@@ -33,6 +34,7 @@ from .errors import (
     LoopEdge,
     MalformedGraph6,
     OverflowRisk,
+    TooLarge,
     TooLargeForExact,
     VertexOutOfRange,
 )
@@ -230,10 +232,17 @@ def parse_graph6(text: str) -> Graph:
 
 # --- named families ----------------------------------------------------------
 
+def _capped_order(n: int, what: str) -> int:
+    """n, or TooLarge past `MAX_ORDER`, before anything of order size is allocated."""
+    if n > MAX_ORDER:
+        raise TooLarge(f"{what} capped at {MAX_ORDER}, got {n}")
+    return n
+
+
 def complete(n: int) -> Graph:
     if n < 1:
         raise BadFamilyParams("complete(n) needs n >= 1")
-    return Graph(n, (1 << pair_count(n)) - 1)
+    return Graph(n, (1 << pair_count(_capped_order(n, "complete order"))) - 1)
 
 
 def empty_graph(n: int) -> Graph:
@@ -247,6 +256,7 @@ def complete_multipartite(sizes: Sequence[int]) -> Graph:
     sizes = list(sizes)
     if not sizes or any((not isinstance(s, int)) or s < 1 for s in sizes):
         raise BadFamilyParams("part sizes must be positive integers")
+    _capped_order(sum(sizes), "complete_multipartite order")
     part = np.repeat(np.arange(len(sizes)), sizes)
     return Graph.from_adjacency(part[:, None] != part)
 
@@ -255,41 +265,32 @@ def perfect_matching(n: int) -> Graph:
     """(n/2) disjoint edges."""
     if n < 2 or n % 2:
         raise BadFamilyParams("perfect_matching(n) needs even n >= 2")
+    _capped_order(n, "perfect_matching order")
     return Graph.from_edge_list(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise BadFamilyParams("cycle(n) needs n >= 3")
+    _capped_order(n, "cycle order")
     return Graph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise BadFamilyParams("path(n) needs n >= 1")
+    _capped_order(n, "path order")
     return Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def paley(q: int) -> Graph:
     """Paley graph on Z_q: x ~ y iff x - y is a nonzero quadratic residue.
 
     Requires q prime with q = 1 (mod 4), so that -1 is a residue and the
-    relation is symmetric.
+    relation is symmetric; q at most `MAX_ORDER`, so trial division is short.
     """
-    if not _is_prime(q):
+    _capped_order(q, "paley order")
+    if q < 2 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
         raise BadFamilyParams(f"paley({q}): order must be prime")
     if q % 4 != 1:
         raise BadFamilyParams(f"paley({q}): need q = 1 (mod 4)")
@@ -318,6 +319,7 @@ def blow_up(g: Graph, t: int) -> Graph:
         raise TypeError(f"the base must be a Graph, not {type(g).__name__}")
     if t < 1:
         raise BadFamilyParams("blow-up coefficient must be >= 1")
+    _capped_order(g.n * t, "blow_up order")
     return Graph.from_adjacency(np.kron(g._boolean_adjacency(), np.ones((t, t), dtype=bool)))
 
 
@@ -506,7 +508,7 @@ def chromatic_number_masks(adj: list[int]) -> int:
 
 
 CHI_MAX_ORDER = 32  # largest order chromatic_number accepts
-MAX_ORDER = 2000  # largest order `random` samples or an edge list may name
+MAX_ORDER = 2000  # largest order `random` samples, an edge list names or a family builds
 
 
 def chromatic_number(g: Graph) -> int:

@@ -56,6 +56,16 @@ def schatten_of(sig: np.ndarray, p: float) -> np.ndarray:
     return np.where(normal | (top[..., 0] == 0.0), total ** (1.0 / p), scaled)
 
 
+def kyfan_of(sig: np.ndarray, k) -> np.ndarray:
+    """Sum of the k largest of descending singular values along the last axis: the
+    running sum read at min(k, count), for `norms`, `check` and `search` alike. k
+    may hold one order per leading index; past the double range the sum is inf."""
+    with np.errstate(over="ignore"):
+        run = np.cumsum(sig, axis=-1)
+    at = np.minimum(k, sig.shape[-1]) - 1
+    return run[..., at] if np.ndim(at) == 0 else np.take_along_axis(run, at[..., None], -1)[..., 0]
+
+
 def spectral_norms(subject: Subject, ps, ks) -> tuple[list[float], list[float]]:
     """Schatten p-norms for each p in ps and Ky Fan k-norms for each k in ks.
 
@@ -64,11 +74,7 @@ def spectral_norms(subject: Subject, ps, ks) -> tuple[list[float], list[float]]:
     ps = [_check_schatten_order(p) for p in ps]
     ks = [_check_kyfan_order(k) for k in ks]
     sig = singular_values(as_matrix(subject)).values
-    schatten = [float(schatten_of(sig, p)) for p in ps]
-    # a sum past the double range is inf, as in `schatten_of`
-    with np.errstate(over="ignore"):
-        kyfan = [float(sig[: min(k, len(sig))].sum()) for k in ks]
-    return schatten, kyfan
+    return [float(schatten_of(sig, p)) for p in ps], [float(kyfan_of(sig, k)) for k in ks]
 
 
 def schatten_norm(subject: Subject, p: float) -> float:

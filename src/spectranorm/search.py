@@ -25,7 +25,7 @@ import numpy as np
 
 from .enumeration import _mask_bits, chunk_quantities, class_table
 from .graphs import Graph, pair_count, write_graph6
-from .norms import schatten_of
+from .norms import kyfan_of, schatten_of
 
 OBJECTIVES = ("XI_K", "TAU_K", "SPREAD", "MAX_ENERGY", "MAX_SCHATTEN_P")
 # the parameter an objective takes, by name; the others take none
@@ -50,8 +50,7 @@ class SearchRecord:
 def _objective_values(table, objective: str, param) -> np.ndarray:
     n, sig, eigs = table.n, table.sig, table.eigs
     if objective == "XI_K":
-        k = min(int(param), n)
-        return sig[:, :k].sum(axis=1)
+        return kyfan_of(sig, int(param))
     if objective == "TAU_K":
         k = min(int(param), n)
         return eigs[:, :k].sum(axis=1)
@@ -163,7 +162,7 @@ def compare_spread_vs_f2(n: int) -> SpreadComparison:
     # the per-graph identity: F2 = max(|mu_1| + |mu_2|, |mu_1| + |mu_n|)
     table = chunk_quantities(n)
     eigs = np.abs(table.eigs)
-    f2 = table.sig[:, : min(2, n)].sum(axis=1)
+    f2 = kyfan_of(table.sig, 2)
     alt = np.maximum(eigs[:, 0] + (eigs[:, 1] if n > 1 else 0.0), eigs[:, 0] + eigs[:, -1])
     return SpreadComparison(
         n=n,
