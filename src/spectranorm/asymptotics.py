@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import _eigenvalues_of_hermitian_array
+from .eigen import _eigenvalues_of_hermitian_array, symmetric_singular_values
 from .errors import DomainError, TooLarge
 from .graphs import MAX_ORDER, Graph, adjacency_from_pair_bits
 from .norms import schatten_of
@@ -81,7 +81,7 @@ def _sample_norm(n: int, seed: int, index: int, p: float) -> tuple[float, float,
         # eigs is the upper half, then lambda_n
         value = 2.0 * float(eigs[:-1].sum()) - float(np.trace(a))
         eigs = np.append(eigs[:min(2, eigs.size - 1)], eigs[-1])
-    sig = np.sort(np.abs(eigs))[::-1]
+    sig = symmetric_singular_values(eigs[None, :])[0]
     if part == "extremes":
         value = math.sqrt(a.sum())
     elif part == "all":

@@ -47,6 +47,8 @@ from .graphs import CHI_MAX_ORDER, Graph, chromatic_number, is_strongly_regular
 from .norms import as_matrix, kyfan_of
 
 _SIGMA_ZERO_FRACTION = 1e-6  # sigma below this times sigma_1 counts as zero
+_ENTRY_BAND = 1e-12  # entries within this times |A|_inf of 0 or 1 count as 0 or 1
+_MASS_SPREAD_TOL = 1e-12  # relative slack of the precondition |A|_1 >= n |A|_inf
 _NOT_FINITE = "a side of the bound is not finite in double precision"
 
 
@@ -84,9 +86,8 @@ def matrix_fields(d: np.ndarray) -> dict:
     with np.errstate(over="ignore"):  # |A|_2^2 may pass the float range
         a = np.abs(d)
         top = np.array([np.max(a)])  # |A|_inf
-        # each entry within 1e-12 |A|_inf of 0 or of 1, so that a matrix of
-        # tiny entries is not read as 0/1; at |A|_inf = 1 the band is 1e-12
-        band = 1e-12 * top[0]
+        # relative to |A|_inf, so that a matrix of tiny entries is not read as 0/1
+        band = _ENTRY_BAND * top[0]
         return {"n_rows": min(d.shape), "n_cols": max(d.shape), "is_graph": np.array([False]),
                 "ent1": np.array([np.sum(a)]), "ent2_sq": np.array([np.sum(a**2)]), "entinf": top,
                 "nonneg": np.array([np.all(d.real >= 0.0) and np.all(np.abs(d.imag) <= band)]),
@@ -627,7 +628,7 @@ def _nonneg(q, params):
 
 
 def _mass_spread(q, params):
-    ok = q.ent1 >= q.n_cols * q.entinf * (1.0 - 1e-12)
+    ok = q.ent1 >= q.n_cols * q.entinf * (1.0 - _MASS_SPREAD_TOL)
     return ok, "requires |A|_1 >= n |A|_inf"
 
 

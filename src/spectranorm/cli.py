@@ -25,7 +25,7 @@ from .bounds import registry_ids, run_registry
 from .errors import PreconditionFailed, SpectranormError
 from .fileio import format_matrix_csv, load_subject
 from .graphs import _FAMILIES, Graph, family, write_graph6
-from .norms import entrywise_norm, spectral_norms
+from .norms import as_matrix, entrywise_norm, spectral_norms
 from .search import OBJECTIVE_PARAMS, OBJECTIVES, compare_spread_vs_f2, extremal
 from .sweep import run_sweep
 
@@ -191,14 +191,15 @@ def _cmd_norms(args) -> int:
     p_list = args.p or [1.0, 2.0]
     k_list = args.k or [1, 2]
     schatten, kyfan = spectral_norms(subject, p_list, k_list)
+    matrix = as_matrix(subject)
     results = {
         "input": args.infile,
         "kind": "graph" if isinstance(subject, Graph) else "matrix",
         "schatten": {_fmt(p): v for p, v in zip(p_list, schatten)},
         "kyfan": {str(k): v for k, v in zip(k_list, kyfan)},
-        "entrywise": {_fmt(p): entrywise_norm(subject, p) for p in p_list},
+        "entrywise": {_fmt(p): entrywise_norm(matrix, p) for p in p_list},
     }
-    results["entrywise"]["inf"] = entrywise_norm(subject, math.inf)
+    results["entrywise"]["inf"] = entrywise_norm(matrix, math.inf)
     if args.format == "json":
         _emit_json(results)
     elif args.format == "csv":

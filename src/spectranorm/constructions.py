@@ -18,6 +18,7 @@ from .errors import NotPowerOfTwo, NotZeroOne, PreconditionFailed, SizeOverflow
 
 _KRON_ENTRY_CAP = 10**6
 EQ_TOL = 1e-7  # relative band of every equality decision on singular values
+_MODULUS_TOL = 1e-9  # relative spread of entry moduli read as one constant modulus
 
 
 def _check_entries(entries: int, what: str) -> None:
@@ -98,10 +99,10 @@ def is_plain(a: CMatrix) -> bool:
 
 
 def _constant_modulus(d: np.ndarray) -> bool:
-    """Whether every entry has one common nonzero modulus, within 1e-9 relative."""
+    """Whether every entry has one common nonzero modulus, within _MODULUS_TOL relative."""
     mods = np.abs(d)
     top = float(mods.max())
-    return top > 0.0 and float(mods.min()) >= top * (1.0 - 1e-9)
+    return top > 0.0 and float(mods.min()) >= top * (1.0 - _MODULUS_TOL)
 
 
 def _had_at(a: CMatrix, sig: np.ndarray) -> bool:

@@ -1,7 +1,9 @@
 """Norm functionals: Schatten, Ky Fan, entrywise, energy.
 
-Every function accepts either a CMatrix or a Graph; graphs delegate to their
-adjacency matrix with no separate code path.
+Every function accepts either a CMatrix or a Graph. A graph's singular values
+are the moduli of its eigenvalues from the Hermitian solve, sigma_i = |lambda_i|,
+as `check`, `sweep`, `search` and `random` read them; a matrix's come from
+`singular_values`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .cmatrix import CMatrix
-from .eigen import hermitian_eigenvalues, singular_values
+from .eigen import hermitian_eigenvalues, singular_values, symmetric_singular_values
 from .graphs import Graph
 
 Subject = Union[CMatrix, Graph]
@@ -69,12 +71,20 @@ def kyfan_of(sig: np.ndarray, k) -> np.ndarray:
 def spectral_norms(subject: Subject, ps, ks) -> tuple[list[float], list[float]]:
     """Schatten p-norms for each p in ps and Ky Fan k-norms for each k in ks.
 
-    The singular values are computed once, whatever the number of orders.
+    The singular values are computed once, whatever the number of orders. A
+    graph's are |lambda_i| from one Hermitian solve, kept as the one-row
+    record `bounds.SubjectContext.sig` holds, so that sum sigma_i^p and its
+    root take the numpy loops of the bound rows and `check`'s bits. A
+    matrix's are the vector `singular_values` gives.
     """
     ps = [_check_schatten_order(p) for p in ps]
     ks = [_check_kyfan_order(k) for k in ks]
-    sig = singular_values(as_matrix(subject)).values
-    return [float(schatten_of(sig, p)) for p in ps], [float(kyfan_of(sig, k)) for k in ks]
+    if isinstance(subject, Graph):
+        eigs = hermitian_eigenvalues(subject.adjacency_matrix()).values
+        sig = symmetric_singular_values(eigs[None, :])
+    else:
+        sig = singular_values(as_matrix(subject)).values
+    return [schatten_of(sig, p).item() for p in ps], [kyfan_of(sig, k).item() for k in ks]
 
 
 def schatten_norm(subject: Subject, p: float) -> float:
@@ -108,10 +118,14 @@ def entrywise_norm(subject: Subject, p: float) -> float:
 
 
 def kyfan2_eigen_identity(g: Graph) -> tuple[float, float]:
-    """Both sides of ||G||_F2 = max(|mu_1| + |mu_2|, |mu_1| + |mu_n|)."""
+    """Both sides of ||G||_F2 = max(|mu_1| + |mu_2|, |mu_1| + |mu_n|), from one solve.
+
+    By Perron-Frobenius a graph's two largest moduli are |mu_1| and the larger
+    of |mu_2| and |mu_n|, so both sides add the same two doubles.
+    """
     if not isinstance(g, Graph) or g.n < 2:
         raise ValueError("identity needs a graph on at least 2 vertices")
-    lhs = kyfan_norm(g, 2)
     mu = hermitian_eigenvalues(g.adjacency_matrix()).values
+    lhs = kyfan_of(symmetric_singular_values(mu[None, :]), 2).item()
     rhs = max(abs(mu[0]) + abs(mu[1]), abs(mu[0]) + abs(mu[-1]))
     return lhs, float(rhs)

@@ -106,15 +106,15 @@ GOLDENS = {
     "check --in pm6.g6 --p 1.5 --q 3 --k 2 --format json":
         (0, "0992e627de3c2d1b7eb1fe7dceb5f96f64ff9a3818de16985dfd6e51e6187ea5"),
     "norms --in k4.g6 --format json":
-        (0, "797eab51e1f2e3a9bfda7d8ab9268f1eeca4b89edae90a34a0983f3b6fdd027e"),
+        (0, "83814c3ab155daae9a259ed826a128673efb2d1264d7fe24c7768e3afcae4631"),
     "norms --in paley13.g6 --format json":
-        (0, "9a080d875df85619e0aaec6950569f387107d12251ba3425482124cff0808184"),
+        (0, "44d97add3ef65bc634045fbf403e25b580662b555531552da82d74dec38f092f"),
     "norms --in c5.g6 --format json":
-        (0, "70ca181510a7811efc49a3ded8a3cb013ee74145b7f871f3495e41dac627b1de"),
+        (0, "b4e4a87eac6e1f26bfddfcdc9aa0640024e912e6d9b09420856d59f71a16e2e0"),
     "norms --in c35.csv --format json":
         (0, "0b9f91dd83a959541d17b1502837e3e93afc685736f9c40d2129f029c38f9d64"),
     "norms --in k4.g6 --p 1 --p 1.5 --p 1000 --k 2 --format json":
-        (0, "701cbba8db9fa557503443c1235effd122294c2a8c078fd075676c96264b2558"),
+        (0, "e801389077940bee4372c6b27a7a5916786b0e3985d07eb0c17a9181bf523a12"),
     "construct --family paley --params 13":
         (0, "9ef54215ac86fcb70ebc6fefc900af318bdd3d159bd9600cd88a000e8115a5b0"),
     "construct --family hadamard --params 8":

@@ -159,3 +159,22 @@ def test_no_matrix_product_in_constructions_or_bounds():
                 if called in ("dot", "einsum", "matmul", "vdot"):
                     products.append((name, node.lineno, called))
     assert products == []
+
+
+def test_small_float_literals_in_the_verdict_layer_are_module_constants():
+    # every tolerance of bounds and constructions is a named module constant
+    named, stray = [], []
+    for name in ("bounds.py", "constructions.py"):
+        tree = _trees()[name]
+        constants = {id(node.value): node.targets[0].id for node in tree.body
+                     if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and type(node.value) is float
+                    and 0.0 < node.value < 1e-3):
+                if id(node) in constants:
+                    named.append(constants[id(node)])
+                else:
+                    stray.append((name, node.lineno, node.value))
+    assert stray == []
+    assert sorted(named) == ["EQ_TOL", "_ENTRY_BAND", "_MASS_SPREAD_TOL", "_MODULUS_TOL",
+                             "_SIGMA_ZERO_FRACTION"]
