@@ -72,7 +72,8 @@ def _sample_norm(n: int, seed: int, index: int, p: float) -> tuple[float, float,
         E = 2 sum_{lambda > 0} lambda - tr A. By the same argument, sigma_1
         and sigma_2 are the two largest moduli of lambda_1, lambda_2 (when
         its rank is k or more) and lambda_n;
-      * any other p, "all": every singular value, through `schatten_of`.
+      * any other p, "all": every singular value, as the one-row record
+        `schatten_of` roots for `norms` and `check`, so all three give one value.
     """
     a = _sample_adjacency(n, seed, index)
     part = {1.0: "positive", 2.0: "extremes"}.get(p, "all")
@@ -81,12 +82,12 @@ def _sample_norm(n: int, seed: int, index: int, p: float) -> tuple[float, float,
         # eigs is the upper half, then lambda_n
         value = 2.0 * float(eigs[:-1].sum()) - float(np.trace(a))
         eigs = np.append(eigs[:min(2, eigs.size - 1)], eigs[-1])
-    sig = symmetric_singular_values(eigs[None, :])[0]
+    sig = symmetric_singular_values(eigs[None, :])
     if part == "extremes":
         value = math.sqrt(a.sum())
     elif part == "all":
-        value = float(schatten_of(sig, p))
-    return value, float(sig[0]), float(sig[1]) if n > 1 else 0.0
+        value = schatten_of(sig, p).item()
+    return value, float(sig[0, 0]), float(sig[0, 1]) if n > 1 else 0.0
 
 
 # --- gamma function and the semicircle constant ---------------------------------

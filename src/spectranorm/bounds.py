@@ -14,7 +14,8 @@ the subject itself. Registry ids are stable strings used by the CLI and the
 JSON report schema.
 
 Detectors read A A* = cI as every sigma equal (`constructions._had_at`), at
-the one band `_values_equal`; Ky Fan sums are `norms.kyfan_of`, as in `norms`.
+the one band `_values_equal`; Ky Fan sums are `norms.kyfan_of` and Schatten
+norms `norms.schatten_of` of the memoized power sum (`_schatten`), as in `norms`.
 
 Conventions:
   * upper rows assert lhs <= rhs and use slack = rhs - lhs,
@@ -22,7 +23,9 @@ Conventions:
   * holds means slack >= -tol with tol = EQ_TOL * (1 + |lhs| + |rhs|),
   * the equality flag is the numeric test AND the detector verdict when the
     row has a gating detector,
-  * a subject with a non-finite lhs, rhs, mid or slack is a skip, never a failure.
+  * a subject with a non-finite lhs, rhs, mid or slack is a skip, never a failure;
+    a rooted side (a Schatten norm) is rescaled past the double range, so at a
+    large p only a side that is an unrooted power sum sigma_i^p can skip.
 
 Nonsquare matrix subjects are oriented rows <= cols (transposed if needed)
 before matrix rows are evaluated; singular values are unchanged by this.
@@ -44,7 +47,7 @@ from .constructions import (EQ_TOL, _complement, _constant_modulus, _had_at, _pl
 from .eigen import hermitian_eigenvalues, singular_values, symmetric_singular_values
 from .errors import PreconditionFailed, UnknownBoundId
 from .graphs import CHI_MAX_ORDER, Graph, chromatic_number, is_strongly_regular
-from .norms import as_matrix, kyfan_of
+from .norms import as_matrix, kyfan_of, schatten_of
 
 _SIGMA_ZERO_FRACTION = 1e-6  # sigma below this times sigma_1 counts as zero
 _ENTRY_BAND = 1e-12  # entries within this times |A|_inf of 0 or 1 count as 0 or 1
@@ -209,6 +212,11 @@ def _spow(q, p):
     return powers[p]
 
 
+def _schatten(q, p):
+    """Per-subject Schatten p-norm: `norms.schatten_of` of the memoized `_spow` sum."""
+    return schatten_of(q.sig, p, _spow(q, p))
+
+
 def _nonzero_sigma_profile(sig: np.ndarray) -> tuple[int, bool, float]:
     """(count, all-equal flag, common value) of the nonzero singular values."""
     if sig.size == 0 or sig[0] <= 0.0:
@@ -369,7 +377,7 @@ def _f_schatten_abs_n(q, params):
 
 def _f_schatten_p_ge2(q, params):
     p = params["p"]
-    return _spow(q, p) ** (1.0 / p), np.sqrt(2.0 * q.m), False, None
+    return _schatten(q, p), np.sqrt(2.0 * q.m), False, None
 
 
 def _detect_schatten_p_ge2(ctx, params):
@@ -380,7 +388,7 @@ def _detect_schatten_p_ge2(ctx, params):
 def _f_schr_lower(q, params):
     p = params["p"]
     rhs = q.sig[:, 0] * (1.0 + (q.chi - 1.0) ** (1.0 - p)) ** (1.0 / p)
-    return _spow(q, p) ** (1.0 / p), rhs, True, None
+    return _schatten(q, p), rhs, True, None
 
 
 def _detect_schr_lower(ctx, params):
@@ -425,8 +433,8 @@ def _f_emna(q, params):
 
 def _f_power_mean(q, params):
     p, qq, m = params["p"], params["q"], q.n_rows
-    lhs = m ** (-1.0 / p) * _spow(q, p) ** (1.0 / p)
-    rhs = m ** (-1.0 / qq) * _spow(q, qq) ** (1.0 / qq)
+    lhs = m ** (-1.0 / p) * _schatten(q, p)
+    rhs = m ** (-1.0 / qq) * _schatten(q, qq)
     return lhs, rhs, False, None
 
 
@@ -438,7 +446,7 @@ def _detect_power_mean(ctx, params):
 def _f_schatten_abs_mat(q, params):
     p = params["p"]
     rhs = q.n_rows ** (1.0 / p) * math.sqrt(q.n_cols) * q.entinf
-    return _spow(q, p) ** (1.0 / p), rhs, False, None
+    return _schatten(q, p), rhs, False, None
 
 
 def _detect_schatten_abs_mat(ctx, params):

@@ -34,7 +34,7 @@ class VertexOutOfRange(SpectranormError):
 
 
 class MalformedGraph6(SpectranormError):
-    """Input is not a valid graph6 string (header-less, n <= 62)."""
+    """Input is not a valid graph6 string."""
 
 
 class BadFamilyParams(SpectranormError):
@@ -76,7 +76,7 @@ class UnknownBoundId(SpectranormError):
 # --- enumeration / experiments ---
 
 class TooLarge(SpectranormError):
-    """Requested order exceeds the exhaustive-enumeration, sampling or edge-list cap."""
+    """Requested order exceeds the exhaustive-enumeration cap or `graphs.MAX_ORDER`."""
 
 
 # --- input parsing ---

@@ -21,6 +21,7 @@ by name through `family`.
 
 from __future__ import annotations
 
+import base64
 import math
 import re
 from typing import Iterable, Optional, Sequence, Union
@@ -187,6 +188,9 @@ class Graph:
 
 _GRAPH6_HEADER = ">>graph6<<"
 _GRAPH6_CHARS = re.compile(r"[?-~]+")  # chr(63)..chr(126), each code 63 plus six bits
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_FROM_GRAPH6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 
 def _is_graph6_line(line: str) -> bool:
@@ -194,38 +198,74 @@ def _is_graph6_line(line: str) -> bool:
     return line.startswith(_GRAPH6_HEADER) or _GRAPH6_CHARS.fullmatch(line) is not None
 
 
+def _graph6_order_header(n: int) -> str:
+    """The shortest graph6 order header for n: one character up to 62, else `~`
+    and n in three characters of six bits each, most significant first."""
+    if n <= 62:
+        return chr(63 + n)
+    return "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+
+
 def write_graph6(g: Graph) -> str:
-    """Header-less graph6 string; supports 1 <= n <= 62."""
-    n = g.n
-    if n > 62:
-        raise MalformedGraph6(f"graph6 writer supports n <= 62, got {n}")
-    width = -(-pair_count(n) // 6) * 6
-    bits = format(g.mask, f"0{width}b")[::-1]  # pair t at position t, zero padded
-    return chr(63 + n) + "".join(
-        chr(63 + int(bits[i:i + 6], 2)) for i in range(0, width, 6))
+    """Header-less graph6 string; supports orders 1..`MAX_ORDER`.
+
+    The body is base64 in graph6's alphabet: the pair bits in pair index
+    order, six to a character, most significant first, zero padded.
+    """
+    n = _capped_order(g.n, "graph6 order")
+    chars = -(-pair_count(n) // 6)
+    width = 24 * -(-chars // 4)  # whole base64 groups of four characters
+    ordered = int(format(g.mask, f"0{width}b")[::-1], 2)  # pair t at bit width - 1 - t
+    body = base64.b64encode(ordered.to_bytes(width // 8, "big")).translate(_TO_GRAPH6)
+    return _graph6_order_header(n) + body[:chars].decode("ascii")
+
+
+def _read_graph6_order(s: str) -> tuple[int, int]:
+    """(n, header length) of a graph6 string's order header, n capped at `MAX_ORDER`.
+
+    A `~` starts the long form: n in the next three characters, or after
+    `~~` in the next six. The cap is checked before anything of order size
+    is allocated; a header longer than n needs, such as a long one naming
+    n <= 62, is malformed.
+    """
+    if s[0] != "~":
+        size, digits = 1, s[0]
+    elif s[1:2] != "~":
+        size, digits = 4, s[1:4]
+    else:
+        size, digits = 8, s[2:8]
+    if len(s) < size:
+        raise MalformedGraph6("truncated graph6 order header")
+    n = 0
+    for ch in digits:
+        n = n << 6 | (ord(ch) - 63)
+    _capped_order(n, "graph6 order")
+    if n == 0:
+        raise MalformedGraph6("order-0 graphs are not supported")
+    shortest = len(_graph6_order_header(n))
+    if shortest != size:
+        raise MalformedGraph6(
+            f"{size}-character graph6 order header for n={n}, which takes {shortest}")
+    return n, size
 
 
 def parse_graph6(text: str) -> Graph:
-    """Parse a graph6 string (n <= 62), with or without the header; strict about padding."""
+    """Parse a graph6 string (orders 1..`MAX_ORDER`), with or without the header;
+    strict about padding."""
     s = text.strip().removeprefix(_GRAPH6_HEADER)
     if not s:
         raise MalformedGraph6("empty graph6 string")
     if not _GRAPH6_CHARS.fullmatch(s):
         raise MalformedGraph6("character outside graph6 range")
-    codes = [ord(ch) for ch in s]
-    n = codes[0] - 63
-    if n == 0:
-        raise MalformedGraph6("order-0 graphs are not supported")
-    if n == 63:
-        raise MalformedGraph6("extended (n > 62) graph6 headers are not supported")
+    n, size = _read_graph6_order(s)
     npairs = pair_count(n)
-    expected = 1 + (npairs + 5) // 6
-    if len(codes) != expected:
-        raise MalformedGraph6(
-            f"expected {expected} characters for n={n}, got {len(codes)}"
-        )
-    bits = "".join(format(c - 63, "06b") for c in codes[1:])  # pair t at position t
-    if "1" in bits[npairs:]:
+    expected = size + (npairs + 5) // 6
+    if len(s) != expected:
+        raise MalformedGraph6(f"expected {expected} characters for n={n}, got {len(s)}")
+    body = s[size:].encode("ascii")
+    body = (body + b"?" * (-len(body) % 4)).translate(_FROM_GRAPH6)
+    bits = format(int.from_bytes(base64.b64decode(body), "big"), f"0{6 * len(body)}b")
+    if "1" in bits[npairs:]:  # pair t at position t, then the padding
         raise MalformedGraph6("nonzero padding bits")
     return Graph(n, int(bits[:npairs][::-1] or "0", 2))
 
@@ -306,6 +346,7 @@ def with_isolated(g: Graph, t: int) -> Graph:
         raise TypeError(f"the base must be a Graph, not {type(g).__name__}")
     if t < 0:
         raise BadFamilyParams("isolated vertex count must be >= 0")
+    _capped_order(g.n + t, "with_isolated order")
     return Graph(g.n + t, g.mask)  # pair indices do not depend on the order
 
 
@@ -508,7 +549,7 @@ def chromatic_number_masks(adj: list[int]) -> int:
 
 
 CHI_MAX_ORDER = 32  # largest order chromatic_number accepts
-MAX_ORDER = 2000  # largest order `random` samples, an edge list names or a family builds
+MAX_ORDER = 2000  # the order cap of `random`, edge lists, graph6 and the graph families
 
 
 def chromatic_number(g: Graph) -> int:

@@ -3,7 +3,14 @@
 Every function accepts either a CMatrix or a Graph. A graph's singular values
 are the moduli of its eigenvalues from the Hermitian solve, sigma_i = |lambda_i|,
 as `check`, `sweep`, `search` and `random` read them; a matrix's come from
-`singular_values`.
+`singular_values`. Either is held as a one-row record, (1, k), as the bound
+rows hold it.
+
+Every (sum_i x_i^p)^(1/p) in the package is `schatten_of` on such (B, k)
+rows: the Schatten norms here, in the bound rows, in `search` and in
+`random`, and the entrywise norm of the moduli as one (1, mn) row. So one
+quantity has the same bits in every command, and a sum that passes the
+double range is rescaled by the row's largest value, not read as 0 or inf.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from .eigen import hermitian_eigenvalues, singular_values, symmetric_singular_va
 from .graphs import Graph
 
 Subject = Union[CMatrix, Graph]
+
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def as_matrix(subject: Subject) -> CMatrix:
@@ -43,19 +52,31 @@ def _check_kyfan_order(k: int) -> int:
     return k
 
 
-def schatten_of(sig: np.ndarray, p: float) -> np.ndarray:
-    """(sum_i sigma_i^p)^(1/p) along the last axis of an array of singular values.
+def schatten_of(sig: np.ndarray, p: float, total=None) -> np.ndarray:
+    """(sum_i sigma_i^p)^(1/p) of each row of a (B, k) record of singular values.
 
-    Where sum sigma_i^p is a normal double, this is that arithmetic as
-    written. Where it overflows or underflows, it is sigma_1 (sum (sigma_i /
-    sigma_1)^p)^(1/p), as `entrywise_norm` scales, whose sum lies in [1, n].
+    This is the one place a power sum is rooted. `total` is the rows' sum
+    sigma_i^p when the caller has it (`bounds._spow`), else it is formed
+    here. Where that sum is a normal double the result is its root, as
+    written. On a row whose sum overflows, or is subnormal or 0, while its
+    largest value sigma_1 is finite and positive, it is
+    sigma_1 (sum (sigma_i / sigma_1)^p)^(1/p), whose sum lies in [1, k]; only
+    those rows pay for the rescaling.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        total = (sig**p).sum(axis=-1)
-        top = sig.max(axis=-1, initial=0.0, keepdims=True)
-        scaled = top[..., 0] * ((sig / top) ** p).sum(axis=-1) ** (1.0 / p)
-    normal = (total >= np.finfo(float).tiny) & (total < math.inf)
-    return np.where(normal | (top[..., 0] == 0.0), total ** (1.0 / p), scaled)
+    if total is None:
+        with np.errstate(over="ignore"):
+            total = (sig**p).sum(axis=-1)
+    root = total ** (1.0 / p)
+    odd = (total < _TINY) | np.isinf(total)
+    rows = sig[odd]
+    if rows.any():  # an all-zero row, such as the empty graph's, has the root 0
+        top = rows.max(axis=-1)
+        live = (top > 0.0) & (top < math.inf)
+        top, rows = top[live], rows[live]
+        with np.errstate(over="ignore"):  # the norm itself may pass the double range
+            scaled = top * ((rows / top[:, None]) ** p).sum(axis=-1) ** (1.0 / p)
+        root[np.flatnonzero(odd)[live]] = scaled
+    return root
 
 
 def kyfan_of(sig: np.ndarray, k) -> np.ndarray:
@@ -73,9 +94,9 @@ def spectral_norms(subject: Subject, ps, ks) -> tuple[list[float], list[float]]:
 
     The singular values are computed once, whatever the number of orders. A
     graph's are |lambda_i| from one Hermitian solve, kept as the one-row
-    record `bounds.SubjectContext.sig` holds, so that sum sigma_i^p and its
-    root take the numpy loops of the bound rows and `check`'s bits. A
-    matrix's are the vector `singular_values` gives.
+    record `bounds.SubjectContext.sig` holds; a matrix's are `singular_values`,
+    kept as the same one-row record. So sum sigma_i^p and its root take the
+    numpy loops of the bound rows and `check`'s bits.
     """
     ps = [_check_schatten_order(p) for p in ps]
     ks = [_check_kyfan_order(k) for k in ks]
@@ -83,7 +104,7 @@ def spectral_norms(subject: Subject, ps, ks) -> tuple[list[float], list[float]]:
         eigs = hermitian_eigenvalues(subject.adjacency_matrix()).values
         sig = symmetric_singular_values(eigs[None, :])
     else:
-        sig = singular_values(as_matrix(subject)).values
+        sig = singular_values(as_matrix(subject)).values[None, :]
     return [schatten_of(sig, p).item() for p in ps], [kyfan_of(sig, k).item() for k in ks]
 
 
@@ -103,18 +124,15 @@ def kyfan_norm(subject: Subject, k: int) -> float:
 
 
 def entrywise_norm(subject: Subject, p: float) -> float:
-    """|A|_p = (sum |a_ij|^p)^(1/p); p = inf gives max |a_ij|."""
+    """|A|_p = (sum |a_ij|^p)^(1/p), `schatten_of` of the moduli as one row;
+    p = inf gives max |a_ij|."""
     mods = np.abs(as_matrix(subject).data)
     if p == math.inf:
         return float(mods.max())
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
         raise ValueError(f"entrywise order must be >= 1 or inf, got {p}")
-    top = float(mods.max())
-    if top == 0.0:
-        return 0.0
-    # scale by the largest modulus so mods**p neither underflows nor overflows
-    return top * float(np.sum((mods / top) ** p) ** (1.0 / p))
+    return schatten_of(mods.reshape(1, -1), p).item()
 
 
 def kyfan2_eigen_identity(g: Graph) -> tuple[float, float]:

@@ -270,8 +270,8 @@ def test_sweep_exit_codes(capsys):
 
 
 _NOT_FINITE = "a side of the bound is not finite in double precision"
-# sum sigma_i^p overflows at these p, so each of these rows has a side at inf or nan
-_OVERFLOWING = ["SCHATTEN_EDGES", "SCHATTEN_P_GE2", "SCHR_LOWER", "POWER_MEAN", "KM_MATRIX"]
+# sum sigma_i^p overflows at these p, so each row with an unrooted sum has a side at inf or nan
+_OVERFLOWING = ["SCHATTEN_EDGES", "KM_MATRIX"]
 
 
 def _check_without_warnings(capsys, path, p):

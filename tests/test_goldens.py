@@ -86,7 +86,7 @@ GOLDENS = {
     "check --in c35.csv --format json":
         (0, "4f1964fa12386bd6045b18fdd5f972fae9cc77ba677fa4d57f310fa0fceec5f6"),
     "check --in k4.g6 --p 1000 --q 1000 --format json":
-        (0, "9c23a232e821345661bb55bf8b373707be81899a69e83bd3b619babd534516cd"),
+        (0, "0779de2ea1971a4417ed0125727491a9c0b8299a6a6e99f777b1681d493d14c9"),
     "check --in c35.csv --p 1.5 --q 3 --k 2 --format json":
         (0, "b89d0eea521658e7f3a116db3d714b3e9804eb1488dd374b1a20ac958d598f1d"),
     "check --in el_bad.txt --format json":

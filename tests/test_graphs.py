@@ -12,6 +12,7 @@ from spectranorm.errors import (
     LoopEdge,
     MalformedGraph6,
     OverflowRisk,
+    TooLarge,
     TooLargeForExact,
     VertexOutOfRange,
 )
@@ -79,13 +80,58 @@ def test_graph6_malformed():
     with pytest.raises(MalformedGraph6, match="^expected 2 characters for n=2, got 3$"):
         parse_graph6("A_X")  # wrong length
     with pytest.raises(MalformedGraph6,
-                       match=r"^extended \(n > 62\) graph6 headers are not supported$"):
-        parse_graph6("~AAAA")  # extended header unsupported
+                       match="^4-character graph6 order header for n=5, which takes 1$"):
+        parse_graph6("~??D??")  # a long header for an order that takes one character
     # padding bits must be zero: K_2's byte with a stray low bit set
     with pytest.raises(MalformedGraph6, match="^nonzero padding bits$"):
         parse_graph6("A" + chr(63 + 0b100001))
-    with pytest.raises(MalformedGraph6, match="^graph6 writer supports n <= 62, got 63$"):
-        write_graph6(Graph(63))
+    with pytest.raises(MalformedGraph6,
+                       match="^8-character graph6 order header for n=63, which takes 4$"):
+        parse_graph6("~~?????~")  # the 36-bit form for an order that takes 18 bits
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 100, 2000])
+def test_graph6_roundtrip_up_to_the_order_cap(n):
+    # orders past 62 take the long header: `~` and n in three characters
+    rnd = random.Random(n)
+    for g in (Graph(n), Graph(n, rnd.getrandbits(pair_count(n))), complete(n)):
+        s = write_graph6(g)
+        assert s.startswith("~") is (n > 62)
+        assert len(s) == (1 if n <= 62 else 4) + -(-pair_count(n) // 6)
+        assert parse_graph6(s) == g
+        assert parse_graph6(">>graph6<<" + s + "\n") == g
+
+
+def test_long_graph6_headers_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(63)
+    for n in (63, 64, 100, 257, 500):
+        gx = nx.empty_graph(n)
+        gx.add_edges_from(Graph(n, rnd.getrandbits(pair_count(n))).edges())
+        s = nx.to_graph6_bytes(gx, header=False).decode().strip()
+        g = parse_graph6(s)
+        assert sorted(g.edges()) == sorted(gx.edges())
+        assert write_graph6(g) == s
+
+
+def test_graph6_order_cap():
+    # the cap is read off the header, before the length of the rest is checked
+    for header, n in (("~?^P", 2001), ("~}~~", 258047), ("~~?@????", 2**24)):
+        with pytest.raises(TooLarge, match=f"^graph6 order capped at 2000, got {n}$"):
+            parse_graph6(header + "??")
+    with pytest.raises(MalformedGraph6, match="^order-0 graphs are not supported$"):
+        parse_graph6("~~??????")
+    with pytest.raises(TooLarge, match="^graph6 order capped at 2000, got 2001$"):
+        write_graph6(Graph(2001))
+    for truncated in ("~", "~A", "~~AAAAA"):
+        with pytest.raises(MalformedGraph6, match="^truncated graph6 order header$"):
+            parse_graph6(truncated)
+
+
+def test_with_isolated_is_capped_at_the_order_cap():
+    assert with_isolated(complete(4), 1996).n == 2000
+    with pytest.raises(TooLarge, match="^with_isolated order capped at 2000, got 2001$"):
+        with_isolated(complete(4), 1997)
 
 
 def test_graph6_roundtrip_exhaustive_small():

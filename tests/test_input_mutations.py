@@ -51,7 +51,7 @@ def _mutate(rng, data: bytes) -> bytes:
 
 def _round_trips(subject) -> bool:
     if isinstance(subject, Graph):
-        return subject.n > 62 or parse_graph6(write_graph6(subject)) == subject
+        return parse_graph6(write_graph6(subject)) == subject
     back = load_subject(format_matrix_csv(subject))
     return isinstance(back, CMatrix) and np.array_equal(back.data, subject.data)
 

@@ -178,3 +178,23 @@ def test_small_float_literals_in_the_verdict_layer_are_module_constants():
     assert stray == []
     assert sorted(named) == ["EQ_TOL", "_ENTRY_BAND", "_MASS_SPREAD_TOL", "_MODULUS_TOL",
                              "_SIGMA_ZERO_FRACTION"]
+
+
+def test_every_rooted_power_sum_is_schatten_of():
+    # (sum x^p)^(1/p) is rooted in `norms.schatten_of` alone, which rescales a
+    # sum past the double range; a root of `_spow(...)` or of a `.sum(...)`
+    # anywhere else would read such a sum as 0 or inf
+    rooted = []
+    for name in ("bounds.py", "search.py", "asymptotics.py", "norms.py"):
+        tree = _trees()[name]
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "schatten_of"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.left, ast.Call)) or id(node) in inside:
+                continue
+            fn = node.left.func
+            if getattr(fn, "id", None) == "_spow" or getattr(fn, "attr", None) == "sum":
+                rooted.append((name, node.lineno))
+    assert rooted == []

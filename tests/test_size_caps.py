@@ -107,3 +107,34 @@ def test_the_edge_list_cap_is_the_family_cap():
         graphs._capped_order(MAX_ORDER + 1, "edge-list order")
     assert str(exc.value) == "edge-list order capped at 2000, got 2001"
     assert graphs._capped_order(MAX_ORDER, "edge-list order") == MAX_ORDER
+
+
+def _cli(tmp_path, *args):
+    argv = [sys.executable, "-B", "-m", "spectranorm", *args]
+    env = {**os.environ, "PYTHONPATH": str(_SRC), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=_limit_address_space)
+
+
+def test_graph6_long_header_past_the_cap_is_refused_before_allocation(tmp_path):
+    # `~~` and six characters name n = 2^36 - 1: a pair mask of that order is 2^71 bits
+    (tmp_path / "huge.g6").write_text("~~~~~~~~" + "?" * 8 + "\n")
+    done = _cli(tmp_path, "check", "--in", "huge.g6")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"error: graph6 order capped at {MAX_ORDER}, got {2**36 - 1}\n"
+
+
+def test_construct_writes_graph6_past_order_62(tmp_path):
+    done = _cli(tmp_path, "construct", "--family", "cycle", "--params", "63")
+    assert done.returncode == 0, done.stderr
+    assert graphs.parse_graph6(done.stdout) == cycle(63)
+    assert done.stdout.startswith("~??~")
+
+
+def test_construct_with_isolated_is_capped(tmp_path):
+    (tmp_path / "k4.g6").write_text("C~\n")
+    done = _cli(tmp_path, "construct", "--family", "with_isolated", "--in", "k4.g6",
+                "--params", "100000")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: with_isolated order capped at {MAX_ORDER}, got 100004\n"
